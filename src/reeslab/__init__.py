@@ -2,6 +2,7 @@
 complete intersections, with brute-force toric oracles for every claim."""
 
 from .core import (
+    AciSpec,
     Binomial,
     Monomial,
     MonomialIdeal,
@@ -37,13 +38,12 @@ from .binary import (
     transport,
 )
 from .reduction import (
-    AciSpec,
     is_monomial_reduction,
     red_search_general,
     red_uniform,
     verify_q_reduction,
 )
-from .lengths import hm_profile, st_formula, st_oracle, syzygy_indices
+from .lengths import hm_profile, st_formula, st_oracle
 from .ternary import (
     TernaryGenSet,
     classify_type,

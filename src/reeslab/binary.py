@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Optional, Sequence
 
-from .core import Binomial, Monomial
+from .core import AciSpec, Binomial, Monomial
 from .toric import MoveSet, binary_spec
 
 
@@ -211,8 +211,6 @@ def sigma_set(d: int, b: int) -> SigmaSet:
     """Assemble Sigma for (d, b): the two syzygies plus one Sylvester form
     per Euclid quotient step, built by the parity-alternating iteration and
     cross-checked against the closed F/G formulas."""
-    if d < 2:
-        raise ValueError(f"need d >= 2, got {d}")
     ed = euclid_sequence(d, b)
     entries: list[SigmaEntry] = [SigmaEntry(make_generator(ed, 0, 0), "syzygy", 0, 0)]
     cycle_last = [0]  # entry index of the last element of each finished cycle
@@ -273,13 +271,8 @@ class Reparametrization:
 
 
 def reparametrize(a: Sequence[int], b: Sequence[int]) -> Reparametrization:
-    a, b = tuple(a), tuple(b)
-    if len(a) != len(b) or not a:
-        raise ValueError("exponent vectors must be nonempty and of equal length")
-    if any(not 0 <= bi < ai for ai, bi in zip(a, b)):
-        raise ValueError(f"need 0 <= b_i < a_i, got a={a}, b={b}")
-    if sum(1 for bi in b if bi) < 2:
-        raise ValueError("need at least two nonzero mixed exponents")
+    spec = AciSpec(tuple(a), tuple(b))
+    a, b = spec.a, spec.b
     delta = tuple(gcd(ai, bi) if bi else 1 for ai, bi in zip(a, b))
     a_red = tuple(ai // c for ai, c in zip(a, delta))
     b_red = tuple(bi // c for bi, c in zip(b, delta))

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 import time
 from dataclasses import dataclass
@@ -18,7 +17,7 @@ from math import gcd
 from typing import Optional
 
 from . import binary, lengths, reduction, ternary, toric
-from .reduction import AciSpec
+from .core import AciSpec
 
 SCHEMA = "rees-lab/1"
 
@@ -185,21 +184,20 @@ def cmd_lengths(args) -> tuple[Report, int]:
     if gcd(d, b) != 1:
         raise UsageError(f"gcd({d}, {b}) > 1; reduce first")
     bb = min(b, d - b)  # the profile is symmetric under x <-> y
-    profile = lengths.hm_profile(d, bb)
-    idx = lengths.syzygy_indices(profile)
+    profile = lengths.hm_profile(d, bb)  # raises unless l0' >= d - l0
     results = {
         "rows": [{"ell": r.ell, "s": r.s, "t": r.t, "lambda": r.lam} for r in profile.rows],
         "hm_sum": profile.hm_sum,
         "e1": profile.e1,
         "hm_holds": profile.hm_holds,
         "hm_equal": profile.hm_equal,
-        "ell0": idx.ell0,
-        "ell0_prime": idx.ell0_prime,
-        "equidistant": idx.equidistant,
+        "ell0": profile.ell0,
+        "ell0_prime": profile.ell0_prime,
+        "equidistant": profile.equidistant,
     }
     if b != bb:
         results["mirrored_b"] = bb
-    verdict = "pass" if profile.hm_holds and idx.lower_bound_ok else "fail"
+    verdict = "pass" if profile.hm_holds else "fail"
     return Report("lengths", {"d": d, "b": b}, results, verdict), 0 if verdict == "pass" else 1
 
 
@@ -289,7 +287,6 @@ def _binary_instance(d: int, b: int) -> dict:
         gen.passed
         and len(sigma) == sigma.count_formula()
         and profile.hm_holds
-        and profile.ell0_prime >= d - profile.ell0
         and red.r == d - 1
     )
     return {
@@ -304,22 +301,14 @@ def _binary_instance(d: int, b: int) -> dict:
 
 
 def cmd_sweep(args) -> tuple[Report, int]:
-    rows = []
-    jobs = [
-        (d, b)
+    if args.binary_max_d < 2 and args.ternary_max_a < 3:
+        raise UsageError("the sweep checks nothing: need --binary-max-d >= 2 or --ternary-max-a >= 3")
+    rows = [  # canonical parameter order
+        _binary_instance(d, b)
         for d in range(2, args.binary_max_d + 1)
         for b in range(1, d)
         if gcd(d, b) == 1
     ]
-    workers = max(1, int(os.environ.get("REES_LAB_THREADS", "1")))
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(lambda db: _binary_instance(*db), jobs))
-    else:
-        rows = [_binary_instance(d, b) for d, b in jobs]
-    rows.sort(key=lambda r: (r["d"], r["b"]))  # canonical parameter order
 
     ternary_rows = []
     if args.ternary_max_a:
@@ -426,8 +415,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", type=str, default=None)
     p.set_defaults(func=cmd_sweep)
 
-    for sp in sub.choices.values():
-        sp.add_argument("--format", choices=("text", "json", "csv"), default="text")
+    for name, sp in sub.choices.items():
+        formats = ("text", "json", "csv") if name == "sweep" else ("text", "json")
+        sp.add_argument("--format", choices=formats, default="text")
     return parser
 
 
@@ -436,6 +426,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     if args.command == "red" and not args.uniform and (args.a is None or args.b is None):
         parser.error("red needs either --a and --b, or --uniform N A B")
+    if args.format == "csv" and not args.out:
+        parser.error("--format csv writes only to a file: add --out PATH")
     start = time.monotonic()
     try:
         report, code = args.func(args)

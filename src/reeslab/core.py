@@ -15,8 +15,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 #: hard guard against runaway exponent growth; the supported parameter
 #: ranges (d <= 30, a <= 10) stay far below this.
@@ -437,6 +438,70 @@ class MonomialIdeal:
             if not self.contains(m):
                 count += 1
         return count
+
+
+@dataclass(frozen=True)
+class AciSpec:
+    """The almost complete intersection I = (x_1^{a_1}, ..., x_n^{a_n}, x^b)
+    with x^b = x_1^{b_1} ... x_n^{b_n}, and its pure-power subideal J."""
+
+    a: tuple[int, ...]
+    b: tuple[int, ...]
+
+    def __post_init__(self):
+        if len(self.a) != len(self.b) or not self.a:
+            raise ValueError("a and b must be nonempty vectors of equal length")
+        if any(not 0 <= bi < ai for ai, bi in zip(self.a, self.b)):
+            raise ValueError(f"need 0 <= b_i < a_i, got a={self.a}, b={self.b}")
+        if sum(1 for bi in self.b if bi) < 2:
+            raise ValueError("need at least two nonzero mixed exponents")
+
+    @property
+    def n(self) -> int:
+        return len(self.a)
+
+    @property
+    def pure_powers(self) -> tuple[Monomial, ...]:
+        return tuple(
+            ground_monomial(tuple(ai if j == i else 0 for j in range(self.n))) for i, ai in enumerate(self.a)
+        )
+
+    @property
+    def mixed(self) -> Monomial:
+        return ground_monomial(self.b)
+
+    @property
+    def generators(self) -> tuple[Monomial, ...]:
+        """x_1^{a_1}, ..., x_n^{a_n}, x^b, in the order of the Rees variables."""
+        return self.pure_powers + (self.mixed,)
+
+    @cached_property
+    def ideal(self) -> MonomialIdeal:
+        return MonomialIdeal(self.generators, self.n)
+
+    @cached_property
+    def j_ideal(self) -> MonomialIdeal:
+        return MonomialIdeal(self.pure_powers, self.n)
+
+    def powers(self) -> Iterator[MonomialIdeal]:
+        """I^0, I^1, I^2, ...; each step is one product, made on demand."""
+        ideal_i = self.ideal
+        power = MonomialIdeal([unit(self.n)], self.n)
+        while True:
+            yield power
+            power = power.product(ideal_i)
+
+    def colon(self, ell: int, power: MonomialIdeal) -> MonomialIdeal:
+        """J I^(l-1) : (x^b)^l, given power = I^(l-1)."""
+        return self.j_ideal.product(power).colon(self.mixed.power(ell))
+
+    def colons(self) -> Iterator[MonomialIdeal]:
+        """The colons for l = 1, 2, ..., walking the power chain once."""
+        for ell, power in enumerate(self.powers(), start=1):
+            yield self.colon(ell, power)
+
+    def default_r_cap(self) -> int:
+        return 4 * max(self.a)
 
 
 def ideal(*texts: str, nvars: int | None = None) -> MonomialIdeal:

@@ -11,10 +11,11 @@ index triangle and the literal ideal-arithmetic colon.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from math import gcd
 
-from .core import MonomialIdeal, ground_monomial
+from .core import AciSpec, MonomialIdeal
 
 
 class ColonShapeError(RuntimeError):
@@ -90,14 +91,6 @@ def formula_minima(d: int, b: int, ell: int) -> dict:
     return {"m": m, "m_prime": mp, "n_prime": np_, "n": n}
 
 
-def binary_ideal(d: int, b: int) -> MonomialIdeal:
-    return MonomialIdeal([
-        ground_monomial((d, 0)),
-        ground_monomial((0, d)),
-        ground_monomial((b, d - b)),
-    ], 2)
-
-
 def _pure_power_split(colon: MonomialIdeal, d: int, b: int, ell: int) -> tuple[int, int]:
     gens = colon.gens
     if len(gens) != 2:
@@ -118,10 +111,9 @@ def st_oracle(d: int, b: int, ell: int) -> tuple[int, int]:
     """(s_l, t_l) by literal ideal arithmetic: build J I^(l-1), colon out
     x^(b l) y^((d-b) l), and read off the two pure powers."""
     _check_params(d, b, ell)
-    ideal_i = binary_ideal(d, b)
-    j_ideal = MonomialIdeal([ground_monomial((d, 0)), ground_monomial((0, d))], 2)
-    colon = j_ideal.product(ideal_i.power(ell - 1)).colon(ground_monomial((b * ell, (d - b) * ell)))
-    return _pure_power_split(colon, d, b, ell)
+    spec = AciSpec((d, d), (b, d - b))
+    power = next(itertools.islice(spec.powers(), ell - 1, None))
+    return _pure_power_split(spec.colon(ell, power), d, b, ell)
 
 
 @dataclass(frozen=True)
@@ -169,15 +161,10 @@ def hm_profile(d: int, b: int) -> LengthProfile:
     """Full length profile for l = 1 .. d-1 via the colon oracle, with the
     syzygy indices checked to exist and satisfy l0' >= d - l0."""
     _check_params(d, b)
-    ideal_i = binary_ideal(d, b)
-    j_ideal = MonomialIdeal([ground_monomial((d, 0)), ground_monomial((0, d))], 2)
     rows = []
-    power = MonomialIdeal([ground_monomial((0, 0))], 2)  # I^0
-    for ell in range(1, d):
-        colon = j_ideal.product(power).colon(ground_monomial((b * ell, (d - b) * ell)))
+    for ell, colon in zip(range(1, d), AciSpec((d, d), (b, d - b)).colons()):
         s, t = _pure_power_split(colon, d, b, ell)
         rows.append(LengthRow(ell, s, t))
-        power = power.product(ideal_i)
     ell0 = next((r.ell for r in rows if r.s == 1 or r.t == 1), None)
     ell0p = next((r.ell for r in rows if r.s == 1 and r.t == 1), None)
     if ell0 is None or ell0p is None:
@@ -185,20 +172,3 @@ def hm_profile(d: int, b: int) -> LengthProfile:
     if ell0p < d - ell0:
         raise ProfileError(f"l0' = {ell0p} < d - l0 = {d - ell0} for (d={d}, b={b})")
     return LengthProfile(d, b, tuple(rows), ell0, ell0p)
-
-
-@dataclass(frozen=True)
-class SyzygyIndices:
-    ell0: int
-    ell0_prime: int
-    lower_bound_ok: bool
-    equidistant: bool
-
-
-def syzygy_indices(profile: LengthProfile) -> SyzygyIndices:
-    return SyzygyIndices(
-        profile.ell0,
-        profile.ell0_prime,
-        profile.ell0_prime >= profile.d - profile.ell0,
-        profile.equidistant,
-    )

@@ -8,38 +8,16 @@ are checked by congruence walks.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import Binomial, MonomialIdeal, ground_monomial
+from .core import AciSpec, Binomial, MonomialIdeal  # AciSpec is re-exported here
 from .toric import compositions, monomial_in_mixed_ideal
 
 
 class ReductionInconsistency(RuntimeError):
     """The two reduction-number searches disagree; implementation bug."""
-
-
-@dataclass(frozen=True)
-class AciSpec:
-    """Exponent data of x_1^{a_1}, ..., x_n^{a_n}, x_1^{b_1} ... x_n^{b_n}."""
-
-    a: tuple[int, ...]
-    b: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.a) != len(self.b) or not self.a:
-            raise ValueError("a and b must be nonempty vectors of equal length")
-        if any(not 0 <= bi < ai for ai, bi in zip(self.a, self.b)):
-            raise ValueError(f"need 0 <= b_i < a_i, got a={self.a}, b={self.b}")
-        if sum(1 for bi in self.b if bi) < 2:
-            raise ValueError("need at least two nonzero mixed exponents")
-
-    @property
-    def n(self) -> int:
-        return len(self.a)
-
-    def default_r_cap(self) -> int:
-        return 4 * max(self.a)
 
 
 @dataclass(frozen=True)
@@ -152,23 +130,11 @@ class QReductionReport:
         return self.power_contained and self.witness_excluded
 
 
-def _uniform_ideal(n: int, a: int, b: int) -> MonomialIdeal:
-    gens = [ground_monomial(tuple(a if j == i else 0 for j in range(n))) for i in range(n)]
-    gens.append(ground_monomial((b,) * n))
-    return MonomialIdeal(gens, n)
-
-
-def _q_times(n: int, a: int, b: int, power: MonomialIdeal):
+def _q_times(spec: AciSpec, power: MonomialIdeal):
     """Generators of Q * power, split into pure differences and monomials."""
-    diffs = []
-    monos = []
-    xn = ground_monomial(tuple(a if j == n - 1 else 0 for j in range(n)))
-    mixed = ground_monomial((b,) * n)
-    for g in power.gens:
-        for i in range(n - 1):
-            xi = ground_monomial(tuple(a if j == i else 0 for j in range(n)))
-            diffs.append(Binomial(xi * g, xn * g))
-        monos.append(mixed * g)
+    *others, xn = spec.pure_powers
+    diffs = [Binomial(xi * g, xn * g) for g in power.gens for xi in others]
+    monos = [spec.mixed * g for g in power.gens]
     return diffs, monos
 
 
@@ -180,13 +146,14 @@ def verify_q_reduction(n: int, a: int, b: int, cap: int = 10**6) -> QReductionRe
         raise ValueError(f"n*b = {n * b} >= a = {a}: monomial reduction case, Q check not applicable")
     if n < 3:
         raise ValueError("need n >= 3 for the Q-reduction facts")
-    ideal_i = _uniform_ideal(n, a, b)
+    spec = AciSpec((a,) * n, (b,) * n)
+    powers = list(itertools.islice(spec.powers(), n + 1))  # I^0 .. I^n
     explored = 0
 
-    diffs, monos = _q_times(n, a, b, ideal_i.power(n - 1))
+    diffs, monos = _q_times(spec, powers[n - 1])
     contained = True
     checked = 0
-    for m in ideal_i.power(n).gens:
+    for m in powers[n].gens:
         res = monomial_in_mixed_ideal(m, diffs, monos, cap)
         explored += res.explored
         checked += 1
@@ -194,8 +161,8 @@ def verify_q_reduction(n: int, a: int, b: int, cap: int = 10**6) -> QReductionRe
             contained = False
             break
 
-    diffs2, monos2 = _q_times(n, a, b, ideal_i.power(n - 2))
-    target = ground_monomial(tuple((n - 1) * a if j == n - 1 else 0 for j in range(n)))
+    diffs2, monos2 = _q_times(spec, powers[n - 2])
+    target = spec.pure_powers[-1].power(n - 1)
     res2 = monomial_in_mixed_ideal(target, diffs2, monos2, cap)
     explored += res2.explored
     return QReductionReport(n, a, b, contained, not res2.member, checked, explored)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import Binomial, Monomial, MonomialIdeal, Polynomial, ground_monomial, poly_identity_check
+from .core import AciSpec, Binomial, Monomial, Polynomial, poly_identity_check
 from .binary import sylvester_det
 from .toric import (
     GenerationReport,
@@ -312,14 +312,12 @@ def _monomials_up_to(degree: int):
             yield Monomial(split[:3], split[3:])
 
 
-def verify_colon_claims(a: int, b: int, subset_degree: int | None = None) -> ColonClaimsReport:
+def verify_colon_claims(a: int, b: int) -> ColonClaimsReport:
     """Check every colon claim: exact certificates, oracle membership of
     each claimed generator, and the bounded-degree converse (monomials of
     total degree <= a outside the claimed colon never multiply H into the
     prefix)."""
     _check_ab(a, b)
-    if subset_degree is None:
-        subset_degree = a
     gens = ternary_gens(a, b)
     spec = gens.spec()
     by_label = dict(gens.labelled())
@@ -340,7 +338,7 @@ def verify_colon_claims(a: int, b: int, subset_degree: int | None = None) -> Col
         )
         violations = []
         checked = 0
-        for m in _monomials_up_to(subset_degree):
+        for m in _monomials_up_to(a):
             if any(g.divides(m) for g in colon_gens):
                 continue
             checked += 1
@@ -395,23 +393,15 @@ class TernaryLengthRow:
     lam: int
 
 
-def ternary_length_profile(a: int, b: int, max_ell: int | None = None) -> tuple[TernaryLengthRow, ...]:
-    """Exploratory: lambda(I^l / J I^(l-1)) by staircase counts, until the
-    first zero (the reduction number is 2 whenever a > 2b, so the tail
-    vanishes).  No closed form is asserted here."""
+def ternary_length_profile(a: int, b: int) -> tuple[TernaryLengthRow, ...]:
+    """Exploratory: lambda(I^l / J I^(l-1)) by staircase counts for
+    l <= 3a, until the first zero (J is a reduction when 3b >= a, so the
+    tail then vanishes).  No closed form is asserted here."""
     _check_ab(a, b)
-    if max_ell is None:
-        max_ell = 3 * a
-    uniform = [ground_monomial(tuple(a if j == i else 0 for j in range(3))) for i in range(3)]
-    ideal_i = MonomialIdeal(uniform + [ground_monomial((b, b, b))], 3)
-    j_ideal = MonomialIdeal(uniform, 3)
     rows = []
-    power = MonomialIdeal([ground_monomial((0, 0, 0))], 3)
-    for ell in range(1, max_ell + 1):
-        colon = j_ideal.product(power).colon(ground_monomial((b * ell,) * 3))
+    for ell, colon in zip(range(1, 3 * a + 1), AciSpec((a,) * 3, (b,) * 3).colons()):
         lam = 0 if colon.is_unit_ideal() else colon.colength()
         if lam == 0:
             break
         rows.append(TernaryLengthRow(ell, lam))
-        power = power.product(ideal_i)
     return tuple(rows)

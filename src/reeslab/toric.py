@@ -16,14 +16,12 @@ so reduced fibers decide the sweep; move sets are validated accordingly.
 from __future__ import annotations
 
 import itertools
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .core import Binomial, Monomial
+from .core import AciSpec, Binomial, Monomial
 
 Vec = tuple[int, ...]
 
@@ -83,25 +81,12 @@ class ReesMapSpec:
 
 def binary_spec(d: int, b: int) -> ReesMapSpec:
     """Map for I = (x^d, y^d, x^b y^(d-b)) with Rees variables t, u, v."""
-    if not (1 <= b < d):
-        raise ValueError(f"need 1 <= b < d, got ({d}, {b})")
-    return ReesMapSpec(2, (
-        Monomial((d, 0)),
-        Monomial((0, d)),
-        Monomial((b, d - b)),
-    ))
+    return ReesMapSpec(2, AciSpec((d, d), (b, d - b)).generators)
 
 
 def ternary_spec(a: int, b: int) -> ReesMapSpec:
     """Map for I = (x^a, y^a, z^a, (xyz)^b) with Rees variables t, u, v, w."""
-    if not (1 <= b < a):
-        raise ValueError(f"need 1 <= b < a, got ({a}, {b})")
-    return ReesMapSpec(3, (
-        Monomial((a, 0, 0)),
-        Monomial((0, a, 0)),
-        Monomial((0, 0, a)),
-        Monomial((b, b, b)),
-    ))
+    return ReesMapSpec(3, AciSpec((a,) * 3, (b,) * 3).generators)
 
 
 @dataclass(frozen=True)
@@ -254,29 +239,30 @@ def connected_under_moves(fiber: Fiber, moves: MoveSet | Sequence[Binomial]) -> 
     return tuple(tuple(_mono(vecs[i], n) for i in comp) for comp in comps)
 
 
+def _congruence_class(start: Vec, movevecs: Sequence[tuple[Vec, Vec]]) -> Iterator[Vec]:
+    """Breadth-first walk of the congruence class of `start`: yields start,
+    then each newly reached state once, as soon as it is reached."""
+    seen = {start}
+    frontier = [start]
+    yield start
+    while frontier:
+        nxt = []
+        for state in frontier:
+            for nb in _neighbors(state, movevecs):
+                if nb not in seen:
+                    seen.add(nb)
+                    nxt.append(nb)
+                    yield nb
+        frontier = nxt
+
+
 def binomial_in_binomial_ideal(b: Binomial, gens: MoveSet) -> bool:
     """Membership of a pure difference in the binomial ideal of `gens`:
     walk the congruence from b.lead and look for b.trail."""
     spec = gens.spec
     if spec.image_of(b.lead) != spec.image_of(b.trail):
         raise KernelMismatch(f"{b} is not a kernel element; images differ")
-    start, target = _vec(b.lead), _vec(b.trail)
-    if start == target:
-        return True
-    movevecs = _move_vecs(gens.moves)
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for state in frontier:
-            for nb in _neighbors(state, movevecs):
-                if nb == target:
-                    return True
-                if nb not in seen:
-                    seen.add(nb)
-                    nxt.append(nb)
-        frontier = nxt
-    return False
+    return _vec(b.trail) in _congruence_class(_vec(b.lead), _move_vecs(gens.moves))
 
 
 @dataclass(frozen=True)
@@ -302,34 +288,16 @@ def monomial_in_mixed_ideal(
     moves contains a multiple of some monomial generator.
 
     Raises ClassCapExceeded instead of answering when the class outgrows
-    `cap`; the caller must raise the bound.
+    `cap` (at least 1); the caller must raise the bound.
     """
-    movevecs = _move_vecs(diff_gens)
     monos = [_vec(g) for g in mono_gens]
     n = len(m.ground)
-
-    def hits(state: Vec) -> bool:
-        return any(all(s >= g for s, g in zip(state, mg)) for mg in monos)
-
-    start = _vec(m)
-    if hits(start):
-        return MixedMembership(True, 1, m)
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for state in frontier:
-            for nb in _neighbors(state, movevecs):
-                if nb in seen:
-                    continue
-                if hits(nb):
-                    return MixedMembership(True, len(seen) + 1, _mono(nb, n))
-                seen.add(nb)
-                if len(seen) > cap:
-                    raise ClassCapExceeded(cap, len(seen))
-                nxt.append(nb)
-        frontier = nxt
-    return MixedMembership(False, len(seen))
+    for explored, state in enumerate(_congruence_class(_vec(m), _move_vecs(diff_gens)), start=1):
+        if any(all(s >= g for s, g in zip(state, mg)) for mg in monos):
+            return MixedMembership(True, explored, _mono(state, n))
+        if explored > cap:
+            raise ClassCapExceeded(cap, explored)
+    return MixedMembership(False, explored)
 
 
 # -- full fiber sweeps -------------------------------------------------------
@@ -385,65 +353,35 @@ class FiberFailure:
 
 @dataclass(frozen=True)
 class GenerationReport:
-    passed: bool
     t_bound: int
     ground_bound: int
     fibers_checked: int
-    failures: tuple[FiberFailure, ...] = ()
+    first_failure: Optional[FiberFailure] = None
 
     @property
-    def first_failure(self) -> Optional[FiberFailure]:
-        return self.failures[0] if self.failures else None
+    def passed(self) -> bool:
+        return self.first_failure is None
 
 
-def _worker_count() -> int:
-    try:
-        return max(1, int(os.environ.get("REES_LAB_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def generates_up_to(
-    spec: ReesMapSpec,
-    moves: MoveSet,
-    t_bound: int,
-    ground_bound: int,
-    stop_at_first: bool = True,
-    threads: int | None = None,
-) -> GenerationReport:
+def generates_up_to(spec: ReesMapSpec, moves: MoveSet, t_bound: int, ground_bound: int) -> GenerationReport:
     """Pass iff every fiber with T-degree <= t_bound and source ground
     degree <= ground_bound is connected under `moves`.  Fibers are checked
-    in increasing (T-degree, image) order, so the first failure is
-    deterministic.
+    in increasing (T-degree, image) order and the sweep stops at the first
+    disconnected one, so the failure is deterministic.
     """
     _require_coprime(list(moves))
     movevecs = _move_vecs(moves.moves)
     n = spec.nground
-    failures: list[FiberFailure] = []
     checked = 0
-    workers = threads if threads is not None else _worker_count()
-
-    def check(item):
-        image_vec, member_vecs, _ = item
-        comps = _fiber_components(member_vecs, movevecs)
-        return image_vec, member_vecs, comps
-
     for tau in range(t_bound + 1):
-        fibers = sorted(_reduced_fibers_at(spec, tau, ground_bound), key=lambda f: f[0])
-        if workers > 1 and len(fibers) > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(check, fibers))
-        else:
-            results = map(check, fibers)
-        for image_vec, member_vecs, comps in results:
+        for image_vec, member_vecs, _ in sorted(_reduced_fibers_at(spec, tau, ground_bound), key=lambda f: f[0]):
             checked += 1
+            comps = _fiber_components(member_vecs, movevecs)
             if len(comps) > 1:
-                image = Monomial(image_vec, (tau,))
                 parts = tuple(tuple(_mono(member_vecs[i], n) for i in comp) for comp in comps)
-                failures.append(FiberFailure(image, parts))
-                if stop_at_first:
-                    return GenerationReport(False, t_bound, ground_bound, checked, tuple(failures))
-    return GenerationReport(not failures, t_bound, ground_bound, checked, tuple(failures))
+                failure = FiberFailure(Monomial(image_vec, (tau,)), parts)
+                return GenerationReport(t_bound, ground_bound, checked, failure)
+    return GenerationReport(t_bound, ground_bound, checked)
 
 
 def bruteforce_min_gens(

@@ -150,14 +150,19 @@ def test_sweep_csv(tmp_path, capsys):
     assert {r["hmSum"] for r in rows if r["d"] == "5"} == {"10"}
 
 
-def test_sweep_threads_env_deterministic(tmp_path, capsys, monkeypatch):
-    out_path = tmp_path / "a.csv"
-    run_cli(capsys, "sweep", "--binary-max-d", "4", "--out", str(out_path), "--format", "csv")
-    serial = out_path.read_text()
-    monkeypatch.setenv("REES_LAB_THREADS", "4")
-    out_path2 = tmp_path / "b.csv"
-    run_cli(capsys, "sweep", "--binary-max-d", "4", "--out", str(out_path2), "--format", "csv")
-    assert out_path2.read_text() == serial
+def test_csv_only_for_sweep_with_out(capsys):
+    for argv in (["lengths", "7", "3"], ["sweep", "--binary-max-d", "3"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--format", "csv"])
+        assert exc.value.code == 2, argv
+    assert capsys.readouterr().out == ""
+
+
+def test_sweep_that_checks_nothing_is_a_usage_error(capsys):
+    code, out, err = run_cli(capsys, "sweep", "--binary-max-d", "1", "--format", "json")
+    assert code == 2
+    assert out == ""
+    assert "checks nothing" in err
 
 
 def test_usage_error_exit_2(capsys):

@@ -10,7 +10,6 @@ from reeslab.lengths import (
     hm_profile,
     st_formula,
     st_oracle,
-    syzygy_indices,
 )
 
 
@@ -95,9 +94,8 @@ def test_monotone_sector_structure():
 def test_syzygy_indices_exist_and_bound():
     for d, b in sweep_pairs(12):
         p = hm_profile(d, b)
-        idx = syzygy_indices(p)
-        assert 1 <= idx.ell0 <= idx.ell0_prime <= d - 1
-        assert idx.lower_bound_ok
+        assert 1 <= p.ell0 <= p.ell0_prime <= d - 1
+        assert p.ell0_prime >= d - p.ell0
 
 
 def test_colon_two_pure_powers_everywhere():

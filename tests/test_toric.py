@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from reeslab.core import Binomial, Monomial, ground_monomial, parse_binomial, parse_monomial
+from reeslab.core import AciSpec, Binomial, Monomial, ground_monomial, parse_binomial, parse_monomial
 from reeslab.binary import sigma_set
 from reeslab.toric import (
     ClassCapExceeded,
@@ -14,12 +14,14 @@ from reeslab.toric import (
     ReesMapSpec,
     binary_spec,
     binomial_in_binomial_ideal,
+    _reduced_fibers_at,
     bruteforce_min_gens,
     compositions,
     connected_under_moves,
     fiber_enumerate,
     generates_up_to,
     monomial_in_mixed_ideal,
+    ternary_spec,
 )
 
 
@@ -110,13 +112,14 @@ def test_binomial_membership_rejects_non_kernel():
 
 def test_mixed_ideal_membership():
     # n=3, a=5, b=1: x3^10 not in Q*I, but minimal generators of I^3 are in Q*I^2
-    from reeslab.reduction import _q_times, _uniform_ideal
+    from reeslab.reduction import _q_times
 
-    ideal_i = _uniform_ideal(3, 5, 1)
-    diffs, monos = _q_times(3, 5, 1, ideal_i.power(1))
+    spec = AciSpec((5, 5, 5), (1, 1, 1))
+    ideal_i = spec.ideal
+    diffs, monos = _q_times(spec, ideal_i.power(1))
     target = ground_monomial((0, 0, 10))
     assert not monomial_in_mixed_ideal(target, diffs, monos)
-    diffs2, monos2 = _q_times(3, 5, 1, ideal_i.power(2))
+    diffs2, monos2 = _q_times(spec, ideal_i.power(2))
     for g in ideal_i.power(3).gens:
         assert monomial_in_mixed_ideal(g, diffs2, monos2)
     # divisible by a monomial generator, no diffs at all
@@ -125,10 +128,10 @@ def test_mixed_ideal_membership():
 
 
 def test_mixed_ideal_cap():
-    from reeslab.reduction import _q_times, _uniform_ideal
+    from reeslab.reduction import _q_times
 
-    ideal_i = _uniform_ideal(3, 5, 1)
-    diffs, monos = _q_times(3, 5, 1, ideal_i.power(2))
+    spec = AciSpec((5, 5, 5), (1, 1, 1))
+    diffs, monos = _q_times(spec, spec.ideal.power(2))
     with pytest.raises(ClassCapExceeded):
         monomial_in_mixed_ideal(ground_monomial((0, 0, 15)), diffs, monos, cap=3)
 
@@ -222,3 +225,45 @@ def test_sweep_requires_coprime_moves():
     scaled = sigma_set(2, 1).binomials()[0].scale(Monomial((1, 0), (0, 0, 0)))
     with pytest.raises(ValueError):
         generates_up_to(spec, MoveSet(spec, (scaled,)), 3, 6)
+
+
+def _reduced_fiber_cases():
+    for d in range(2, 8):
+        for b in range(1, d):
+            yield binary_spec(d, b), 3, 2 * d
+    for a, b in [(3, 1), (5, 2)]:
+        yield ternary_spec(a, b), 2, a
+
+
+def test_reduced_fibers_match_fiber_enumerate():
+    # Reference for the sweep's fiber enumeration: every fiber it yields is
+    # complete, and no reduced fiber (two or more members, no common
+    # variable) within the ground bound is missed.  The sweep may also
+    # yield non-reduced fibers; that is not asserted either way.
+    for spec, t_max, g in _reduced_fiber_cases():
+        n = spec.nground
+        for tau in range(t_max + 1):
+            yielded = {}
+            for image_vec, member_vecs, min_ground in _reduced_fibers_at(spec, tau, g):
+                image = Monomial(image_vec, (tau,))
+                assert image not in yielded
+                expected = fiber_enumerate(spec, image).members
+                assert {Monomial(v[:n], v[n:]) for v in member_vecs} == set(expected), (spec, image)
+                assert len(expected) >= 2
+                assert min_ground == min(m.ground_degree() for m in expected) <= g
+                yielded[image] = expected
+            images = {
+                spec.image_of(Monomial(ground, beta))
+                for beta in compositions(tau, spec.nrees)
+                for total in range(g + 1)
+                for ground in compositions(total, n)
+            }
+            for image in images:
+                members = fiber_enumerate(spec, image).members
+                if len(members) < 2 or min(m.ground_degree() for m in members) > g:
+                    continue
+                common = members[0]
+                for m in members[1:]:
+                    common = common.gcd(m)
+                if common.is_unit():
+                    assert image in yielded, (spec, image)
