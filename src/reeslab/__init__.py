@@ -4,6 +4,7 @@ complete intersections, with brute-force toric oracles for every claim."""
 from .core import (
     AciSpec,
     Binomial,
+    InputError,
     Monomial,
     MonomialIdeal,
     Polynomial,

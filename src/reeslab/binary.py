@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Optional, Sequence
 
-from .core import AciSpec, Binomial, Monomial
+from .core import AciSpec, Binomial, InputError, Monomial, check_exponent_cap
 from .toric import MoveSet, binary_spec
 
 
@@ -74,11 +74,12 @@ def euclid_sequence(d: int, b: int) -> EuclidData:
     with gcd > 1 must reparametrize first.
     """
     if b <= 0:
-        raise ValueError(f"b must be positive, got {b}")
+        raise InputError(f"b must be positive, got {b}")
     if b >= d:
-        raise ValueError(f"need d > b, got ({d}, {b})")
+        raise InputError(f"need d > b, got ({d}, {b})")
     if gcd(d, b) != 1:
-        raise ValueError(f"gcd({d}, {b}) != 1; reparametrize first")
+        raise InputError(f"gcd({d}, {b}) != 1; reparametrize first")
+    check_exponent_cap(d)
     quotients: list[int] = []
     remainders: list[int] = []
     prev, cur = d, b

@@ -2,8 +2,14 @@
 
 Every command assembles a Report whose canonical body is deterministic:
 fixed sort orders, no timestamps.  Timing goes to stderr as a trailer so
-stdout stays byte-identical across runs.  Exit codes: 0 success / pass,
-1 a verified claim failed (witness in the report), 2 usage error.
+stdout stays byte-identical across runs.  Exit codes, all set in ``main``:
+
+- 0: success / pass (or a plain report);
+- 1: a verified claim failed, with its witness in the report;
+- 2: usage error: a parser error, or a parameter outside the supported
+  range (``core.InputError``, raised by the validator that owns it);
+- 3: internal error: any other exception; stdout stays empty and stderr
+  carries the traceback.
 """
 from __future__ import annotations
 
@@ -17,7 +23,7 @@ from math import gcd
 from typing import Optional
 
 from . import binary, lengths, reduction, ternary, toric
-from .core import AciSpec
+from .core import AciSpec, InputError
 
 SCHEMA = "rees-lab/1"
 
@@ -53,11 +59,6 @@ class Report:
             schema=data["schema"],
         )
 
-    def __eq__(self, other):
-        if not isinstance(other, Report):
-            return NotImplemented
-        return self.to_json_dict() == other.to_json_dict()
-
     def to_text(self) -> str:
         out = [f"# {self.command}"]
         for k in sorted(self.params):
@@ -84,12 +85,11 @@ def _render(value, indent: str = "") -> str:
     return f"{indent}{value}"
 
 
-def _emit(report: Report, fmt: str, out=None) -> None:
-    out = out or sys.stdout
-    if fmt == "json":
-        out.write(report.to_json() + "\n")
-    else:
-        out.write(report.to_text())
+def _sweep_bounds(d: int) -> tuple[int, int]:
+    """(T-degree, ground-degree) bounds of the binary fiber sweep.  Each
+    Sigma generator has both degrees <= d and coprime sides, so its reduced
+    fiber is checked; one T-degree more lets a missing generator show."""
+    return d + 1, 3 * d
 
 
 def _entry_dict(e: binary.SigmaEntry) -> dict:
@@ -139,26 +139,23 @@ def cmd_binary_gens(args) -> tuple[Report, int]:
 
 def cmd_binary_verify(args) -> tuple[Report, int]:
     d, b = args.d, args.b
-    if gcd(d, b) != 1:
-        raise UsageError(f"gcd({d}, {b}) > 1; run binary-gens to reparametrize")
-    t_bound = args.t_bound if args.t_bound is not None else d + 1
-    g_bound = args.g_bound if args.g_bound is not None else 3 * d
     sigma = binary.sigma_set(d, b)
     moves = sigma.move_set()
     dropped = None
     if args.drop is not None:
         if not 0 <= args.drop < len(moves):
-            raise UsageError(f"--drop index {args.drop} outside 0..{len(moves) - 1}")
+            raise InputError(f"--drop index {args.drop} outside 0..{len(moves) - 1}")
         dropped = sigma.entries[args.drop].binomial
         moves = moves.without(args.drop)
+    t_bound, g_bound = _sweep_bounds(d)
     report = toric.generates_up_to(moves.spec, moves, t_bound, g_bound)
     removal = []
-    minimal = True
-    if not args.skip_removal and dropped is None:
+    minimal = None  # the removal probes run on the full set only
+    if dropped is None:
         for i, e in enumerate(sigma.entries):
             redundant = toric.binomial_in_binomial_ideal(e.binomial, moves.without(i))
             removal.append({"binomial": e.binomial.text(), "redundant": redundant})
-            minimal = minimal and not redundant
+        minimal = not any(p["redundant"] for p in removal)
     results = {
         "t_bound": t_bound,
         "ground_bound": g_bound,
@@ -175,15 +172,13 @@ def cmd_binary_verify(args) -> tuple[Report, int]:
             "image": ff.image.text(rnames=("T",)),
             "components": [[m.text() for m in comp] for comp in ff.components],
         }
-    ok = report.passed and minimal
+    ok = report.passed and minimal is True
     return Report("binary-verify", {"d": d, "b": b}, results, "pass" if ok else "fail"), 0 if ok else 1
 
 
 def cmd_lengths(args) -> tuple[Report, int]:
     d, b = args.d, args.b
-    if gcd(d, b) != 1:
-        raise UsageError(f"gcd({d}, {b}) > 1; reduce first")
-    bb = min(b, d - b)  # the profile is symmetric under x <-> y
+    bb = min(b, d - b) if 0 < b < d else b  # symmetric under x <-> y; bad b stays as typed
     profile = lengths.hm_profile(d, bb)  # raises unless l0' >= d - l0
     results = {
         "rows": [{"ell": r.ell, "s": r.s, "t": r.t, "lambda": r.lam} for r in profile.rows],
@@ -238,8 +233,6 @@ def cmd_red(args) -> tuple[Report, int]:
 
 def cmd_ternary(args) -> tuple[Report, int]:
     a, b = args.a, args.b
-    if a <= 2 * b:
-        raise UsageError(f"need a > 2b, got ({a}, {b})")
     gens = ternary.ternary_gens(a, b)
     results: dict = {
         "regime": gens.regime,
@@ -280,7 +273,7 @@ CSV_COLUMNS = ["d", "b", "count", "hmSum", "e1", "ell0", "ell0prime", "verdict"]
 def _binary_instance(d: int, b: int) -> dict:
     sigma = binary.sigma_set(d, b)
     moves = sigma.move_set()
-    gen = toric.generates_up_to(moves.spec, moves, d + 1, 3 * d)
+    gen = toric.generates_up_to(moves.spec, moves, *_sweep_bounds(d))
     profile = lengths.hm_profile(d, min(b, d - b))
     red = reduction.is_monomial_reduction(AciSpec((d, d), (b, d - b)))
     ok = (
@@ -302,7 +295,7 @@ def _binary_instance(d: int, b: int) -> dict:
 
 def cmd_sweep(args) -> tuple[Report, int]:
     if args.binary_max_d < 2 and args.ternary_max_a < 3:
-        raise UsageError("the sweep checks nothing: need --binary-max-d >= 2 or --ternary-max-a >= 3")
+        raise InputError("the sweep checks nothing: need --binary-max-d >= 2 or --ternary-max-a >= 3")
     rows = [  # canonical parameter order
         _binary_instance(d, b)
         for d in range(2, args.binary_max_d + 1)
@@ -360,10 +353,6 @@ def cmd_sweep(args) -> tuple[Report, int]:
     return report, 0 if all_pass else 1
 
 
-class UsageError(Exception):
-    pass
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rees-lab",
@@ -380,11 +369,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("binary-verify", help="generation + minimality via the fiber oracle")
     p.add_argument("d", type=int)
     p.add_argument("b", type=int)
-    p.add_argument("--t-bound", type=int, default=None, help="T-degree bound (default d+1)")
-    p.add_argument("--g-bound", type=int, default=None, help="ground-degree bound (default 3d)")
-    p.add_argument("--skip-removal", action="store_true")
     p.add_argument("--drop", type=int, default=None,
-                   help="drop the generator at this index first (removal probe; expect failure)")
+                   help="drop the generator at this index first and skip the removal probes (expect failure)")
     p.set_defaults(func=cmd_binary_verify)
 
     p = sub.add_parser("lengths", help="length profile and Huckaba-Marley verdict")
@@ -431,13 +417,16 @@ def main(argv: Optional[list[str]] = None) -> int:
     start = time.monotonic()
     try:
         report, code = args.func(args)
-    except UsageError as exc:
+        text = report.to_json() + "\n" if args.format == "json" else report.to_text()
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    _emit(report, args.format)
+    except Exception:
+        import traceback  # only on this path, so startup stays lean
+
+        print("internal error:", traceback.format_exc(), file=sys.stderr, end="")
+        return 3
+    sys.stdout.write(text)
     elapsed_ms = int((time.monotonic() - start) * 1000)
     print(f"# elapsed_ms={elapsed_ms}", file=sys.stderr)
     return code

@@ -19,12 +19,26 @@ from functools import cached_property
 from math import gcd
 from typing import Iterable, Iterator, Optional, Sequence
 
-#: hard guard against runaway exponent growth; the supported parameter
-#: ranges (d <= 30, a <= 10) stay far below this.
+#: hard guard against runaway exponent growth; the parameter validators
+#: refuse exponents above it, and the tested ranges (d <= 30, a <= 10) stay
+#: far below it.
 EXPONENT_CAP = 10**6
 
 _GROUND_NAMES = ("x", "y", "z")
 _REES_NAMES = ("t", "u", "v", "w")
+
+
+class InputError(ValueError):
+    """The caller's parameters are outside the supported range.
+
+    Raised only by the validator that owns a parameter family; every other
+    exception out of the library is an internal error.
+    """
+
+
+def check_exponent_cap(e: int) -> None:
+    if e > EXPONENT_CAP:
+        raise InputError(f"exponent {e} exceeds the supported cap {EXPONENT_CAP}")
 
 
 class AmbientMismatch(ValueError):
@@ -163,10 +177,6 @@ def ground_monomial(exps: Sequence[int], m: int = 0) -> Monomial:
     return Monomial(tuple(exps), (0,) * m)
 
 
-def rees_monomial(n: int, exps: Sequence[int]) -> Monomial:
-    return Monomial((0,) * n, tuple(exps))
-
-
 def parse_monomial(text: str, n: int, m: int = 0) -> Monomial:
     """Inverse of Monomial.text for the default variable names (tests, CLI)."""
     gnames, rnames = ground_names(n), rees_names(m)
@@ -261,10 +271,6 @@ class Polynomial:
                 acc.pop(mono, None)
         self._terms = acc
         self._ambient = ambient
-
-    @classmethod
-    def from_binomial(cls, b: Binomial) -> "Polynomial":
-        return cls([(1, b.lead), (-1, b.trail)])
 
     @classmethod
     def from_monomial(cls, m: Monomial, coeff: int = 1) -> "Polynomial":
@@ -450,11 +456,12 @@ class AciSpec:
 
     def __post_init__(self):
         if len(self.a) != len(self.b) or not self.a:
-            raise ValueError("a and b must be nonempty vectors of equal length")
+            raise InputError("a and b must be nonempty vectors of equal length")
         if any(not 0 <= bi < ai for ai, bi in zip(self.a, self.b)):
-            raise ValueError(f"need 0 <= b_i < a_i, got a={self.a}, b={self.b}")
+            raise InputError(f"need 0 <= b_i < a_i, got a={self.a}, b={self.b}")
         if sum(1 for bi in self.b if bi) < 2:
-            raise ValueError("need at least two nonzero mixed exponents")
+            raise InputError("need at least two nonzero mixed exponents")
+        check_exponent_cap(max(self.a))
 
     @property
     def n(self) -> int:

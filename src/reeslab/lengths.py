@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass
 from math import gcd
 
-from .core import AciSpec, MonomialIdeal
+from .core import AciSpec, InputError, MonomialIdeal
 
 
 class ColonShapeError(RuntimeError):
@@ -34,11 +34,11 @@ class ProfileError(RuntimeError):
 
 def _check_params(d: int, b: int, ell: int | None = None) -> None:
     if not (1 <= b <= d - b):
-        raise ValueError(f"need 1 <= b <= d - b, got ({d}, {b})")
+        raise InputError(f"need 1 <= b <= d - b, got ({d}, {b})")
     if gcd(d, b) != 1:
-        raise ValueError(f"gcd({d}, {b}) != 1")
+        raise InputError(f"gcd({d}, {b}) != 1")
     if ell is not None and not 1 <= ell <= d - 1:
-        raise ValueError(f"need 1 <= l <= d - 1, got {ell}")
+        raise InputError(f"need 1 <= l <= d - 1, got {ell}")
 
 
 def st_formula(d: int, b: int, ell: int) -> tuple[int, int]:

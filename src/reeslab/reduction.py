@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import AciSpec, Binomial, MonomialIdeal  # AciSpec is re-exported here
+from .core import AciSpec, Binomial, InputError, MonomialIdeal  # AciSpec is re-exported here
 from .toric import compositions, monomial_in_mixed_ideal
 
 
@@ -43,7 +43,7 @@ def is_monomial_reduction(spec: AciSpec, r_cap: int | None = None) -> ReductionN
     if r_cap is None:
         r_cap = spec.default_r_cap()
     if r_cap < 1:
-        raise ValueError("r_cap must be >= 1")
+        raise InputError("r_cap must be >= 1")
     for r in range(1, r_cap + 1):
         caps = [((r + 1) * bi) // ai for ai, bi in zip(spec.a, spec.b)]
         if sum(caps) >= r + 1:
@@ -106,9 +106,9 @@ def red_uniform(n: int, a: int, b: int) -> UniformReduction:
     """Closed-form reduction number in the uniform case: J with red = p - 1
     (p least with p b >= a) when n b >= a, otherwise Q with red = n - 1."""
     if not 0 < b < a:
-        raise ValueError(f"need 0 < b < a, got ({a}, {b})")
+        raise InputError(f"need 0 < b < a, got ({a}, {b})")
     if n < 2:
-        raise ValueError("need n >= 2")
+        raise InputError("need n >= 2")
     if n * b >= a:
         p = -(-a // b)  # least p with p*b >= a
         return UniformReduction(n, a, b, "monomial", p - 1)
@@ -125,10 +125,6 @@ class QReductionReport:
     generators_checked: int
     states_explored: int
 
-    @property
-    def confirmed(self) -> bool:
-        return self.power_contained and self.witness_excluded
-
 
 def _q_times(spec: AciSpec, power: MonomialIdeal):
     """Generators of Q * power, split into pure differences and monomials."""
@@ -143,9 +139,9 @@ def verify_q_reduction(n: int, a: int, b: int, cap: int = 10**6) -> QReductionRe
     I^n is inside Q I^(n-1) and x_n^{(n-1)a} stays outside Q I^(n-2).
     Requires n b < a (otherwise the monomial reduction applies)."""
     if n * b >= a:
-        raise ValueError(f"n*b = {n * b} >= a = {a}: monomial reduction case, Q check not applicable")
+        raise InputError(f"n*b = {n * b} >= a = {a}: monomial reduction case, Q check not applicable")
     if n < 3:
-        raise ValueError("need n >= 3 for the Q-reduction facts")
+        raise InputError("need n >= 3 for the Q-reduction facts")
     spec = AciSpec((a,) * n, (b,) * n)
     powers = list(itertools.islice(spec.powers(), n + 1))  # I^0 .. I^n
     explored = 0

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import AciSpec, Binomial, Monomial, Polynomial, poly_identity_check
+from .core import AciSpec, Binomial, InputError, Monomial, Polynomial, check_exponent_cap, poly_identity_check
 from .binary import sylvester_det
 from .toric import (
     GenerationReport,
@@ -74,7 +74,8 @@ class TernaryGenSet:
 
 def _check_ab(a: int, b: int) -> None:
     if not (a > 2 * b >= 2):
-        raise ValueError(f"need a > 2b >= 2, got ({a}, {b})")
+        raise InputError(f"need a > 2b >= 2, got ({a}, {b})")
+    check_exponent_cap(a)
 
 
 def implicit_pivots(a: int, b: int) -> tuple[tuple[Monomial, Monomial], ...]:
@@ -317,7 +318,6 @@ def verify_colon_claims(a: int, b: int) -> ColonClaimsReport:
     each claimed generator, and the bounded-degree converse (monomials of
     total degree <= a outside the claimed colon never multiply H into the
     prefix)."""
-    _check_ab(a, b)
     gens = ternary_gens(a, b)
     spec = gens.spec()
     by_label = dict(gens.labelled())
@@ -369,16 +369,14 @@ class TernaryGenerationReport:
         return self.generation.passed
 
 
-def ternary_generation_check(a: int, b: int, t_bound: int = 4, ground_bound: int | None = None) -> TernaryGenerationReport:
-    """Full fiber sweep for the ten generators plus per-generator removal
-    probes.  A removable generator is reported, not asserted away."""
+def ternary_generation_check(a: int, b: int, t_bound: int = 4) -> TernaryGenerationReport:
+    """Full fiber sweep (ground degree <= 3a) for the ten generators plus
+    per-generator removal probes.  A removable generator is reported, not
+    asserted away."""
     gens = ternary_gens(a, b)
-    if ground_bound is None:
-        ground_bound = 3 * a
     moves = gens.move_set()
-    report = generates_up_to(gens.spec(), moves, t_bound, ground_bound)
+    report = generates_up_to(gens.spec(), moves, t_bound, 3 * a)
     redundant = []
-    labels = [lbl for lbl, _ in gens.labelled()]
     for idx, (lbl, bin_) in enumerate(gens.labelled()):
         if binomial_in_binomial_ideal(bin_, moves.without(idx)):
             redundant.append(lbl)

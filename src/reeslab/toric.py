@@ -96,10 +96,6 @@ class Fiber:
     image: Monomial
     members: tuple[Monomial, ...]
 
-    @property
-    def tdegree(self) -> int:
-        return self.image.rees[0]
-
     def __len__(self):
         return len(self.members)
 
@@ -160,9 +156,6 @@ class MoveSet:
 
     def without(self, index: int) -> "MoveSet":
         return MoveSet(self.spec, self.moves[:index] + self.moves[index + 1:])
-
-    def extended(self, more: Iterable[Binomial]) -> "MoveSet":
-        return MoveSet(self.spec, self.moves + tuple(more))
 
 
 # -- congruence walking -----------------------------------------------------

@@ -18,7 +18,7 @@ from reeslab.binary import (
     telescopic_subideal,
     transport,
 )
-from reeslab.core import parse_binomial, parse_monomial
+from reeslab.core import EXPONENT_CAP, InputError, parse_binomial, parse_monomial
 from reeslab.toric import binary_spec, bruteforce_min_gens
 
 
@@ -53,12 +53,15 @@ def test_euclid_7_3():
 
 
 def test_euclid_rejects_bad_input():
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         euclid_sequence(3, 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         euclid_sequence(3, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         euclid_sequence(14, 4)  # gcd 2
+    euclid_sequence(EXPONENT_CAP, 3)
+    with pytest.raises(InputError):
+        euclid_sequence(EXPONENT_CAP + 1, 3)
 
 
 def test_pk_qk_values():
@@ -140,9 +143,9 @@ def test_sigma_7_2_size():
 
 
 def test_sigma_rejects_gcd():
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         sigma_set(4, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         sigma_set(1, 1)
 
 
@@ -235,9 +238,9 @@ def test_reparametrize_examples():
     assert r.trivial
     r = reparametrize((9, 6), (3, 4))
     assert (r.a_reduced, r.b_reduced) == ((3, 3), (1, 2))
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         reparametrize((4, 4), (4, 1))
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         reparametrize((4, 4), (1, 0))
 
 

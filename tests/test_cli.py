@@ -2,11 +2,15 @@
 
 import csv
 import json
+import time
 
 import pytest
 
+from reeslab import binary, toric
+from reeslab.binary import IntegralityError, SylvesterError
 from reeslab.cli import Report, main
 from reeslab.core import parse_binomial
+from reeslab.toric import KernelMismatch
 
 
 def run_cli(capsys, *argv):
@@ -67,6 +71,17 @@ def test_binary_verify_drop_fails_at_bidegree(capsys):
     data = json.loads(out)
     assert data["verdict"] == "fail"
     assert "first_failure" in data["results"]
+    # the removal probes run only on the full set, so minimality is open
+    assert data["results"]["minimal"] is None
+    assert data["results"]["removal_probes"] == []
+
+
+def test_sweep_bounds_are_not_options(capsys):
+    for flag in (["--t-bound", "-1"], ["--t-bound", "5"], ["--g-bound", "0"], ["--skip-removal"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["binary-verify", "7", "3", *flag])
+        assert exc.value.code == 2, flag
+    assert capsys.readouterr().out == ""
 
 
 def test_lengths_command(capsys):
@@ -175,4 +190,47 @@ def test_invalid_parameters_exit_2(capsys):
     assert main(["binary-gens", "3", "5"]) == 2  # b > d
     assert main(["binary-gens", "3", "0"]) == 2
     assert main(["binary-verify", "4", "2"]) == 2  # gcd > 1
+    assert main(["lengths", "4", "2"]) == 2
     capsys.readouterr()
+
+
+def test_lengths_error_names_the_input(capsys):
+    code, out, err = run_cli(capsys, "lengths", "7", "30")
+    assert code == 2 and out == ""
+    assert "(7, 30)" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["red", "--a", "2000000,2000000", "--b", "1,1"],
+    ["red", "--uniform", "3", "2000000", "1"],
+    ["binary-gens", "2000000", "3"],
+    ["binary-gens", "2000000", "4"],
+    ["lengths", "2000001", "2"],
+    ["ternary", "2000000", "1"],
+])
+def test_exponents_above_the_cap_are_refused_at_once(capsys, argv):
+    start = time.monotonic()
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "exceeds the supported cap" in err
+    assert time.monotonic() - start < 1.0
+
+
+def _raise(exc):
+    def raiser(*args, **kwargs):
+        raise exc
+    return raiser
+
+
+@pytest.mark.parametrize("module, name, exc", [
+    (binary, "sigma_set", IntegralityError("injected")),
+    (binary, "sigma_set", SylvesterError("injected")),
+    (toric, "generates_up_to", KernelMismatch("injected")),
+])
+def test_internal_error_exit_3(capsys, monkeypatch, module, name, exc):
+    monkeypatch.setattr(module, name, _raise(exc))
+    code, out, err = run_cli(capsys, "binary-verify", "7", "3", "--format", "json")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("internal error:")
+    assert f"{type(exc).__name__}: injected" in err

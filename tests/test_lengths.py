@@ -4,6 +4,7 @@ from math import gcd
 
 import pytest
 
+from reeslab.core import InputError
 from reeslab.lengths import (
     ColonShapeError,
     formula_minima,
@@ -107,9 +108,9 @@ def test_colon_two_pure_powers_everywhere():
 
 
 def test_parameter_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         st_formula(14, 4, 1)  # gcd 2
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         st_formula(7, 4, 1)  # b > d - b
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         st_formula(7, 3, 7)  # ell out of range

@@ -2,6 +2,7 @@
 
 import pytest
 
+from reeslab.core import EXPONENT_CAP, InputError
 from reeslab.reduction import (
     AciSpec,
     ReductionInconsistency,
@@ -76,17 +77,19 @@ def test_verify_q_reduction():
 
 
 def test_verify_q_rejects_monomial_case():
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         verify_q_reduction(3, 3, 1)  # boundary n b = a
 
 
 def test_aci_spec_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         AciSpec((4, 4), (4, 1))
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         AciSpec((4, 4), (1, 0))
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         AciSpec((4,), (1,))
+    with pytest.raises(InputError):
+        AciSpec((EXPONENT_CAP + 1, 4), (1, 1))
 
 
 def test_binary_reduction_sweep_small():

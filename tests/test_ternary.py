@@ -2,7 +2,7 @@
 
 import pytest
 
-from reeslab.core import Monomial, parse_binomial, poly_identity_check
+from reeslab.core import InputError, Monomial, parse_binomial, poly_identity_check
 from reeslab.ternary import (
     certificate_identities,
     classify_type,
@@ -49,7 +49,7 @@ def test_boundary_a_equals_3b():
 
 
 def test_gens_rejects_gate():
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         ternary_gens(4, 2)
 
 
