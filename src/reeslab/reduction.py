@@ -9,11 +9,17 @@ are checked by congruence walks.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 from .core import AciSpec, Binomial, InputError, MonomialIdeal  # AciSpec is re-exported here
 from .toric import compositions, monomial_in_mixed_ideal
+
+
+#: most s-vectors `red_search_general` may walk (about 0.3 s); the tests
+#: walk at most 168, for a = (4, 4), b = (1, 1)
+SEARCH_CAP = 10**5
 
 
 class ReductionInconsistency(RuntimeError):
@@ -62,6 +68,10 @@ def red_search_general(spec: AciSpec, r_cap: int | None = None) -> ReductionNumb
     """Independent search: least r such that some t >= 2 indices carry
     positive s_i with sum r+1 and (r+1) b_i >= s_i a_i.  Cross-validated
     against is_monomial_reduction; disagreement is a hard failure.
+
+    The walk covers r <= bound (the r of is_monomial_reduction, else
+    r_cap): C(bound + n + 1, n) - n - 1 compositions in all.  It raises
+    InputError at once when that exceeds SEARCH_CAP.
     """
     if r_cap is None:
         r_cap = spec.default_r_cap()
@@ -69,6 +79,12 @@ def red_search_general(spec: AciSpec, r_cap: int | None = None) -> ReductionNumb
     found: Optional[int] = None
     witness: Optional[tuple[int, ...]] = None
     bound = quick.r if quick.r is not None else r_cap
+    walk = math.comb(bound + spec.n + 1, spec.n) - spec.n - 1
+    if walk > SEARCH_CAP:
+        raise InputError(
+            f"the reduction search over {spec.n} variables up to r = {bound} would walk {walk} s-vectors, "
+            f"above the cap {SEARCH_CAP}"
+        )
     for r in range(1, bound + 1):
         for s in compositions(r + 1, spec.n):
             if sum(1 for si in s if si) < 2:

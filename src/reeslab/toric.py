@@ -8,10 +8,17 @@ congruent, and a move set generates the whole kernel iff every fiber is
 connected.  Fibers here are finite because the map is bigraded and every
 ideal generator has positive degree.
 
-The full-sweep operations only visit *reduced* fibers (those whose members
+The full-sweep operations only check *reduced* fibers (those whose members
 share no common variable).  Multiplying a fiber by a variable is a
 connectivity-preserving bijection as long as every move has coprime sides,
 so reduced fibers decide the sweep; move sets are validated accordingly.
+
+The sweeps work one T-degree level at a time: `_reduced_fibers_at` builds
+all reduced fibers of a level as arrays, and `_fiber_components` labels
+the components of every fiber of the level in one batched numpy pass.
+`generates_up_to`, `bruteforce_min_gens` and `connected_under_moves` all
+go through that one kernel; the tuple walk `_neighbors` serves only the
+congruence-class BFS behind the membership tests.
 """
 from __future__ import annotations
 
@@ -101,17 +108,26 @@ class Fiber:
 
 
 def compositions(total: int, parts: int):
-    """Yield all tuples of `parts` non-negative ints summing to `total`."""
+    """Yield all tuples of `parts` non-negative ints summing to `total`, in
+    increasing lexicographic order."""
     if parts == 0:
         if total == 0:
             yield ()
         return
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in compositions(total - head, parts - 1):
-            yield (head,) + rest
+    c = [0] * (parts - 1) + [total]
+    while True:
+        yield tuple(c)
+        # step to the next tuple: move one unit from the last nonzero entry
+        # (after the first) to its left neighbour, the rest to the end
+        k = parts - 1
+        while k > 0 and c[k] == 0:
+            k -= 1
+        if k == 0:
+            return
+        rest = c[k] - 1
+        c[k] = 0
+        c[k - 1] += 1
+        c[-1] = rest
 
 
 def fiber_enumerate(spec: ReesMapSpec, image: Monomial) -> Fiber:
@@ -191,47 +207,6 @@ def _neighbors(state: Vec, movevecs: Sequence[tuple[Vec, Vec]]):
             yield tuple(shifted)
 
 
-class _UnionFind:
-    def __init__(self, size: int):
-        self.parent = list(range(size))
-
-    def find(self, i: int) -> int:
-        p = self.parent
-        while p[i] != i:
-            p[i] = p[p[i]]
-            i = p[i]
-        return i
-
-    def union(self, i: int, j: int):
-        ri, rj = self.find(i), self.find(j)
-        if ri != rj:
-            self.parent[max(ri, rj)] = min(ri, rj)
-
-
-def _fiber_components(member_vecs: Sequence[Vec], movevecs: Sequence[tuple[Vec, Vec]]) -> list[list[int]]:
-    index = {v: i for i, v in enumerate(member_vecs)}
-    uf = _UnionFind(len(member_vecs))
-    for i, v in enumerate(member_vecs):
-        for nb in _neighbors(v, movevecs):
-            j = index.get(nb)
-            if j is not None:
-                uf.union(i, j)
-    groups: dict[int, list[int]] = {}
-    for i in range(len(member_vecs)):
-        groups.setdefault(uf.find(i), []).append(i)
-    return sorted(groups.values(), key=lambda g: member_vecs[g[0]])
-
-
-def connected_under_moves(fiber: Fiber, moves: MoveSet | Sequence[Binomial]) -> tuple[tuple[Monomial, ...], ...]:
-    """Partition of the fiber into congruence components, deterministically
-    ordered by each component's smallest member."""
-    movelist = list(moves.moves if isinstance(moves, MoveSet) else moves)
-    vecs = [_vec(m) for m in fiber.members]
-    comps = _fiber_components(vecs, _move_vecs(movelist))
-    n = len(fiber.image.ground)
-    return tuple(tuple(_mono(vecs[i], n) for i in comp) for comp in comps)
-
-
 def _congruence_class(start: Vec, movevecs: Sequence[tuple[Vec, Vec]]) -> Iterator[Vec]:
     """Breadth-first walk of the congruence class of `start`: yields start,
     then each newly reached state once, as soon as it is reached."""
@@ -293,6 +268,126 @@ def monomial_in_mixed_ideal(
     return MixedMembership(False, explored)
 
 
+# -- fiber connectivity, one T-degree level at a time ------------------------
+
+def _move_array(moves: Sequence[Binomial], width: int) -> np.ndarray:
+    """The moves as one (moves, 2, width) array of (lead, trail) vectors."""
+    pairs = [(_vec(mv.lead), _vec(mv.trail)) for mv in moves]
+    return np.array(pairs, dtype=np.int64).reshape(len(moves), 2, width)
+
+
+@dataclass(frozen=True)
+class _Level:
+    """Fibers of one T-degree as arrays.  Members are sorted by fiber id,
+    then by Rees exponents in `compositions` order; fiber ids index
+    `images`, whose rows are in increasing order."""
+
+    images: np.ndarray  # (fibers, nground) ground part of each fiber's image
+    fiber: np.ndarray   # (members,) fiber id of each member
+    ground: np.ndarray  # (members, nground)
+    rees: np.ndarray    # (members, nrees)
+
+    def __len__(self):
+        return len(self.fiber)
+
+    def select(self, keep: np.ndarray) -> "_Level":
+        """The level made of the fibers where `keep` is true."""
+        rows = keep[self.fiber]
+        renumber = np.cumsum(keep) - 1
+        return _Level(self.images[keep], renumber[self.fiber[rows]], self.ground[rows], self.rees[rows])
+
+    def split_fibers(self, labels: np.ndarray) -> list[int]:
+        """Ids, in increasing order, of the fibers that `labels` (from
+        `_fiber_components`) splits into two or more components."""
+        first = np.searchsorted(self.fiber, self.fiber)  # first member of each member's fiber
+        return sorted(set(self.fiber[labels != first].tolist()))
+
+    def components(self, f: int, labels: np.ndarray) -> list[list[Vec]]:
+        """The member vectors of fiber f grouped by label, as `_groups`."""
+        rows = np.flatnonzero(self.fiber == f)
+        vecs = np.hstack((self.ground[rows], self.rees[rows])).tolist()
+        return _groups([tuple(v) for v in vecs], labels[rows])
+
+
+def _fiber_components(level: _Level, moves: np.ndarray) -> np.ndarray:
+    """Component label of every member of `level` under `moves` (a
+    `_move_array`): the index of the first member of its component.
+
+    Members are keyed by fiber id and the mixed-radix code of their Rees
+    exponents, so a move is one feasibility mask plus one key shift,
+    matched with `searchsorted`.  The trail -> lead direction of a move
+    only retraces the edges of its lead -> trail direction, so one
+    direction lists every edge the move gives.  Labels are then hooked
+    along the edges and shortcut by pointer jumping until every edge
+    joins equal labels.
+    """
+    nrees = level.rees.shape[1]
+    radix = int(level.rees.max(initial=0)) + 1
+    if radix**nrees * len(level.images) >= 2**62:
+        raise ValueError(f"level of {len(level.images)} fibers with Rees exponents < {radix} is too large to key")
+    weights = radix ** np.arange(nrees - 1, -1, -1, dtype=np.int64)
+    keys = level.fiber * radix**nrees + level.rees @ weights
+    columns = [*level.ground.T, *level.rees.T]
+    edges = []
+    for lead, trail in moves:
+        feasible = np.ones(len(keys), dtype=bool)
+        for c in np.flatnonzero(lead):
+            feasible &= columns[c] >= lead[c]
+        src = np.flatnonzero(feasible)
+        target = keys[src] + (trail - lead)[-nrees:] @ weights
+        dst = np.minimum(np.searchsorted(keys, target), len(keys) - 1)
+        # a key match is the target only if the whole vector agrees: moves
+        # off the map's kernel, or off the fiber's T-degree, give no edge
+        hit = keys[dst] == target
+        for c, col in enumerate(columns):
+            hit &= col[dst] == col[src] + (trail[c] - lead[c])
+        if hit.any():
+            edges.append((src[hit].astype(np.int32), dst[hit].astype(np.int32)))
+    labels = np.arange(len(keys))
+    while True:
+        settled = True
+        for src, dst in edges:
+            a, b = labels[src], labels[dst]
+            if not np.array_equal(a, b):
+                settled = False
+                np.minimum.at(labels, a, b)
+                np.minimum.at(labels, b, a)
+        if settled:
+            return labels
+        while True:
+            jumped = labels[labels]
+            if np.array_equal(jumped, labels):
+                break
+            labels = jumped
+
+
+def _groups(vecs: Sequence[Vec], labels: Sequence[int]) -> list[list[Vec]]:
+    """Members grouped by label, each group in the given order, groups
+    ordered by their first member."""
+    groups: dict[int, list[Vec]] = {}
+    for v, lab in zip(vecs, labels):
+        groups.setdefault(int(lab), []).append(v)
+    return sorted(groups.values(), key=lambda g: g[0])
+
+
+def connected_under_moves(fiber: Fiber, moves: MoveSet | Sequence[Binomial]) -> tuple[tuple[Monomial, ...], ...]:
+    """Partition of the fiber into congruence components, deterministically
+    ordered by each component's smallest member."""
+    movelist = list(moves.moves if isinstance(moves, MoveSet) else moves)
+    if not fiber.members:
+        return ()
+    n = len(fiber.image.ground)
+    vecs = [_vec(m) for m in fiber.members]
+    if len({v[n:] for v in vecs}) < len(vecs):
+        raise ValueError("fiber members must differ in their Rees exponents")
+    order = sorted(range(len(vecs)), key=lambda i: vecs[i][n:])  # the level's member order
+    arr = np.array([vecs[i] for i in order], dtype=np.int64)
+    level = _Level(np.array([fiber.image.ground]), np.zeros(len(arr), dtype=np.int64), arr[:, :n], arr[:, n:])
+    labels = np.empty(len(arr), dtype=np.int64)
+    labels[order] = _fiber_components(level, _move_array(movelist, arr.shape[1]))
+    return tuple(tuple(_mono(v, n) for v in g) for g in _groups(vecs, labels))
+
+
 # -- full fiber sweeps -------------------------------------------------------
 
 def _require_coprime(moves: Sequence[Binomial]) -> None:
@@ -301,41 +396,50 @@ def _require_coprime(moves: Sequence[Binomial]) -> None:
             raise ValueError(f"sweep requires coprime moves, got {mv}")
 
 
-def _reduced_fibers_at(spec: ReesMapSpec, tau: int, ground_bound: int):
-    """Yield (image_vec, member_vecs, min_ground_degree) for every reduced
-    fiber of T-degree tau whose smallest member has ground degree within
-    bound.  A reduced fiber's image is the coordinatewise max of at most
-    nground member image vectors, so candidates are exactly the maxes of
-    small subsets of composition images.
+def _reduced_fibers_at(spec: ReesMapSpec, tau: int, ground_bound: int) -> _Level:
+    """The level of every reduced fiber of T-degree tau with at least two
+    members whose smallest member has ground degree within bound.
+
+    A reduced fiber's image is the coordinatewise max of at most nground
+    member image vectors, so candidates are exactly the maxes of small
+    subsets of composition images.  For each ground variable some member
+    of a candidate fiber lacks it, so members never share a ground
+    variable; the fiber is non-reduced exactly when all its members carry
+    some t_j, and then it is t_j times a fiber of T-degree tau - 1.  Those
+    fibers are left out.  The candidate array is built whole: C(k + n - 1, n)
+    rows for k compositions of tau and n ground variables.
     """
-    comps = list(compositions(tau, spec.nrees))
-    A = np.array(comps, dtype=np.int64).reshape(len(comps), spec.nrees)
-    G = A @ spec.degree_matrix()  # image ground vector of each pure Rees monomial
+    comps = np.array(list(compositions(tau, spec.nrees)), dtype=np.int64).reshape(-1, spec.nrees)
+    G = comps @ spec.degree_matrix()  # image ground vector of each pure Rees monomial
     k = len(comps)
-    n = spec.nground
-    subset_size = min(n, k)
-    idx = np.array(
-        list(itertools.combinations_with_replacement(range(k), subset_size)), dtype=np.int64
-    )
+    size = min(spec.nground, k)
+    idx = np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations_with_replacement(range(k), size)), dtype=np.int64
+    ).reshape(-1, size)
     cand = G[idx[:, 0]]
-    for col in range(1, subset_size):
+    for col in range(1, size):
         cand = np.maximum(cand, G[idx[:, col]])
-    cand = np.unique(cand, axis=0)
-    member = (cand[:, None, :] >= G[None, :, :]).all(axis=2)  # (ncand, k)
-    sizes = member.sum(axis=1)
+    # distinct candidates in increasing order, through one mixed-radix code
+    radix = int(G.max(initial=0)) + 1
+    code = cand @ radix ** np.arange(spec.nground - 1, -1, -1, dtype=np.int64)
+    code.sort()
+    code = code[np.diff(code, prepend=-1) != 0]
+    cand = np.empty((len(code), spec.nground), dtype=np.int64)
+    for i in range(spec.nground - 1, -1, -1):
+        code, cand[:, i] = np.divmod(code, radix)
+    member = np.ones((len(cand), k), dtype=bool)
+    for i in range(spec.nground):
+        member &= cand[:, i, None] >= G[None, :, i]
+    reduced = (member @ (comps == 0)).all(axis=1)  # each t_j is missing from some member
+    keep = reduced & (member.sum(axis=1) >= 2)
+    cand, member = cand[keep], member[keep]
     gsum = G.sum(axis=1)
-    for c in np.nonzero(sizes >= 2)[0]:
-        rows = np.nonzero(member[c])[0]
-        total = int(cand[c].sum())
-        min_ground = total - int(gsum[rows].max())
-        if min_ground > ground_bound:
-            continue
-        image_vec = tuple(int(x) for x in cand[c])
-        members = []
-        for r in rows:
-            gpart = tuple(int(x) for x in (cand[c] - G[r]))
-            members.append(gpart + comps[r])
-        yield image_vec, members, min_ground
+    by_gsum = np.argsort(-gsum)
+    min_ground = cand.sum(axis=1) - gsum[by_gsum][member[:, by_gsum].argmax(axis=1)]
+    keep = min_ground <= ground_bound
+    cand, member = cand[keep], member[keep]
+    fiber, col = np.divmod(np.flatnonzero(member), k)
+    return _Level(cand, fiber, cand[fiber] - G[col], comps[col])
 
 
 @dataclass(frozen=True)
@@ -358,22 +462,26 @@ class GenerationReport:
 
 def generates_up_to(spec: ReesMapSpec, moves: MoveSet, t_bound: int, ground_bound: int) -> GenerationReport:
     """Pass iff every fiber with T-degree <= t_bound and source ground
-    degree <= ground_bound is connected under `moves`.  Fibers are checked
-    in increasing (T-degree, image) order and the sweep stops at the first
-    disconnected one, so the failure is deterministic.
+    degree <= ground_bound is connected under `moves`.  The reduced fibers
+    decide it; they are labelled one T-degree level at a time, and the
+    failure reported is the first disconnected one in increasing
+    (T-degree, image) order, so it is deterministic.  `fibers_checked`
+    counts the reduced fibers up to and including that one.
     """
     _require_coprime(list(moves))
-    movevecs = _move_vecs(moves.moves)
-    n = spec.nground
+    movearr = _move_array(moves.moves, spec.nground + spec.nrees)
     checked = 0
     for tau in range(t_bound + 1):
-        for image_vec, member_vecs, _ in sorted(_reduced_fibers_at(spec, tau, ground_bound), key=lambda f: f[0]):
-            checked += 1
-            comps = _fiber_components(member_vecs, movevecs)
-            if len(comps) > 1:
-                parts = tuple(tuple(_mono(member_vecs[i], n) for i in comp) for comp in comps)
-                failure = FiberFailure(Monomial(image_vec, (tau,)), parts)
-                return GenerationReport(t_bound, ground_bound, checked, failure)
+        level = _reduced_fibers_at(spec, tau, ground_bound)
+        labels = _fiber_components(level, movearr)
+        split = level.split_fibers(labels)
+        if split:
+            f = split[0]
+            parts = level.components(f, labels)
+            image = Monomial(tuple(level.images[f].tolist()), (tau,))
+            failure = FiberFailure(image, tuple(tuple(_mono(v, spec.nground) for v in g) for g in parts))
+            return GenerationReport(t_bound, ground_bound, checked + f + 1, failure)
+        checked += len(level.images)
     return GenerationReport(t_bound, ground_bound, checked)
 
 
@@ -385,45 +493,46 @@ def bruteforce_min_gens(
 ) -> MoveSet:
     """Independent oracle for a minimal generating set within bounds.
 
-    Fibers are processed in an order refining divisibility of images
-    (total image degree is strictly monotone); whenever a fiber is
-    disconnected under the moves found so far, spanning-tree binomials
-    are added.  The number added per bidegree is canonical even though
-    the chosen binomials are not.  `tie_break_seed` shuffles the order
-    of incomparable fibers, which must not change the counts.
+    Reduced fibers are processed in an order refining divisibility of
+    images: by T-degree, then by ground degree of the image.  Whenever a
+    fiber is disconnected under the moves found so far, spanning-tree
+    binomials are added.  The fibers of one (T-degree, ground degree)
+    group are incomparable, so no move found in the group acts inside
+    another fiber of it: each group is labelled in one batch.  The number
+    added per bidegree is canonical even though the chosen binomials are
+    not.  The moves are listed by (image ground degree, T-degree), then
+    image.  `tie_break_seed` shuffles the fibers inside each group, which
+    must not change the counts.
     """
-    n = spec.nground
-    all_fibers = []
-    for tau in range(t_bound + 1):
-        for image_vec, member_vecs, _ in _reduced_fibers_at(spec, tau, ground_bound):
-            key = (sum(image_vec), tau, image_vec)
-            all_fibers.append((key, tau, member_vecs))
-    if tie_break_seed is None:
-        all_fibers.sort(key=lambda f: f[0])
-    else:
+    rng = None
+    if tie_break_seed is not None:
         import random
 
         rng = random.Random(tie_break_seed)
-        jitter = {id(f): rng.random() for f in all_fibers}
-        # incomparable fibers (same total degree and T-degree) may be
-        # visited in any order; the counts must not depend on it
-        all_fibers.sort(key=lambda f: (f[0][0], f[0][1], jitter[id(f)]))
-
-    found: list[Binomial] = []
-    movevecs: list[tuple[Vec, Vec]] = []
-    for _, tau, member_vecs in all_fibers:
-        comps = _fiber_components(member_vecs, movevecs)
-        if len(comps) == 1:
-            continue
-        reps = [min(member_vecs[i] for i in comp) for comp in comps]
-        reps.sort()
-        base = _mono(reps[0], n)
-        for rep in reps[1:]:
-            bin_ = Binomial(base, _mono(rep, n))
-            if not bin_.is_coprime():
-                raise RuntimeError(f"non-coprime spanning binomial {bin_}; fiber order violated")
-            found.append(bin_)
-            l, t = _vec(bin_.lead), _vec(bin_.trail)
-            movevecs.append((l, t))
-            movevecs.append((t, l))
-    return MoveSet(spec, tuple(found))
+    n = spec.nground
+    width = n + spec.nrees
+    found: list[tuple[tuple[int, int], Binomial]] = []
+    movearr = _move_array((), width)
+    for tau in range(t_bound + 1):
+        level = _reduced_fibers_at(spec, tau, ground_bound)
+        degrees = level.images.sum(axis=1)
+        for degree in sorted(set(degrees.tolist())):
+            group = level.select(degrees == degree)
+            labels = _fiber_components(group, movearr)
+            split = group.split_fibers(labels)
+            if rng is not None:
+                rng.shuffle(split)
+            added = []
+            for f in split:
+                reps = sorted(min(g) for g in group.components(f, labels))
+                base = _mono(reps[0], n)
+                for rep in reps[1:]:
+                    bin_ = Binomial(base, _mono(rep, n))
+                    if not bin_.is_coprime():
+                        raise RuntimeError(f"non-coprime spanning binomial {bin_}; fiber order violated")
+                    added.append(bin_)
+            if added:
+                found += [((degree, tau), b) for b in added]
+                movearr = np.concatenate((movearr, _move_array(added, width)))
+    found.sort(key=lambda entry: entry[0])
+    return MoveSet(spec, tuple(b for _, b in found))

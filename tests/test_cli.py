@@ -9,7 +9,7 @@ import pytest
 from reeslab import binary, toric
 from reeslab.binary import IntegralityError, SylvesterError
 from reeslab.cli import Report, main
-from reeslab.core import parse_binomial
+from reeslab.core import Monomial, parse_binomial
 from reeslab.toric import KernelMismatch
 
 
@@ -213,6 +213,43 @@ def test_exponents_above_the_cap_are_refused_at_once(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert "exceeds the supported cap" in err
+    assert time.monotonic() - start < 1.0
+
+
+def test_binary_verify_counts_the_reduced_fibers(capsys):
+    # fibers_checked counts the reduced fibers (two or more members, no
+    # common variable) of T-degree <= d + 1 whose smallest member has
+    # ground degree <= 3d, here counted with fiber_enumerate alone
+    d, b = 7, 3
+    code, out, _ = run_cli(capsys, "binary-verify", str(d), str(b), "--format", "json")
+    assert code == 0
+    spec = toric.binary_spec(d, b)
+    count = 0
+    for tau in range(d + 2):
+        images = {
+            spec.image_of(Monomial(ground, beta))
+            for beta in toric.compositions(tau, 3)
+            for total in range(3 * d + 1)
+            for ground in toric.compositions(total, 2)
+        }
+        for image in images:
+            members = toric.fiber_enumerate(spec, image).members
+            if len(members) < 2 or min(m.ground_degree() for m in members) > 3 * d:
+                continue
+            common = members[0]
+            for m in members[1:]:
+                common = common.gcd(m)
+            count += common.is_unit()
+    assert json.loads(out)["results"]["fibers_checked"] == count
+
+
+def test_reduction_search_beyond_the_cap_is_refused_at_once(capsys):
+    # the search would walk C(1006, 1000) - 1001 s-vectors; it used to
+    # recurse 1000 deep in toric.compositions and die of RecursionError
+    start = time.monotonic()
+    code, out, err = run_cli(capsys, "red", "--uniform", "1000", "5", "1")
+    assert code == 2 and out == ""
+    assert "above the cap" in err
     assert time.monotonic() - start < 1.0
 
 

@@ -1,0 +1,201 @@
+"""Property tests of the batched fiber-connectivity kernel.
+
+The reference here is a plain breadth-first search over the members of one
+fiber, written against `fiber_enumerate` only.  The kernel under test
+labels whole T-degree levels at once (`_reduced_fibers_at` plus
+`_fiber_components`), and serves `generates_up_to` and
+`connected_under_moves`.
+"""
+from math import gcd
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from reeslab.binary import sigma_set
+from reeslab.core import Binomial, Monomial
+from reeslab.ternary import ternary_gens
+from reeslab.toric import (
+    Fiber,
+    MoveSet,
+    ReesMapSpec,
+    _fiber_components,
+    _move_array,
+    _reduced_fibers_at,
+    compositions,
+    connected_under_moves,
+    fiber_enumerate,
+    generates_up_to,
+)
+
+SETTINGS = settings(max_examples=60, deadline=None, database=None, derandomize=True,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+
+def bfs_partition(members, moves):
+    """Components of `members` under `moves` as a set of frozensets of
+    exponent vectors, by breadth-first search inside the member set."""
+    vecs = {m.ground + m.rees for m in members}
+    steps = [(mv.lead.ground + mv.lead.rees, mv.trail.ground + mv.trail.rees) for mv in moves]
+    steps += [(b, a) for a, b in steps]
+    parts, seen = set(), set()
+    for start in sorted(vecs):
+        if start in seen:
+            continue
+        comp, queue = {start}, [start]
+        while queue:
+            v = queue.pop()
+            for a, b in steps:
+                if all(x >= y for x, y in zip(v, a)):
+                    w = tuple(x - y + z for x, y, z in zip(v, a, b))
+                    if w in vecs and w not in comp:
+                        comp.add(w)
+                        queue.append(w)
+        seen |= comp
+        parts.add(frozenset(comp))
+    return parts
+
+
+def is_reduced(members):
+    common = members[0]
+    for m in members[1:]:
+        common = common.gcd(m)
+    return common.is_unit()
+
+
+def reference_sweep(spec, moves, t_bound, g):
+    """(fibers checked, first failure image, its partition) over the reduced
+    fibers in increasing (T-degree, image) order, or (count, None, None)."""
+    checked = 0
+    for tau in range(t_bound + 1):
+        images = {
+            spec.image_of(Monomial(ground, beta))
+            for beta in compositions(tau, spec.nrees)
+            for total in range(g + 1)
+            for ground in compositions(total, spec.nground)
+        }
+        for image in sorted(images, key=lambda im: im.ground):
+            members = fiber_enumerate(spec, image).members
+            if len(members) < 2 or min(m.ground_degree() for m in members) > g or not is_reduced(members):
+                continue
+            checked += 1
+            parts = bfs_partition(members, moves)
+            if len(parts) > 1:
+                return checked, image, parts
+    return checked, None, None
+
+
+def coprime_kernel_move(spec, beta1, beta2):
+    """The coprime kernel binomial joining two pure Rees monomials of one
+    T-degree after padding both with ground to a common image."""
+    img1 = spec.image_of(Monomial((0,) * spec.nground, beta1)).ground
+    img2 = spec.image_of(Monomial((0,) * spec.nground, beta2)).ground
+    top = tuple(max(p, q) for p, q in zip(img1, img2))
+    lead = Monomial(tuple(t - p for t, p in zip(top, img1)), beta1)
+    trail = Monomial(tuple(t - q for t, q in zip(top, img2)), beta2)
+    common = lead.gcd(trail)
+    return Binomial(lead.divide(common), trail.divide(common))
+
+
+def _drop_some(draw, moves):
+    """The move set with up to three of its moves dropped."""
+    drop = draw(st.sets(st.integers(0, max(len(moves) - 1, 0)), max_size=min(3, len(moves))))
+    return MoveSet(moves.spec, tuple(mv for i, mv in enumerate(moves) if i not in drop))
+
+
+@st.composite
+def random_cases(draw):
+    # a random map, and the coprime kernel moves between the pure Rees
+    # monomials of T-degree <= 1 or <= 2
+    n = draw(st.sampled_from([2, 3]))
+    m = draw(st.integers(3, 4))
+    exps = st.tuples(*[st.integers(0, 2)] * n).filter(lambda e: sum(e) > 0)
+    gens = draw(st.lists(exps, min_size=m, max_size=m, unique=True))
+    spec = ReesMapSpec(n, tuple(Monomial(e) for e in gens))
+    moves = []
+    for tau in range(1, draw(st.integers(1, 2)) + 1):
+        comps = list(compositions(tau, m))
+        for i, beta1 in enumerate(comps):
+            for beta2 in comps[i + 1:]:
+                mv = coprime_kernel_move(spec, beta1, beta2)
+                if mv not in moves:
+                    moves.append(mv)
+    return _drop_some(draw, MoveSet(spec, tuple(moves))), 3, 4
+
+
+@st.composite
+def sigma_cases(draw):
+    d = draw(st.integers(2, 6))
+    b = draw(st.sampled_from([b for b in range(1, d) if gcd(d, b) == 1]))
+    return _drop_some(draw, sigma_set(d, b).move_set()), 3, 2 * d
+
+
+@st.composite
+def ternary_cases(draw):
+    a = draw(st.integers(3, 5))
+    b = draw(st.integers(1, (a - 1) // 2))
+    return _drop_some(draw, ternary_gens(a, b).move_set()), 2, a
+
+
+cases = st.one_of(random_cases(), sigma_cases(), ternary_cases())
+
+
+@SETTINGS
+@given(cases)
+def test_level_labels_match_bfs_per_fiber(case):
+    moves, t_bound, g = case
+    spec = moves.spec
+    movearr = _move_array(moves.moves, spec.nground + spec.nrees)
+    for tau in range(t_bound + 1):
+        level = _reduced_fibers_at(spec, tau, g)
+        labels = _fiber_components(level, movearr)
+        vecs = [tuple(g) + tuple(r) for g, r in zip(level.ground.tolist(), level.rees.tolist())]
+        for f, image in enumerate(level.images.tolist()):
+            rows = [i for i in range(len(level)) if level.fiber[i] == f]
+            got = {}
+            for i in rows:
+                got.setdefault(labels[i], set()).add(vecs[i])
+            assert all(labels[i] <= i for i in rows)
+            members = fiber_enumerate(spec, Monomial(tuple(image), (tau,))).members
+            assert {frozenset(p) for p in got.values()} == bfs_partition(members, moves)
+
+
+@SETTINGS
+@given(cases)
+def test_connected_under_moves_matches_bfs(case):
+    # whole fibers, reduced or not, in fiber_enumerate's member order
+    moves, t_bound, g = case
+    spec = moves.spec
+    for tau in range(1, t_bound + 1):
+        for beta in compositions(tau, spec.nrees):
+            image = spec.image_of(Monomial((1,) * spec.nground, beta))
+            fiber = fiber_enumerate(spec, image)
+            parts = connected_under_moves(fiber, moves)
+            firsts = [p[0].ground + p[0].rees for p in parts]
+            assert firsts == sorted(firsts)
+            for p in parts:
+                positions = [fiber.members.index(m) for m in p]
+                assert positions == sorted(positions)
+            assert {frozenset(m.ground + m.rees for m in p) for p in parts} == bfs_partition(fiber.members, moves)
+            assert sorted(m for p in parts for m in p) == sorted(fiber.members)
+
+
+@SETTINGS
+@given(cases)
+def test_generates_up_to_matches_reference_sweep(case):
+    moves, t_bound, g = case
+    report = generates_up_to(moves.spec, moves, t_bound, g)
+    checked, image, parts = reference_sweep(moves.spec, moves, t_bound, g)
+    assert report.fibers_checked == checked
+    assert report.passed == (image is None)
+    if image is not None:
+        failure = report.first_failure
+        assert failure.image == image
+        assert {frozenset(m.ground + m.rees for m in p) for p in failure.components} == parts
+
+
+def test_connected_under_moves_ignores_moves_off_the_kernel():
+    spec = ReesMapSpec(2, (Monomial((2, 0)), Monomial((0, 2)), Monomial((1, 1))))
+    fiber = fiber_enumerate(spec, Monomial((2, 2), (2,)))  # t*u and v^2
+    off_kernel = Binomial(Monomial((0, 0), (1, 1, 0)), Monomial((1, 0), (0, 0, 2)))
+    assert len(connected_under_moves(fiber, [off_kernel])) == 2
+    assert connected_under_moves(Fiber(fiber.image, ()), [off_kernel]) == ()

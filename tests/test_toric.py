@@ -1,6 +1,7 @@
 """Fiber enumeration, congruence connectivity, membership and sweep oracles."""
 
 import random
+from math import gcd
 
 import pytest
 
@@ -205,6 +206,25 @@ def test_bruteforce_matches_sigma_counts():
         assert len(moves) == sigma.count_formula(), (d, b)
 
 
+def test_bruteforce_count_agreement_d13_to_16():
+    # new coverage beyond criterion 3's d <= 12 grid: every coprime
+    # b <= d/2 (the other half mirrors it under x <-> y)
+    for d in range(13, 17):
+        for b in range(1, d // 2 + 1):
+            if gcd(d, b) == 1:
+                moves = bruteforce_min_gens(binary_spec(d, b), d + 1, 3 * d)
+                assert len(moves) == sigma_set(d, b).count_formula(), (d, b)
+
+
+def test_compositions_are_lexicographic_and_iterative():
+    assert list(compositions(2, 3)) == [(0, 0, 2), (0, 1, 1), (0, 2, 0), (1, 0, 1), (1, 1, 0), (2, 0, 0)]
+    assert list(compositions(0, 2)) == [(0, 0)]
+    assert list(compositions(3, 1)) == [(3,)]
+    assert list(compositions(0, 0)) == [()] and list(compositions(1, 0)) == []
+    # far deeper than the recursion limit
+    assert sum(1 for _ in compositions(1, 5000)) == 5000
+
+
 def test_bruteforce_counts_invariant_under_tie_shuffle():
     spec = binary_spec(7, 3)
 
@@ -235,23 +255,38 @@ def _reduced_fiber_cases():
         yield ternary_spec(a, b), 2, a
 
 
+def _is_reduced(members):
+    common = members[0]
+    for m in members[1:]:
+        common = common.gcd(m)
+    return common.is_unit()
+
+
 def test_reduced_fibers_match_fiber_enumerate():
-    # Reference for the sweep's fiber enumeration: every fiber it yields is
-    # complete, and no reduced fiber (two or more members, no common
-    # variable) within the ground bound is missed.  The sweep may also
-    # yield non-reduced fibers; that is not asserted either way.
+    # Reference for the sweep's fiber enumeration: every fiber of the level
+    # is complete, reduced (two or more members, no common variable) and
+    # within the ground bound, no fiber appears twice, and no reduced fiber
+    # within the ground bound is missed.
     for spec, t_max, g in _reduced_fiber_cases():
         n = spec.nground
         for tau in range(t_max + 1):
+            level = _reduced_fibers_at(spec, tau, g)
+            assert len(level) == len(level.fiber) == len(level.ground) == len(level.rees)
+            assert list(level.fiber) == sorted(level.fiber)
             yielded = {}
-            for image_vec, member_vecs, min_ground in _reduced_fibers_at(spec, tau, g):
-                image = Monomial(image_vec, (tau,))
+            for f, image_vec in enumerate(level.images.tolist()):
+                image = Monomial(tuple(image_vec), (tau,))
                 assert image not in yielded
+                rows = [i for i in range(len(level)) if level.fiber[i] == f]
+                got = [Monomial(tuple(level.ground[i].tolist()), tuple(level.rees[i].tolist())) for i in rows]
+                assert [m.rees for m in got] == sorted(m.rees for m in got)
                 expected = fiber_enumerate(spec, image).members
-                assert {Monomial(v[:n], v[n:]) for v in member_vecs} == set(expected), (spec, image)
+                assert set(got) == set(expected) and len(got) == len(expected), (spec, image)
                 assert len(expected) >= 2
-                assert min_ground == min(m.ground_degree() for m in expected) <= g
+                assert min(m.ground_degree() for m in expected) <= g
+                assert _is_reduced(expected), (spec, image)
                 yielded[image] = expected
+            assert list(yielded) == sorted(yielded, key=lambda im: im.ground)
             images = {
                 spec.image_of(Monomial(ground, beta))
                 for beta in compositions(tau, spec.nrees)
@@ -262,8 +297,5 @@ def test_reduced_fibers_match_fiber_enumerate():
                 members = fiber_enumerate(spec, image).members
                 if len(members) < 2 or min(m.ground_degree() for m in members) > g:
                     continue
-                common = members[0]
-                for m in members[1:]:
-                    common = common.gcd(m)
-                if common.is_unit():
+                if _is_reduced(members):
                     assert image in yielded, (spec, image)
