@@ -218,10 +218,9 @@ def cmd_red(args) -> tuple[Report, int]:
     res = reduction.is_monomial_reduction(spec, args.r_cap)
     results: dict = {"r_cap": res.r_cap}
     if res.undecided:
-        ratio_below_one = sum(bi / ai for ai, bi in zip(a, b)) < 1
         results["red"] = None
         results["undecided"] = True
-        results["sum_b_over_a_below_1"] = ratio_below_one
+        results["sum_b_over_a_below_1"] = res.sum_below_one
     else:
         search = reduction.red_search_general(spec, args.r_cap)
         results["red"] = res.r

@@ -19,6 +19,8 @@ from functools import cached_property
 from math import gcd
 from typing import Iterable, Iterator, Optional, Sequence
 
+import numpy as np
+
 #: hard guard against runaway exponent growth; the parameter validators
 #: refuse exponents above it, and the tested ranges (d <= 30, a <= 10) stay
 #: far below it.
@@ -337,22 +339,61 @@ def poly_identity_check(lhs: Polynomial, rhs: Polynomial) -> bool:
     return (lhs - rhs).is_zero()
 
 
-def _minimalize(monos: Iterable[Monomial]) -> tuple[Monomial, ...]:
-    """Antichain of minimal elements under divisibility, sorted descending."""
-    uniq = sorted(set(monos), key=Monomial.sort_key)
-    keep: list[Monomial] = []
-    for m in uniq:
-        # earlier elements are lex-smaller, not necessarily divisors; test all
-        if not any(k.divides(m) for k in keep):
-            keep = [k for k in keep if not m.divides(k)]
-            keep.append(m)
-    return tuple(sorted(keep, key=Monomial.sort_key, reverse=True))
+#: most cells of the (rows x kept x nvars) comparison one block may build
+_BLOCK_CELLS = 1 << 18
+
+
+def _minimalize(rows) -> np.ndarray:
+    """Rows minimal under divisibility (componentwise <=), lex descending.
+
+    Sorted lex ascending, every divisor of a row comes before it, so a row
+    is kept exactly when no earlier row divides it; of equal rows the first
+    is kept.
+    """
+    exps = np.asarray(rows, dtype=np.int64)
+    if len(exps) < 2 or exps.shape[1] == 0:
+        return exps[:1]
+    exps = exps[np.lexsort(exps.T[::-1])]
+    if exps.shape[1] == 2:
+        # the staircase: x ascending, keep a row when its y is strictly
+        # below the y of every earlier row
+        y = exps[:, 1]
+        keep = np.ones(len(y), dtype=bool)
+        keep[1:] = y[1:] < np.minimum.accumulate(y)[:-1]
+        return exps[keep][::-1]
+    nvars = exps.shape[1]
+    kept = exps[:0]
+    start = 0
+    while start < len(exps):
+        size = max(1, min(256, _BLOCK_CELLS // (nvars * max(len(kept), 1))))
+        block = exps[start:start + size]
+        start += size
+        divided = (kept[None, :, :] <= block[:, None, :]).all(axis=2).any(axis=1)
+        # inner[i, j]: row j of the block divides row i
+        inner = (block[None, :, :] <= block[:, None, :]).all(axis=2)
+        divided |= np.tril(inner, -1).any(axis=1)
+        kept = np.concatenate([kept, block[~divided]])
+    return kept[::-1]
+
+
+def _check_rows(rows: np.ndarray) -> None:
+    """Refuse candidate rows as Monomial would, at the first exponent above
+    the cap in row order."""
+    if rows.size and rows.max() > EXPONENT_CAP:
+        flat = rows.ravel()
+        e = flat[np.argmax(flat > EXPONENT_CAP)]
+        raise ValueError(f"exponent {e} exceeds cap {EXPONENT_CAP}")
 
 
 class MonomialIdeal:
-    """Monomial ideal in the ground ring, kept as a minimal generator antichain."""
+    """Monomial ideal in the ground ring, kept as a minimal generator antichain.
 
-    __slots__ = ("gens", "nvars")
+    ``exps`` is a read-only int64 array with one row of exponents per
+    minimal generator, in lex descending order; ``gens`` is the same
+    antichain as Monomials, built on first use.
+    """
+
+    __slots__ = ("exps", "nvars", "_gens")
 
     def __init__(self, gens: Iterable[Monomial], nvars: int | None = None):
         gens = list(gens)
@@ -366,8 +407,21 @@ class MonomialIdeal:
         for g in gens:
             if len(g.ground) != nvars:
                 raise AmbientMismatch(f"{len(g.ground)} vs {nvars} ground variables")
+        self._store(np.array([g.ground for g in gens], dtype=np.int64).reshape(len(gens), nvars), nvars)
+
+    def _store(self, rows: np.ndarray, nvars: int) -> None:
+        exps = _minimalize(rows)
+        # a list of no rows comes back one-dimensional
+        self.exps = np.reshape(exps, (len(exps), nvars))
+        self.exps.flags.writeable = False
         self.nvars = nvars
-        self.gens = _minimalize(gens)
+        self._gens = None
+
+    @classmethod
+    def _from_rows(cls, rows: np.ndarray, nvars: int) -> "MonomialIdeal":
+        out = cls.__new__(cls)
+        out._store(rows, nvars)
+        return out
 
     @classmethod
     def from_exponents(cls, rows: Iterable[Sequence[int]], nvars: int | None = None) -> "MonomialIdeal":
@@ -376,10 +430,16 @@ class MonomialIdeal:
             nvars = len(rows[0])
         return cls([ground_monomial(r) for r in rows], nvars)
 
+    @property
+    def gens(self) -> tuple[Monomial, ...]:
+        if self._gens is None:
+            self._gens = tuple(Monomial(tuple(row)) for row in self.exps.tolist())
+        return self._gens
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, MonomialIdeal):
             return NotImplemented
-        return self.nvars == other.nvars and self.gens == other.gens
+        return self.nvars == other.nvars and np.array_equal(self.exps, other.exps)
 
     def __hash__(self):
         return hash((self.nvars, self.gens))
@@ -388,26 +448,28 @@ class MonomialIdeal:
         return f"MonomialIdeal({', '.join(str(g) for g in self.gens)})"
 
     def is_unit_ideal(self) -> bool:
-        return len(self.gens) == 1 and self.gens[0].is_unit()
+        return len(self.exps) == 1 and not self.exps.any()
+
+    def _row(self, m: Monomial, use: str) -> np.ndarray:
+        if not m.is_ground():
+            raise ValueError(f"{use} expects a ground monomial")
+        if m.ambient != (self.nvars, 0):
+            raise AmbientMismatch(f"{m.ambient} vs {(self.nvars, 0)}")
+        return np.array(m.ground, dtype=np.int64)
 
     def contains(self, m: Monomial) -> bool:
-        if not m.is_ground():
-            raise ValueError("membership test expects a ground monomial")
-        return any(g.divides(m) for g in self.gens)
+        return bool((self.exps <= self._row(m, "membership test")).all(axis=1).any())
 
     def colon(self, m: Monomial) -> "MonomialIdeal":
         """Colon ideal I : m, generated by g / gcd(g, m) over the generators."""
-        if not m.is_ground():
-            raise ValueError("colon expects a ground monomial")
-        quots = [g.divide(g.gcd(m)) for g in self.gens]
-        return MonomialIdeal(quots, self.nvars)
+        return MonomialIdeal._from_rows(np.maximum(self.exps - self._row(m, "colon"), 0), self.nvars)
 
     def product(self, other: "MonomialIdeal") -> "MonomialIdeal":
         if self.nvars != other.nvars:
             raise AmbientMismatch(f"{self.nvars} vs {other.nvars}")
-        return MonomialIdeal(
-            [a * b for a in self.gens for b in other.gens], self.nvars
-        )
+        rows = (self.exps[:, None, :] + other.exps[None, :, :]).reshape(-1, self.nvars)
+        _check_rows(rows)
+        return MonomialIdeal._from_rows(rows, self.nvars)
 
     __mul__ = product
 
@@ -425,24 +487,34 @@ class MonomialIdeal:
         Requires a pure power of every variable among the generators;
         otherwise the quotient is infinite dimensional.
         """
+        if self.is_unit_ideal():
+            return 0
+        exps = self.exps
+        support = exps > 0
+        pure = support.sum(axis=1) == 1
         bounds = [None] * self.nvars
-        for g in self.gens:
-            support = [i for i, e in enumerate(g.ground) if e > 0]
-            if len(support) == 1:
-                i = support[0]
-                e = g.ground[i]
-                if bounds[i] is None or e < bounds[i]:
-                    bounds[i] = e
-            elif len(support) == 0:
-                return 0  # unit ideal
+        for i, e in zip(support[pure].argmax(axis=1).tolist(), exps[pure].max(axis=1).tolist()):
+            bounds[i] = e
         if any(b is None for b in bounds):
             missing = [ground_names(self.nvars)[i] for i, b in enumerate(bounds) if b is None]
             raise InfiniteColength(f"no pure power of {', '.join(missing)}")
+        if self.nvars == 1:
+            return bounds[0]
+        # Over the box of the first n - 1 exponents, one slab of the first
+        # exponent x at a time (memory stays one slab): slab[0, p] is the
+        # least last exponent of a generator with first exponent <= x and
+        # middle exponents <= p, i.e. the count of standard monomials above
+        # the point (x, p).
+        *box, depth = bounds
+        inside = exps[(exps[:, :-1] < box).all(axis=1)]
+        slab = np.full([1, *box[1:]], depth, dtype=np.int64)
         count = 0
-        for exps in itertools.product(*(range(b) for b in bounds)):
-            m = ground_monomial(exps)
-            if not self.contains(m):
-                count += 1
+        for x in range(box[0]):
+            at = inside[inside[:, 0] == x]
+            np.minimum.at(slab, (np.zeros(len(at), dtype=np.intp), *at[:, 1:-1].T), at[:, -1])
+            for axis in range(1, slab.ndim):
+                np.minimum.accumulate(slab, axis=axis, out=slab)
+            count += int(slab.sum())
         return count
 
 

@@ -33,6 +33,8 @@ class ReductionNumber:
     r: Optional[int]
     witness: Optional[tuple[int, ...]]  # s-vector with sum r+1, s_i a_i <= (r+1) b_i
     r_cap: int
+    #: sum_i b_i / a_i < 1, so no r can succeed and the search stopped at once
+    sum_below_one: bool = False
 
     @property
     def undecided(self) -> bool:
@@ -44,12 +46,17 @@ def is_monomial_reduction(spec: AciSpec, r_cap: int | None = None) -> ReductionN
 
     Feasibility for fixed r is sum_i floor((r+1) b_i / a_i) >= r + 1; the
     witness s-vector is rebuilt greedily.  Support >= 2 is automatic since
-    each s_i <= r.
+    each s_i <= r.  When sum_i b_i / a_i < 1 the sum of floors stays below
+    (r + 1) sum_i b_i / a_i < r + 1 for every r, so the answer is undecided
+    without a search.
     """
     if r_cap is None:
         r_cap = spec.default_r_cap()
     if r_cap < 1:
         raise InputError("r_cap must be >= 1")
+    lcm = math.lcm(*spec.a)  # sum_i b_i / a_i < 1, compared exactly
+    if sum(bi * (lcm // ai) for ai, bi in zip(spec.a, spec.b)) < lcm:
+        return ReductionNumber(None, None, r_cap, sum_below_one=True)
     for r in range(1, r_cap + 1):
         caps = [((r + 1) * bi) // ai for ai, bi in zip(spec.a, spec.b)]
         if sum(caps) >= r + 1:
@@ -96,7 +103,7 @@ def red_search_general(spec: AciSpec, r_cap: int | None = None) -> ReductionNumb
             break
     if found != quick.r:
         raise ReductionInconsistency(f"search found {found}, feasibility test found {quick.r}")
-    return ReductionNumber(found, witness, r_cap)
+    return ReductionNumber(found, witness, r_cap, quick.sum_below_one)
 
 
 @dataclass(frozen=True)

@@ -253,6 +253,28 @@ def test_reduction_search_beyond_the_cap_is_refused_at_once(capsys):
     assert time.monotonic() - start < 1.0
 
 
+def test_red_below_one_is_undecided_at_once(capsys):
+    # sum b_i / a_i = 1/2 < 1: no r can succeed, so a huge r_cap costs nothing
+    start = time.monotonic()
+    code, out, _ = run_cli(capsys, "red", "--a", "4,4", "--b", "1,1", "--r-cap", "100000000", "--format", "json")
+    assert code == 0
+    assert time.monotonic() - start < 1.0
+    _, default, _ = run_cli(capsys, "red", "--a", "4,4", "--b", "1,1", "--format", "json")
+    data, expected = json.loads(out), json.loads(default)
+    assert data["results"].pop("r_cap") == 100000000
+    assert expected["results"].pop("r_cap") == 16
+    assert data == expected
+    assert data["results"]["sum_b_over_a_below_1"] is True
+
+
+def test_red_sum_of_exactly_one_is_not_below_one(capsys):
+    # 1/2 + 1/3 + 1/6 = 1 exactly; summed in floating point it falls below 1
+    code, out, _ = run_cli(capsys, "red", "--a", "2,3,6", "--b", "1,1,1", "--r-cap", "4", "--format", "json")
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert results["undecided"] is True and results["sum_b_over_a_below_1"] is False
+
+
 def _raise(exc):
     def raiser(*args, **kwargs):
         raise exc

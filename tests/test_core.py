@@ -6,6 +6,7 @@ import random
 import pytest
 
 from reeslab.core import (
+    EXPONENT_CAP,
     AmbientMismatch,
     Binomial,
     InfiniteColength,
@@ -48,6 +49,22 @@ def test_exponent_guard():
         Monomial((10**6 + 1, 0))
     with pytest.raises(ValueError):
         Monomial((-1, 0))
+
+
+def test_candidate_rows_above_the_cap_are_refused():
+    # every candidate row is checked, not only the minimal ones
+    with pytest.raises(ValueError, match=f"exponent 1200000 exceeds cap {EXPONENT_CAP}"):
+        ideal("x^600000", nvars=1).power(2)
+    # x^1000001*y^5*z^5 is over the cap but divisible by y*z
+    a = MonomialIdeal([Monomial((600000, 0, 5)), Monomial((0, 1, 0))])
+    b = MonomialIdeal([Monomial((400001, 5, 0)), Monomial((0, 0, 1))])
+    with pytest.raises(ValueError, match="exponent 1000001 exceeds cap"):
+        a.product(b)
+    # the square of x^600000*y*z is over the cap but divisible by y^2*z^2
+    c = MonomialIdeal([Monomial((600000, 1, 1)), Monomial((0, 2, 0)), Monomial((0, 0, 2))])
+    with pytest.raises(ValueError, match="exponent 1200000 exceeds cap"):
+        c.power(2)
+    assert c.product(MonomialIdeal([Monomial((400000, 0, 0))])).gens[0] == Monomial((1000000, 1, 1))
 
 
 def test_ideal_colon():
@@ -137,6 +154,8 @@ def test_colength_examples():
     assert ideal("x^4", "y^5").colength() == 20  # rectangle staircase
     assert ideal("x^11", "y^3").colength() == 33
     assert ideal("x", "y", "z").colength() == 1
+    # one slab of x at a time: the box is never built whole
+    assert ideal("x^3000", "y^3000", "z^3000", "x*y*z").colength() == 3000**3 - 2999**3
 
 
 def test_colength_matches_inclusion_exclusion():

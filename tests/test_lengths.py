@@ -54,6 +54,16 @@ def test_formula_matches_oracle_small_sweep():
             assert st_formula(d, b, ell) == st_oracle(d, b, ell), (d, b, ell)
 
 
+def test_profile_matches_formula_d21_to_40():
+    # literal ideal arithmetic against the closed form on 181 instances
+    # beyond the acceptance grid (d <= 20)
+    pairs = [(d, b) for d, b in sweep_pairs(40) if d >= 21]
+    assert len(pairs) == 181
+    for d, b in pairs:
+        rows = [(r.ell, r.s, r.t) for r in hm_profile(d, b).rows]
+        assert rows == [(ell, *st_formula(d, b, ell)) for ell in range(1, d)], (d, b)
+
+
 def test_selection_rule_agrees_with_minima():
     # selection rule: s = m if the all-positive sector is
     # nonempty else m'; t = n if the all-negative sector is nonempty else n'

@@ -48,6 +48,15 @@ def test_undecided_below_threshold():
     # sum b_i / a_i < 1 never certifies, at any cap
     for cap in (8, 30, 80):
         assert is_monomial_reduction(AciSpec((4, 4), (1, 1)), cap).undecided
+        assert is_monomial_reduction(AciSpec((4, 4), (1, 1)), cap).sum_below_one
+
+
+def test_sum_exactly_one_is_not_below_one():
+    # 1/2 + 1/3 + 1/6 = 1, though in floating point the sum falls below 1
+    spec = AciSpec((2, 3, 6), (1, 1, 1))
+    short = is_monomial_reduction(spec, 4)
+    assert short.undecided and not short.sum_below_one
+    assert is_monomial_reduction(spec).r == 5
 
 
 def test_search_cross_validation():
