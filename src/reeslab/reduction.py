@@ -103,7 +103,7 @@ def red_search_general(spec: AciSpec, r_cap: int | None = None) -> ReductionNumb
             break
     if found != quick.r:
         raise ReductionInconsistency(f"search found {found}, feasibility test found {quick.r}")
-    return ReductionNumber(found, witness, r_cap, quick.sum_below_one)
+    return ReductionNumber(found, witness, r_cap)
 
 
 @dataclass(frozen=True)
