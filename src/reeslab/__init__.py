@@ -19,6 +19,7 @@ from .toric import (
     ReesMapSpec,
     binary_spec,
     binomial_in_binomial_ideal,
+    binomials_in_binomial_ideal,
     bruteforce_min_gens,
     connected_under_moves,
     fiber_enumerate,

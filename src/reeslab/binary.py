@@ -208,11 +208,20 @@ class SigmaSet:
         return len(self.entries)
 
 
+def check_image_cap(d: int, b: int) -> None:
+    """Refuse (d, b) when an image exponent of the Rees generators of
+    (x^d, y^d, x^b y^(d-b)), formed by every kernel check, would pass the
+    cap.  The largest is d * max(b, d - b) / gcd(d, b), in the image of the
+    implicit equation v^(d / gcd(d, b))."""
+    check_exponent_cap(d * max(b, d - b) // gcd(d, b), "image exponent d * max(b, d - b) / gcd(d, b) =")
+
+
 def sigma_set(d: int, b: int) -> SigmaSet:
     """Assemble Sigma for (d, b): the two syzygies plus one Sylvester form
     per Euclid quotient step, built by the parity-alternating iteration and
     cross-checked against the closed F/G formulas."""
     ed = euclid_sequence(d, b)
+    check_image_cap(d, b)
     entries: list[SigmaEntry] = [SigmaEntry(make_generator(ed, 0, 0), "syzygy", 0, 0)]
     cycle_last = [0]  # entry index of the last element of each finished cycle
 

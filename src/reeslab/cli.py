@@ -111,6 +111,7 @@ def cmd_binary_gens(args) -> tuple[Report, int]:
     g = gcd(d, b)
     if g > 1:
         rp = binary.reparametrize((d, d), (b, d - b))
+        binary.check_image_cap(d, b)
         d_red, b_red = rp.a_reduced[0], rp.b_reduced[0]
         sigma = binary.sigma_set(d_red, b_red)
         gens = [binary.transport(bi, rp.delta) for bi in sigma.binomials()]

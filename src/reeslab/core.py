@@ -38,9 +38,9 @@ class InputError(ValueError):
     """
 
 
-def check_exponent_cap(e: int) -> None:
+def check_exponent_cap(e: int, name: str = "exponent") -> None:
     if e > EXPONENT_CAP:
-        raise InputError(f"exponent {e} exceeds the supported cap {EXPONENT_CAP}")
+        raise InputError(f"{name} {e} exceeds the supported cap {EXPONENT_CAP}")
 
 
 class AmbientMismatch(ValueError):

@@ -17,8 +17,10 @@ The sweeps work one T-degree level at a time: `_reduced_fibers_at` builds
 all reduced fibers of a level as arrays, and `_fiber_components` labels
 the components of every fiber of the level in one batched numpy pass.
 `generates_up_to`, `bruteforce_min_gens` and `connected_under_moves` all
-go through that one kernel; the tuple walk `_neighbors` serves only the
-congruence-class BFS behind the membership tests.
+go through that one kernel, and so does `binomials_in_binomial_ideal`,
+which decides many memberships at once on the complete fibers that
+`_fibers_of` builds.  The tuple walk `_neighbors` serves only the
+congruence-class BFS behind the single membership tests.
 """
 from __future__ import annotations
 
@@ -131,23 +133,12 @@ def compositions(total: int, parts: int):
 
 
 def fiber_enumerate(spec: ReesMapSpec, image: Monomial) -> Fiber:
-    """Complete fiber of `image`, by solving the ground remainder for each
-    composition of the T-degree over the Rees variables."""
+    """Complete fiber of `image`: the one-image level of `_fibers_of`, with
+    its members sorted by `Monomial.sort_key`."""
     if image.ambient != (spec.nground, 1):
         raise ValueError(f"image ambient {image.ambient}, expected {(spec.nground, 1)}")
-    tau = image.rees[0]
-    members = []
-    for beta in compositions(tau, spec.nrees):
-        ground = list(image.ground)
-        ok = True
-        for j, bj in enumerate(beta):
-            if bj:
-                for i, e in enumerate(spec.gens[j].ground):
-                    ground[i] -= bj * e
-        if any(g < 0 for g in ground):
-            ok = False
-        if ok:
-            members.append(Monomial(tuple(ground), beta))
+    level = _fibers_of(spec, image.rees[0], np.array([image.ground], dtype=np.int64))
+    members = [Monomial(tuple(g), tuple(r)) for g, r in zip(level.ground.tolist(), level.rees.tolist())]
     members.sort(key=Monomial.sort_key)
     return Fiber(image, tuple(members))
 
@@ -386,6 +377,79 @@ def connected_under_moves(fiber: Fiber, moves: MoveSet | Sequence[Binomial]) -> 
     labels = np.empty(len(arr), dtype=np.int64)
     labels[order] = _fiber_components(level, _move_array(movelist, arr.shape[1]))
     return tuple(tuple(_mono(v, n) for v in g) for g in _groups(vecs, labels))
+
+
+_MASK_CELLS = 1 << 20  # (fibers x compositions) cells per block of `_fibers_of`'s member mask
+
+
+def _fibers_of(spec: ReesMapSpec, tau: int, images: np.ndarray) -> _Level:
+    """The level of the complete fibers of T-degree tau whose image ground
+    parts are the rows of `images` (distinct, in increasing order): the
+    layout and member order of `_reduced_fibers_at`, without its filters.
+    A composition beta of tau gives a member of an image exactly when its
+    image ground vector lies below the image; that mask is built for a
+    block of images at a time."""
+    comps = np.array(list(compositions(tau, spec.nrees)), dtype=np.int64).reshape(-1, spec.nrees)
+    G = comps @ spec.degree_matrix()
+    k = len(comps)
+    step = max(1, _MASK_CELLS // k)
+    flat = [np.empty(0, dtype=np.int64)]
+    for start in range(0, len(images), step):
+        block = images[start:start + step]
+        member = np.ones((len(block), k), dtype=bool)
+        for i in range(spec.nground):
+            member &= block[:, i, None] >= G[None, :, i]
+        flat.append(np.flatnonzero(member) + start * k)
+    fiber, col = np.divmod(np.concatenate(flat), k)
+    return _Level(images, fiber, images[fiber] - G[col], comps[col])
+
+
+def binomials_in_binomial_ideal(leads: np.ndarray, trails: np.ndarray, moves: MoveSet) -> np.ndarray:
+    """Batched `binomial_in_binomial_ideal`: entry i tells whether
+    leads[i] - trails[i] lies in the binomial ideal of `moves`, the rows
+    being exponent vectors (ground, then Rees).
+
+    It does exactly when both monomials lie in one component of their
+    fiber under the moves.  Rows are grouped by T-degree; the distinct
+    fibers of each group are built as one level by `_fibers_of` and
+    labelled once by `_fiber_components`, and each lead and trail is found
+    in the level by the kernel's key.
+    """
+    spec = moves.spec
+    n = spec.nground
+    leads, trails = np.asarray(leads, dtype=np.int64), np.asarray(trails, dtype=np.int64)
+    degrees = spec.degree_matrix()
+
+    def image_of(vecs: np.ndarray) -> np.ndarray:  # rows of (ground part, T-degree)
+        return np.column_stack((vecs[:, :n] + vecs[:, n:] @ degrees, vecs[:, n:].sum(axis=1)))
+
+    images = image_of(leads)
+    differ = (images != image_of(trails)).any(axis=1)
+    if differ.any():
+        i = int(np.argmax(differ))
+        b = Binomial(_mono(tuple(leads[i].tolist()), n), _mono(tuple(trails[i].tolist()), n))
+        raise KernelMismatch(f"{b} is not a kernel element; images differ")
+    movearr = _move_array(moves.moves, n + spec.nrees)
+    out = np.zeros(len(leads), dtype=bool)
+    for tau in sorted(set(images[:, n].tolist())):
+        rows = np.flatnonzero(images[:, n] == tau)
+        ground = images[rows, :n]
+        # distinct images in increasing order, and the fiber id of each row
+        order = np.lexsort(ground.T[::-1])
+        new = np.ones(len(rows), dtype=bool)
+        new[1:] = (np.diff(ground[order], axis=0) != 0).any(axis=1)
+        fiber = np.empty(len(rows), dtype=np.int64)
+        fiber[order] = np.cumsum(new) - 1
+        level = _fibers_of(spec, tau, ground[order[new]])
+        labels = _fiber_components(level, movearr)
+        radix = int(level.rees.max(initial=0)) + 1
+        weights = radix ** np.arange(spec.nrees - 1, -1, -1, dtype=np.int64)
+        keys = level.fiber * radix**spec.nrees + level.rees @ weights
+        fiber_keys = fiber * radix**spec.nrees
+        lead_at = np.searchsorted(keys, fiber_keys + leads[rows, n:] @ weights)
+        trail_at = np.searchsorted(keys, fiber_keys + trails[rows, n:] @ weights)
+        out[rows] = labels[lead_at] == labels[trail_at]
+    return out
 
 
 # -- full fiber sweeps -------------------------------------------------------

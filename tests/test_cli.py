@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+from fiber_reference import reference_fiber
 from reeslab import binary, toric
 from reeslab.binary import IntegralityError, SylvesterError
 from reeslab.cli import Report, main
@@ -216,10 +217,33 @@ def test_exponents_above_the_cap_are_refused_at_once(capsys, argv):
     assert time.monotonic() - start < 1.0
 
 
+@pytest.mark.parametrize("argv", [
+    ["binary-gens", "1010", "3"],
+    ["binary-verify", "1010", "3"],
+    ["binary-gens", "2000", "6"],
+])
+def test_image_exponents_above_the_cap_are_refused_at_once(capsys, argv):
+    # the kernel check of the generators forms image exponents up to
+    # d * max(b, d - b) / gcd(d, b): 1010 * 1007 = 1017070, 2000 * 1994 / 2 = 1994000
+    start = time.monotonic()
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "image exponent d * max(b, d - b) / gcd(d, b) =" in err
+    assert "exceeds the supported cap" in err
+    assert time.monotonic() - start < 1.0
+
+
+@pytest.mark.parametrize("argv", [["binary-gens", "1002", "5"], ["binary-gens", "2000", "4"]])
+def test_image_exponents_up_to_the_cap_pass(capsys, argv):
+    # 1002 * 997 = 998994 and 2000 * 1996 / 4 = 998000
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and out
+
+
 def test_binary_verify_counts_the_reduced_fibers(capsys):
     # fibers_checked counts the reduced fibers (two or more members, no
     # common variable) of T-degree <= d + 1 whose smallest member has
-    # ground degree <= 3d, here counted with fiber_enumerate alone
+    # ground degree <= 3d, here counted with the reference fiber enumeration
     d, b = 7, 3
     code, out, _ = run_cli(capsys, "binary-verify", str(d), str(b), "--format", "json")
     assert code == 0
@@ -233,7 +257,7 @@ def test_binary_verify_counts_the_reduced_fibers(capsys):
             for ground in toric.compositions(total, 2)
         }
         for image in images:
-            members = toric.fiber_enumerate(spec, image).members
+            members = reference_fiber(spec, image)
             if len(members) < 2 or min(m.ground_degree() for m in members) > 3 * d:
                 continue
             common = members[0]

@@ -1,15 +1,22 @@
 """Property tests of the batched fiber-connectivity kernel.
 
-The reference here is a plain breadth-first search over the members of one
-fiber, written against `fiber_enumerate` only.  The kernel under test
-labels whole T-degree levels at once (`_reduced_fibers_at` plus
-`_fiber_components`), and serves `generates_up_to` and
-`connected_under_moves`.
+The references here are a plain breadth-first search over the members of
+one fiber, the pure-Python fiber enumeration of `fiber_reference`, and the
+congruence walk `binomial_in_binomial_ideal`.  The kernel under test
+labels whole T-degree levels at once (`_reduced_fibers_at` or `_fibers_of`
+plus `_fiber_components`), and serves `generates_up_to`,
+`connected_under_moves`, `fiber_enumerate` and
+`binomials_in_binomial_ideal`.
 """
 from math import gcd
 
-from hypothesis import HealthCheck, given, settings
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
+
+from fiber_reference import reference_fiber
+from reeslab import toric
 
 from reeslab.binary import sigma_set
 from reeslab.core import Binomial, Monomial
@@ -18,9 +25,13 @@ from reeslab.toric import (
     Fiber,
     MoveSet,
     ReesMapSpec,
+    KernelMismatch,
     _fiber_components,
+    _fibers_of,
     _move_array,
     _reduced_fibers_at,
+    binomial_in_binomial_ideal,
+    binomials_in_binomial_ideal,
     compositions,
     connected_under_moves,
     fiber_enumerate,
@@ -74,7 +85,7 @@ def reference_sweep(spec, moves, t_bound, g):
             for ground in compositions(total, spec.nground)
         }
         for image in sorted(images, key=lambda im: im.ground):
-            members = fiber_enumerate(spec, image).members
+            members = reference_fiber(spec, image)
             if len(members) < 2 or min(m.ground_degree() for m in members) > g or not is_reduced(members):
                 continue
             checked += 1
@@ -155,20 +166,20 @@ def test_level_labels_match_bfs_per_fiber(case):
             for i in rows:
                 got.setdefault(labels[i], set()).add(vecs[i])
             assert all(labels[i] <= i for i in rows)
-            members = fiber_enumerate(spec, Monomial(tuple(image), (tau,))).members
+            members = reference_fiber(spec, Monomial(tuple(image), (tau,)))
             assert {frozenset(p) for p in got.values()} == bfs_partition(members, moves)
 
 
 @SETTINGS
 @given(cases)
 def test_connected_under_moves_matches_bfs(case):
-    # whole fibers, reduced or not, in fiber_enumerate's member order
+    # whole fibers, reduced or not, in the reference's member order
     moves, t_bound, g = case
     spec = moves.spec
     for tau in range(1, t_bound + 1):
         for beta in compositions(tau, spec.nrees):
             image = spec.image_of(Monomial((1,) * spec.nground, beta))
-            fiber = fiber_enumerate(spec, image)
+            fiber = Fiber(image, reference_fiber(spec, image))
             parts = connected_under_moves(fiber, moves)
             firsts = [p[0].ground + p[0].rees for p in parts]
             assert firsts == sorted(firsts)
@@ -195,7 +206,111 @@ def test_generates_up_to_matches_reference_sweep(case):
 
 def test_connected_under_moves_ignores_moves_off_the_kernel():
     spec = ReesMapSpec(2, (Monomial((2, 0)), Monomial((0, 2)), Monomial((1, 1))))
-    fiber = fiber_enumerate(spec, Monomial((2, 2), (2,)))  # t*u and v^2
+    image = Monomial((2, 2), (2,))
+    fiber = Fiber(image, reference_fiber(spec, image))  # t*u and v^2
     off_kernel = Binomial(Monomial((0, 0), (1, 1, 0)), Monomial((1, 0), (0, 0, 2)))
     assert len(connected_under_moves(fiber, [off_kernel])) == 2
     assert connected_under_moves(Fiber(fiber.image, ()), [off_kernel]) == ()
+
+
+@st.composite
+def images(draw):
+    """A map from `cases`, and an image of T-degree <= 3 whose ground part
+    is drawn freely, so its fiber may be empty."""
+    moves, _, g = draw(cases)
+    spec = moves.spec
+    tau = draw(st.integers(0, 3))
+    ground = draw(st.tuples(*[st.integers(0, 2 * g)] * spec.nground))
+    return spec, Monomial(ground, (tau,))
+
+
+@SETTINGS
+@given(images())
+def test_fiber_enumerate_matches_reference(case):
+    spec, image = case
+    fiber = fiber_enumerate(spec, image)
+    assert fiber.image == image
+    assert fiber.members == reference_fiber(spec, image)
+
+
+@SETTINGS
+@given(cases, st.integers(1, 3), st.integers(1, 200))
+def test_fibers_of_is_the_level_of_its_images(case, tau, cells):
+    # many images in one call, the member mask built `cells` cells at a time
+    moves, _, g = case
+    spec = moves.spec
+    grounds = sorted({
+        spec.image_of(Monomial(ground, beta)).ground
+        for beta in compositions(tau, spec.nrees)
+        for ground in compositions(g, spec.nground)
+    })
+    saved, toric._MASK_CELLS = toric._MASK_CELLS, cells
+    try:
+        level = _fibers_of(spec, tau, np.array(grounds, dtype=np.int64))
+    finally:
+        toric._MASK_CELLS = saved
+    assert level.images.tolist() == [list(x) for x in grounds]
+    assert list(level.fiber) == sorted(level.fiber)
+    for f, ground in enumerate(grounds):
+        rows = np.flatnonzero(level.fiber == f)
+        got = [Monomial(tuple(x), tuple(r)) for x, r in zip(level.ground[rows].tolist(), level.rees[rows].tolist())]
+        assert [m.rees for m in got] == sorted(m.rees for m in got)  # `compositions` order
+        assert sorted(got) == sorted(reference_fiber(spec, Monomial(ground, (tau,))))
+
+
+def _sigma_2_1_non_reduced_pair():
+    # image x^3*y at T-degree 1 for (x^2, y^2, xy): the fiber {x*y*t, x^2*v}
+    # shares x, so it is x times the fiber of x^2*y
+    moves = sigma_set(2, 1).move_set()
+    members = reference_fiber(moves.spec, Monomial((3, 1), (1,)))
+    assert len(members) == 2 and not members[0].gcd(members[1]).is_unit()
+    return moves, [members]
+
+
+@st.composite
+def membership_cases(draw):
+    """A Sigma move set (d <= 6) or a ternary one (a <= 5), up to three of
+    its moves dropped, and pairs of monomials drawn from common fibers."""
+    moves, _, g = draw(st.one_of(sigma_cases(), ternary_cases()))
+    spec = moves.spec
+    pairs = []
+    for _ in range(draw(st.integers(1, 8))):
+        beta = draw(st.sampled_from(list(compositions(draw(st.integers(1, 3)), spec.nrees))))
+        ground = draw(st.tuples(*[st.integers(0, g)] * spec.nground))
+        members = reference_fiber(spec, spec.image_of(Monomial(ground, beta)))
+        pairs.append((draw(st.sampled_from(members)), draw(st.sampled_from(members))))
+    return moves, pairs
+
+
+def _vecs(monos):
+    return np.array([m.ground + m.rees for m in monos], dtype=np.int64)
+
+
+@SETTINGS
+@given(membership_cases())
+@example(_sigma_2_1_non_reduced_pair())
+def test_batched_membership_matches_the_walk(case):
+    moves, pairs = case
+    got = binomials_in_binomial_ideal(_vecs(p[0] for p in pairs), _vecs(p[1] for p in pairs), moves)
+    expected = [lead == trail or binomial_in_binomial_ideal(Binomial(lead, trail), moves) for lead, trail in pairs]
+    assert got.dtype == bool and got.tolist() == expected
+
+
+def test_batched_membership_in_a_non_reduced_fiber():
+    moves, [(lead, trail)] = _sigma_2_1_non_reduced_pair()
+    answers = set()
+    for drop in range(len(moves)):
+        sub = moves.without(drop)
+        got = binomials_in_binomial_ideal(_vecs([lead]), _vecs([trail]), sub)
+        assert got.tolist() == [binomial_in_binomial_ideal(Binomial(lead, trail), sub)]
+        answers.add(bool(got[0]))
+    assert answers == {True, False}
+
+
+def test_batched_membership_refuses_pairs_off_the_kernel():
+    moves = sigma_set(3, 1).move_set()
+    width = moves.spec.nground + moves.spec.nrees
+    assert binomials_in_binomial_ideal(np.zeros((0, width)), np.zeros((0, width)), moves).tolist() == []
+    lead = Monomial((0, 0), (1, 0, 0))
+    with pytest.raises(KernelMismatch):
+        binomials_in_binomial_ideal(_vecs([lead, lead]), _vecs([lead, Monomial((3, 0), (0, 0, 0))]), moves)

@@ -1,10 +1,16 @@
 """Ternary uniform generators, type classification, colon claims."""
 
+from collections import Counter
+
 import pytest
 
+from reeslab import ternary
 from reeslab.core import InputError, Monomial, parse_binomial, poly_identity_check
 from reeslab.ternary import (
+    ColonClaimReport,
+    ColonClaimsReport,
     certificate_identities,
+    colon_claims,
     classify_type,
     enumerate_kernel_binomials,
     implicit_three_ways,
@@ -13,7 +19,7 @@ from reeslab.ternary import (
     ternary_length_profile,
     verify_colon_claims,
 )
-from reeslab.toric import MoveSet, binomial_in_binomial_ideal
+from reeslab.toric import MoveSet, binomial_in_binomial_ideal, bruteforce_min_gens, compositions, ternary_spec
 
 
 def pb3(text):
@@ -21,6 +27,7 @@ def pb3(text):
 
 
 ALL_PAIRS = [(3, 1), (4, 1), (5, 1), (5, 2), (6, 1), (6, 2), (7, 1), (7, 2), (7, 3)]
+PAIRS_TO_8 = ALL_PAIRS + [(8, 1), (8, 2), (8, 3)]
 
 
 def test_gens_closed_forms_5_2():
@@ -157,3 +164,103 @@ def test_reduction_number_is_two_for_all_pairs():
 
     for a, b in ALL_PAIRS:
         assert red_uniform(3, a, b).red == 2, (a, b)
+
+
+def reference_colon_claims(a, b, claims):
+    """The colon checks with one congruence walk per multiplier: the route
+    `verify_colon_claims` took before its memberships were batched."""
+    gens = ternary_gens(a, b)
+    by_label = dict(gens.labelled())
+    by_label["implicit"] = gens.implicit
+    certs_ok = {}
+    for step, _, lhs, rhs in certificate_identities(a, b):
+        certs_ok[step] = certs_ok.get(step, True) and poly_identity_check(lhs, rhs)
+    reports = []
+    for claim in claims:
+        h = by_label[claim["h"]]
+        prefix = MoveSet(gens.spec(), tuple(by_label[p] for p in claim["prefix"]))
+        superset_ok = all(binomial_in_binomial_ideal(h.scale(m), prefix) for m in claim["colon"])
+        violations, checked = [], 0
+        for total in range(a + 1):
+            for split in compositions(total, 7):
+                m = Monomial(split[:3], split[3:])
+                if any(g.divides(m) for g in claim["colon"]):
+                    continue
+                checked += 1
+                if binomial_in_binomial_ideal(h.scale(m), prefix):
+                    violations.append(m.text())
+        reports.append(ColonClaimReport(
+            claim["name"], certs_ok[claim["name"]], superset_ok, not violations, checked, tuple(violations)
+        ))
+    return ColonClaimsReport(a, b, tuple(reports))
+
+
+def weakened_claims(drop):
+    """`colon_claims` with the claimed colon generator `drop` removed from
+    every claim."""
+    def claims(a, b):
+        return tuple(dict(c, colon=[g for i, g in enumerate(c["colon"]) if i != drop]) for c in colon_claims(a, b))
+
+    return claims
+
+
+@pytest.mark.parametrize("a, b", [(3, 1), (5, 2), (6, 1)])
+def test_colon_claims_match_the_walk_reference(a, b):
+    assert verify_colon_claims(a, b) == reference_colon_claims(a, b, colon_claims(a, b))
+
+
+@pytest.mark.parametrize("a, b, counts", [(5, 2, [111, 77, 259, 21]), (7, 3, None)])
+def test_weakened_claim_is_refuted(monkeypatch, a, b, counts):
+    # without its first generator no claimed colon holds, and the batched
+    # check refutes each claim with the walk's violations, in the walk's order
+    claims = weakened_claims(0)
+    expected = reference_colon_claims(a, b, claims(a, b))
+    monkeypatch.setattr(ternary, "colon_claims", claims)
+    got = verify_colon_claims(a, b)
+    assert got == expected
+    assert not got.ok and all(c.superset_ok and not c.subset_ok for c in got.claims)
+    if counts is not None:
+        assert [len(c.subset_violations) for c in got.claims] == counts
+
+
+def test_colon_claims_are_the_same_in_small_blocks(monkeypatch):
+    # multipliers split over several batched calls, the claimed generators
+    # checked in the first only
+    expected = [verify_colon_claims(7, 3), reference_colon_claims(5, 2, weakened_claims(2)(5, 2))]
+    monkeypatch.setattr(ternary, "_BLOCK_ROWS", 97)
+    assert verify_colon_claims(7, 3) == expected[0]
+    monkeypatch.setattr(ternary, "colon_claims", weakened_claims(2))
+    assert verify_colon_claims(5, 2) == expected[1]
+
+
+def _bidegrees(spec, moves):
+    images = [spec.image_of(mv.lead) for mv in moves]
+    return Counter((im.ground_degree(), im.rees[0]) for im in images)
+
+
+@pytest.mark.parametrize("a, b", PAIRS_TO_8)
+def test_bruteforce_census_matches_the_ten_generators(a, b):
+    # independent route: a minimal generating set found fiber by fiber
+    # within T <= 4 and ground degree <= 3a has ten moves, in the same
+    # (image ground degree, T-degree) bidegrees as the construction
+    spec = ternary_spec(a, b)
+    found = bruteforce_min_gens(spec, 4, 3 * a)
+    gens = ternary_gens(a, b).all()
+    assert len(found) == len(gens) == 10
+    assert _bidegrees(spec, found) == _bidegrees(spec, gens)
+
+
+def test_overclaimed_colon_fails_the_superset_check(monkeypatch):
+    # claiming z^2 in place of z^3 in (L) : H1 at (5, 2) is false, since
+    # z^2 H1 stays outside (L); the batched check says so like the walk
+    def claims(a, b):
+        first, *rest = colon_claims(a, b)
+        z = Monomial((0, 0, 1), (0, 0, 0, 0))
+        return (dict(first, colon=first["colon"][:2] + [first["colon"][2].divide(z)]), *rest)
+
+    expected = reference_colon_claims(5, 2, claims(5, 2))
+    monkeypatch.setattr(ternary, "colon_claims", claims)
+    got = verify_colon_claims(5, 2)
+    assert got == expected
+    assert not got.claims[0].superset_ok and got.claims[0].subset_ok
+    assert all(c.ok for c in got.claims[1:])
