@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass
 from math import gcd
 
-from .core import AciSpec, InputError, MonomialIdeal
+from .core import AciSpec, InputError, MonomialIdeal, check_exponent_cap
 
 
 class ColonShapeError(RuntimeError):
@@ -32,13 +32,17 @@ class ProfileError(RuntimeError):
     or violated lower bound)."""
 
 
-def _check_params(d: int, b: int, ell: int | None = None) -> None:
+def _check_params(d: int, b: int, ell: int | None = None, top_power: int | None = None) -> None:
+    """Refuse bad (d, b, l).  `top_power` is the largest l for which the
+    caller builds J I^(l-1), whose pure powers have exponent l * d."""
     if not (1 <= b <= d - b):
         raise InputError(f"need 1 <= b <= d - b, got ({d}, {b})")
     if gcd(d, b) != 1:
         raise InputError(f"gcd({d}, {b}) != 1")
     if ell is not None and not 1 <= ell <= d - 1:
         raise InputError(f"need 1 <= l <= d - 1, got {ell}")
+    if top_power is not None:
+        check_exponent_cap(top_power * d, "power exponent l * d =")
 
 
 def st_formula(d: int, b: int, ell: int) -> tuple[int, int]:
@@ -110,7 +114,7 @@ def _pure_power_split(colon: MonomialIdeal, d: int, b: int, ell: int) -> tuple[i
 def st_oracle(d: int, b: int, ell: int) -> tuple[int, int]:
     """(s_l, t_l) by literal ideal arithmetic: build J I^(l-1), colon out
     x^(b l) y^((d-b) l), and read off the two pure powers."""
-    _check_params(d, b, ell)
+    _check_params(d, b, ell, top_power=ell)
     spec = AciSpec((d, d), (b, d - b))
     power = next(itertools.islice(spec.powers(), ell - 1, None))
     return _pure_power_split(spec.colon(ell, power), d, b, ell)
@@ -160,7 +164,7 @@ class LengthProfile:
 def hm_profile(d: int, b: int) -> LengthProfile:
     """Full length profile for l = 1 .. d-1 via the colon oracle, with the
     syzygy indices checked to exist and satisfy l0' >= d - l0."""
-    _check_params(d, b)
+    _check_params(d, b, top_power=d - 1)
     rows = []
     for ell, colon in zip(range(1, d), AciSpec((d, d), (b, d - b)).colons()):
         s, t = _pure_power_split(colon, d, b, ell)

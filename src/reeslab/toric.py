@@ -19,7 +19,9 @@ the components of every fiber of the level in one batched numpy pass.
 `generates_up_to`, `bruteforce_min_gens` and `connected_under_moves` all
 go through that one kernel, and so does `binomials_in_binomial_ideal`,
 which decides many memberships at once on the complete fibers that
-`_fibers_of` builds.  The tuple walk `_neighbors` serves only the
+`_fibers_of` builds.  The kernel can also start from the labels of an
+earlier call, so `bruteforce_min_gens` labels each level once and then
+applies only the moves it adds.  The tuple walk `_neighbors` serves only the
 congruence-class BFS behind the single membership tests.
 """
 from __future__ import annotations
@@ -281,12 +283,6 @@ class _Level:
     def __len__(self):
         return len(self.fiber)
 
-    def select(self, keep: np.ndarray) -> "_Level":
-        """The level made of the fibers where `keep` is true."""
-        rows = keep[self.fiber]
-        renumber = np.cumsum(keep) - 1
-        return _Level(self.images[keep], renumber[self.fiber[rows]], self.ground[rows], self.rees[rows])
-
     def split_fibers(self, labels: np.ndarray) -> list[int]:
         """Ids, in increasing order, of the fibers that `labels` (from
         `_fiber_components`) splits into two or more components."""
@@ -295,14 +291,18 @@ class _Level:
 
     def components(self, f: int, labels: np.ndarray) -> list[list[Vec]]:
         """The member vectors of fiber f grouped by label, as `_groups`."""
-        rows = np.flatnonzero(self.fiber == f)
+        rows = slice(*np.searchsorted(self.fiber, [f, f + 1]))
         vecs = np.hstack((self.ground[rows], self.rees[rows])).tolist()
         return _groups([tuple(v) for v in vecs], labels[rows])
 
 
-def _fiber_components(level: _Level, moves: np.ndarray) -> np.ndarray:
+def _fiber_components(level: _Level, moves: np.ndarray, labels: Optional[np.ndarray] = None) -> np.ndarray:
     """Component label of every member of `level` under `moves` (a
     `_move_array`): the index of the first member of its component.
+
+    `labels`, when given, are this function's labels of the level under
+    some other moves A; the result is then the labelling under A and
+    `moves` together, found from the edges of `moves` alone.
 
     Members are keyed by fiber id and the mixed-radix code of their Rees
     exponents, so a move is one feasibility mask plus one key shift,
@@ -334,7 +334,7 @@ def _fiber_components(level: _Level, moves: np.ndarray) -> np.ndarray:
             hit &= col[dst] == col[src] + (trail[c] - lead[c])
         if hit.any():
             edges.append((src[hit].astype(np.int32), dst[hit].astype(np.int32)))
-    labels = np.arange(len(keys))
+    labels = np.arange(len(keys)) if labels is None else labels.copy()
     while True:
         settled = True
         for src, dst in edges:
@@ -560,13 +560,15 @@ def bruteforce_min_gens(
     Reduced fibers are processed in an order refining divisibility of
     images: by T-degree, then by ground degree of the image.  Whenever a
     fiber is disconnected under the moves found so far, spanning-tree
-    binomials are added.  The fibers of one (T-degree, ground degree)
-    group are incomparable, so no move found in the group acts inside
-    another fiber of it: each group is labelled in one batch.  The number
-    added per bidegree is canonical even though the chosen binomials are
-    not.  The moves are listed by (image ground degree, T-degree), then
-    image.  `tie_break_seed` shuffles the fibers inside each group, which
-    must not change the counts.
+    binomials are added.  Within one T-degree a move acts only through a
+    pure ground multiplier, so moves found among the fibers of one image
+    degree reach only fibers of higher degree: each level is labelled once
+    under the moves of lower T-degree, and after each (T-degree, ground
+    degree) group that adds moves, only those are applied to the level's
+    labels.  The number added per bidegree is canonical even though the
+    chosen binomials are not.  The moves are listed by (image ground
+    degree, T-degree), then image.  `tie_break_seed` shuffles the fibers
+    inside each group, which must not change the counts.
     """
     rng = None
     if tie_break_seed is not None:
@@ -580,15 +582,15 @@ def bruteforce_min_gens(
     for tau in range(t_bound + 1):
         level = _reduced_fibers_at(spec, tau, ground_bound)
         degrees = level.images.sum(axis=1)
+        labels = _fiber_components(level, movearr)
+        split = level.split_fibers(labels)
         for degree in sorted(set(degrees.tolist())):
-            group = level.select(degrees == degree)
-            labels = _fiber_components(group, movearr)
-            split = group.split_fibers(labels)
+            group = [f for f in split if degrees[f] == degree]
             if rng is not None:
-                rng.shuffle(split)
+                rng.shuffle(group)
             added = []
-            for f in split:
-                reps = sorted(min(g) for g in group.components(f, labels))
+            for f in group:
+                reps = sorted(min(g) for g in level.components(f, labels))
                 base = _mono(reps[0], n)
                 for rep in reps[1:]:
                     bin_ = Binomial(base, _mono(rep, n))
@@ -597,6 +599,9 @@ def bruteforce_min_gens(
                     added.append(bin_)
             if added:
                 found += [((degree, tau), b) for b in added]
-                movearr = np.concatenate((movearr, _move_array(added, width)))
+                new = _move_array(added, width)
+                movearr = np.concatenate((movearr, new))
+                labels = _fiber_components(level, new, labels)
+                split = level.split_fibers(labels)
     found.sort(key=lambda entry: entry[0])
     return MoveSet(spec, tuple(b for _, b in found))

@@ -1,11 +1,19 @@
-"""Reference fiber enumeration for the tests, in plain Python.
+"""Reference routes for the tests of the fiber kernels.
 
-This is the body `toric.fiber_enumerate` had before it became the one-image
-case of the array builder `toric._fibers_of`.  The tests of the builder and
-of the sweep's fiber enumeration compare against it.
+`reference_fiber` is the body `toric.fiber_enumerate` had before it became
+the one-image case of the array builder `toric._fibers_of`; the tests of
+the builder and of the sweep's fiber enumeration compare against it.
+
+`reference_min_gens` is the loop `toric.bruteforce_min_gens` had before it
+labelled each T-degree level once: it labels every (T-degree, image ground
+degree) group of reduced fibers with its own `_fiber_components` call.
 """
-from reeslab.core import Monomial
-from reeslab.toric import compositions
+import random
+
+import numpy as np
+
+from reeslab.core import Binomial, Monomial
+from reeslab.toric import MoveSet, _fiber_components, _Level, _mono, _move_array, _reduced_fibers_at, compositions
 
 
 def reference_fiber(spec, image):
@@ -25,3 +33,39 @@ def reference_fiber(spec, image):
             members.append(Monomial(tuple(ground), beta))
     members.sort(key=Monomial.sort_key)
     return tuple(members)
+
+
+def _select(level, keep):
+    """The level made of the fibers where `keep` is true."""
+    rows = keep[level.fiber]
+    renumber = np.cumsum(keep) - 1
+    return _Level(level.images[keep], renumber[level.fiber[rows]], level.ground[rows], level.rees[rows])
+
+
+def reference_min_gens(spec, t_bound, ground_bound, tie_break_seed=None):
+    """`bruteforce_min_gens` with one labelling per (T-degree, image ground
+    degree) group, under every move found before the group."""
+    rng = None if tie_break_seed is None else random.Random(tie_break_seed)
+    n = spec.nground
+    width = n + spec.nrees
+    found = []
+    movearr = _move_array((), width)
+    for tau in range(t_bound + 1):
+        level = _reduced_fibers_at(spec, tau, ground_bound)
+        degrees = level.images.sum(axis=1)
+        for degree in sorted(set(degrees.tolist())):
+            group = _select(level, degrees == degree)
+            labels = _fiber_components(group, movearr)
+            split = group.split_fibers(labels)
+            if rng is not None:
+                rng.shuffle(split)
+            added = []
+            for f in split:
+                reps = sorted(min(g) for g in group.components(f, labels))
+                base = _mono(reps[0], n)
+                added += [Binomial(base, _mono(rep, n)) for rep in reps[1:]]
+            if added:
+                found += [((degree, tau), b) for b in added]
+                movearr = np.concatenate((movearr, _move_array(added, width)))
+    found.sort(key=lambda entry: entry[0])
+    return MoveSet(spec, tuple(b for _, b in found))

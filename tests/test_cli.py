@@ -240,6 +240,17 @@ def test_image_exponents_up_to_the_cap_pass(capsys, argv):
     assert code == 0 and out
 
 
+@pytest.mark.parametrize("argv", [["lengths", "2000", "1"], ["lengths", "1001", "2"]])
+def test_power_exponents_above_the_cap_are_refused_at_once(capsys, argv):
+    # the profile builds J I^(d-2), whose pure powers reach x^((d-1) d):
+    # 1999 * 2000 = 3998000 and 1000 * 1001 = 1001000
+    start = time.monotonic()
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "power exponent l * d =" in err and "exceeds the supported cap" in err
+    assert time.monotonic() - start < 1.0
+
+
 def test_binary_verify_counts_the_reduced_fibers(capsys):
     # fibers_checked counts the reduced fibers (two or more members, no
     # common variable) of T-degree <= d + 1 whose smallest member has

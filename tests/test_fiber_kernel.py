@@ -5,8 +5,10 @@ one fiber, the pure-Python fiber enumeration of `fiber_reference`, and the
 congruence walk `binomial_in_binomial_ideal`.  The kernel under test
 labels whole T-degree levels at once (`_reduced_fibers_at` or `_fibers_of`
 plus `_fiber_components`), and serves `generates_up_to`,
-`connected_under_moves`, `fiber_enumerate` and
-`binomials_in_binomial_ideal`.
+`connected_under_moves`, `fiber_enumerate`, `bruteforce_min_gens` and
+`binomials_in_binomial_ideal`.  `bruteforce_min_gens` labels each level
+once and then applies only the moves it adds; the per-group loop it
+replaced is its reference (`fiber_reference.reference_min_gens`).
 """
 from math import gcd
 
@@ -15,7 +17,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from fiber_reference import reference_fiber
+from fiber_reference import reference_fiber, reference_min_gens
 from reeslab import toric
 
 from reeslab.binary import sigma_set
@@ -31,11 +33,14 @@ from reeslab.toric import (
     _move_array,
     _reduced_fibers_at,
     binomial_in_binomial_ideal,
+    binary_spec,
     binomials_in_binomial_ideal,
+    bruteforce_min_gens,
     compositions,
     connected_under_moves,
     fiber_enumerate,
     generates_up_to,
+    ternary_spec,
 )
 
 SETTINGS = settings(max_examples=60, deadline=None, database=None, derandomize=True,
@@ -202,6 +207,58 @@ def test_generates_up_to_matches_reference_sweep(case):
         failure = report.first_failure
         assert failure.image == image
         assert {frozenset(m.ground + m.rees for m in p) for p in failure.components} == parts
+
+
+@st.composite
+def split_move_cases(draw):
+    """A level from `_reduced_fibers_at` or `_fibers_of`, and the moves of
+    a case split into a prefix A and the rest B."""
+    moves, t_bound, g = draw(cases)
+    spec = moves.spec
+    tau = draw(st.integers(1, t_bound))
+    if draw(st.booleans()):
+        level = _reduced_fibers_at(spec, tau, g)
+    else:
+        grounds = sorted({
+            spec.image_of(Monomial(ground, beta)).ground
+            for beta in compositions(tau, spec.nrees)
+            for ground in compositions(draw(st.integers(0, g)), spec.nground)
+        })
+        level = _fibers_of(spec, tau, np.array(grounds, dtype=np.int64))
+    movearr = _move_array(moves.moves, spec.nground + spec.nrees)
+    k = draw(st.integers(0, len(movearr)))
+    return level, movearr[:k], movearr[k:]
+
+
+@SETTINGS
+@given(split_move_cases())
+def test_labels_under_more_moves_start_from_the_labels_under_fewer(case):
+    level, a, b = case
+    start = _fiber_components(level, a)
+    kept = start.copy()
+    got = _fiber_components(level, b, start)
+    assert got.tolist() == _fiber_components(level, np.concatenate((a, b))).tolist()
+    assert start.tolist() == kept.tolist()  # the start labels are not written
+
+
+@pytest.mark.parametrize("d", range(2, 13))
+def test_bruteforce_min_gens_matches_the_per_group_reference(d):
+    # every coprime b, and the tie-break shuffles: same binomials, same order
+    for b in range(1, d):
+        if gcd(d, b) == 1:
+            spec = binary_spec(d, b)
+            for seed in (None, 0, 1, 2):
+                got = bruteforce_min_gens(spec, d + 1, 3 * d, tie_break_seed=seed)
+                assert got.moves == reference_min_gens(spec, d + 1, 3 * d, tie_break_seed=seed).moves, (d, b, seed)
+
+
+@pytest.mark.parametrize("a, b", [(a, b) for a in range(3, 7) for b in range(1, (a - 1) // 2 + 1)])
+def test_bruteforce_min_gens_matches_the_per_group_reference_ternary(a, b):
+    # several fibers split in one group here, so the shuffles reorder moves
+    spec = ternary_spec(a, b)
+    for seed in (None, 0, 1, 2):
+        got = bruteforce_min_gens(spec, 4, 3 * a, tie_break_seed=seed)
+        assert got.moves == reference_min_gens(spec, 4, 3 * a, tie_break_seed=seed).moves, seed
 
 
 def test_connected_under_moves_ignores_moves_off_the_kernel():

@@ -124,3 +124,12 @@ def test_parameter_validation():
         st_formula(7, 4, 1)  # b > d - b
     with pytest.raises(InputError):
         st_formula(7, 3, 7)  # ell out of range
+
+
+def test_power_exponents_above_the_cap_are_refused():
+    # J I^(l-1) holds x^(l d): 1000 * 1001 = 1001000 passes the cap
+    with pytest.raises(InputError, match="power exponent l \\* d = 1001000"):
+        st_oracle(1001, 2, 1000)
+    with pytest.raises(InputError, match="power exponent l \\* d = 1001000"):
+        hm_profile(1001, 2)
+    assert st_oracle(1001, 2, 1) == (999, 2)

@@ -207,10 +207,10 @@ def test_bruteforce_matches_sigma_counts():
         assert len(moves) == sigma.count_formula(), (d, b)
 
 
-def test_bruteforce_count_agreement_d13_to_16():
+def test_bruteforce_count_agreement_d13_to_18():
     # new coverage beyond criterion 3's d <= 12 grid: every coprime
     # b <= d/2 (the other half mirrors it under x <-> y)
-    for d in range(13, 17):
+    for d in range(13, 19):
         for b in range(1, d // 2 + 1):
             if gcd(d, b) == 1:
                 moves = bruteforce_min_gens(binary_spec(d, b), d + 1, 3 * d)
