@@ -32,8 +32,8 @@ from reeslab.toric import (
     _fibers_of,
     _move_array,
     _reduced_fibers_at,
-    binomial_in_binomial_ideal,
     binary_spec,
+    binomial_in_binomial_ideal,
     binomials_in_binomial_ideal,
     bruteforce_min_gens,
     compositions,

@@ -127,7 +127,7 @@ def test_parameter_validation():
 
 
 def test_power_exponents_above_the_cap_are_refused():
-    # J I^(l-1) holds x^(l d): 1000 * 1001 = 1001000 passes the cap
+    # J I^(l-1) holds x^(l d): 1000 * 1001 = 1001000 exceeds the cap
     with pytest.raises(InputError, match="power exponent l \\* d = 1001000"):
         st_oracle(1001, 2, 1000)
     with pytest.raises(InputError, match="power exponent l \\* d = 1001000"):
