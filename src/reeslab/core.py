@@ -292,9 +292,6 @@ class Polynomial:
         merged = list(self._terms_iter()) + [(-c, m) for c, m in other._terms_iter()]
         return Polynomial(merged, self._ambient or other._ambient)
 
-    def __neg__(self) -> "Polynomial":
-        return Polynomial([(-c, m) for c, m in self._terms_iter()], self._ambient)
-
     def __mul__(self, other):
         if isinstance(other, int):
             return Polynomial([(c * other, m) for c, m in self._terms_iter()], self._ambient)

@@ -157,7 +157,7 @@ def _q_times(spec: AciSpec, power: MonomialIdeal):
     return diffs, monos
 
 
-def verify_q_reduction(n: int, a: int, b: int, cap: int = 10**6) -> QReductionReport:
+def verify_q_reduction(n: int, a: int, b: int) -> QReductionReport:
     """Confirm the two membership facts behind the binomial reduction Q:
     I^n is inside Q I^(n-1) and x_n^{(n-1)a} stays outside Q I^(n-2).
     Requires n b < a (otherwise the monomial reduction applies)."""
@@ -173,7 +173,7 @@ def verify_q_reduction(n: int, a: int, b: int, cap: int = 10**6) -> QReductionRe
     contained = True
     checked = 0
     for m in powers[n].gens:
-        res = monomial_in_mixed_ideal(m, diffs, monos, cap)
+        res = monomial_in_mixed_ideal(m, diffs, monos)
         explored += res.explored
         checked += 1
         if not res:
@@ -182,6 +182,6 @@ def verify_q_reduction(n: int, a: int, b: int, cap: int = 10**6) -> QReductionRe
 
     diffs2, monos2 = _q_times(spec, powers[n - 2])
     target = spec.pure_powers[-1].power(n - 1)
-    res2 = monomial_in_mixed_ideal(target, diffs2, monos2, cap)
+    res2 = monomial_in_mixed_ideal(target, diffs2, monos2)
     explored += res2.explored
     return QReductionReport(n, a, b, contained, not res2.member, checked, explored)

@@ -14,8 +14,9 @@ connectivity-preserving bijection as long as every move has coprime sides,
 so reduced fibers decide the sweep; move sets are validated accordingly.
 
 The sweeps work one T-degree level at a time: `_reduced_fibers_at` builds
-all reduced fibers of a level as arrays, and `_fiber_components` labels
-the components of every fiber of the level in one batched numpy pass.
+all reduced fibers of a level as arrays with `_level_of` (shared with
+`_fibers_of`; one bounded block of the member mask at a time), and
+`_fiber_components` labels every fiber of the level in one numpy pass.
 `generates_up_to`, `bruteforce_min_gens` and `connected_under_moves` all
 go through that one kernel, and so does `binomials_in_binomial_ideal`,
 which decides many memberships at once on the complete fibers that
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -283,6 +284,15 @@ class _Level:
     def __len__(self):
         return len(self.fiber)
 
+    def key(self, fiber, rees: np.ndarray) -> np.ndarray:
+        """Member keys: fiber id, then the mixed-radix code of the Rees
+        exponents; they increase along the level's members."""
+        nrees = self.rees.shape[1]
+        radix = int(self.rees.max(initial=0)) + 1
+        if radix**nrees * len(self.images) >= 2**62:
+            raise ValueError(f"level of {len(self.images)} fibers with Rees exponents < {radix} is too large to key")
+        return fiber * radix**nrees + rees @ radix ** np.arange(nrees - 1, -1, -1, dtype=np.int64)
+
     def split_fibers(self, labels: np.ndarray) -> list[int]:
         """Ids, in increasing order, of the fibers that `labels` (from
         `_fiber_components`) splits into two or more components."""
@@ -304,28 +314,24 @@ def _fiber_components(level: _Level, moves: np.ndarray, labels: Optional[np.ndar
     some other moves A; the result is then the labelling under A and
     `moves` together, found from the edges of `moves` alone.
 
-    Members are keyed by fiber id and the mixed-radix code of their Rees
-    exponents, so a move is one feasibility mask plus one key shift,
-    matched with `searchsorted`.  The trail -> lead direction of a move
-    only retraces the edges of its lead -> trail direction, so one
-    direction lists every edge the move gives.  Labels are then hooked
-    along the edges and shortcut by pointer jumping until every edge
-    joins equal labels.
+    Members are found by their `_Level.key`, so a move is one feasibility
+    mask plus one key shift, matched with `searchsorted`.  The trail ->
+    lead direction of a move only retraces the edges of its lead -> trail
+    direction, so one direction lists every edge the move gives.  Labels
+    are then hooked along the edges and shortcut by pointer jumping until
+    every edge joins equal labels.
     """
     nrees = level.rees.shape[1]
-    radix = int(level.rees.max(initial=0)) + 1
-    if radix**nrees * len(level.images) >= 2**62:
-        raise ValueError(f"level of {len(level.images)} fibers with Rees exponents < {radix} is too large to key")
-    weights = radix ** np.arange(nrees - 1, -1, -1, dtype=np.int64)
-    keys = level.fiber * radix**nrees + level.rees @ weights
+    keys = level.key(level.fiber, level.rees)
+    shifts = level.key(0, moves[:, 1, -nrees:] - moves[:, 0, -nrees:])
     columns = [*level.ground.T, *level.rees.T]
     edges = []
-    for lead, trail in moves:
+    for (lead, trail), shift in zip(moves, shifts):
         feasible = np.ones(len(keys), dtype=bool)
         for c in np.flatnonzero(lead):
             feasible &= columns[c] >= lead[c]
         src = np.flatnonzero(feasible)
-        target = keys[src] + (trail - lead)[-nrees:] @ weights
+        target = keys[src] + shift
         dst = np.minimum(np.searchsorted(keys, target), len(keys) - 1)
         # a key match is the target only if the whole vector agrees: moves
         # off the map's kernel, or off the fiber's T-degree, give no edge
@@ -379,29 +385,53 @@ def connected_under_moves(fiber: Fiber, moves: MoveSet | Sequence[Binomial]) -> 
     return tuple(tuple(_mono(v, n) for v in g) for g in _groups(vecs, labels))
 
 
-_MASK_CELLS = 1 << 20  # (fibers x compositions) cells per block of `_fibers_of`'s member mask
+def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of a non-negative integer array in increasing
+    order, and the index among them of each row, through one mixed-radix
+    code per row."""
+    width = rows.shape[1]
+    radix = int(rows.max(initial=0)) + 1
+    if radix**width >= 2**63:
+        raise ValueError(f"rows with entries < {radix} are too large to code")
+    code = rows @ radix ** np.arange(width - 1, -1, -1, dtype=np.int64)
+    _, first, inverse = np.unique(code, return_index=True, return_inverse=True)
+    return rows[first], inverse
+
+
+_MASK_CELLS = 1 << 20  # (images x compositions) cells per block of a level's member mask
+
+
+def _level_of(comps: np.ndarray, G: np.ndarray, images: np.ndarray, keep: Callable) -> _Level:
+    """The level of the fibers of the rows of `images` (distinct, in
+    increasing order) that `keep` selects, for the compositions `comps` of
+    one T-degree with image ground vectors G.  A composition gives a member
+    of an image when its image ground vector lies below the image; that
+    mask is built `_MASK_CELLS` cells at a time, and `keep(block, member)`
+    indexes the block's rows to keep, in increasing order."""
+    k = len(comps)
+    step = max(1, _MASK_CELLS // k)
+    kept, flat, count = [images[:0]], [np.empty(0, dtype=np.int64)], 0
+    for start in range(0, len(images), step):
+        block = images[start:start + step]
+        member = block[:, 0, None] >= G[None, :, 0]
+        for i in range(1, G.shape[1]):
+            member &= block[:, i, None] >= G[None, :, i]
+        rows = keep(block, member)
+        kept.append(block[rows])
+        flat.append(np.flatnonzero(member[rows]) + count * k)
+        count += len(kept[-1])
+    images = np.concatenate(kept)
+    fiber, col = np.divmod(np.concatenate(flat), k)
+    return _Level(images, fiber, images[fiber] - G[col], comps[col])
 
 
 def _fibers_of(spec: ReesMapSpec, tau: int, images: np.ndarray) -> _Level:
     """The level of the complete fibers of T-degree tau whose image ground
     parts are the rows of `images` (distinct, in increasing order): the
-    layout and member order of `_reduced_fibers_at`, without its filters.
-    A composition beta of tau gives a member of an image exactly when its
-    image ground vector lies below the image; that mask is built for a
-    block of images at a time."""
+    layout and member order of `_reduced_fibers_at`, without its filters."""
     comps = np.array(list(compositions(tau, spec.nrees)), dtype=np.int64).reshape(-1, spec.nrees)
     G = comps @ spec.degree_matrix()
-    k = len(comps)
-    step = max(1, _MASK_CELLS // k)
-    flat = [np.empty(0, dtype=np.int64)]
-    for start in range(0, len(images), step):
-        block = images[start:start + step]
-        member = np.ones((len(block), k), dtype=bool)
-        for i in range(spec.nground):
-            member &= block[:, i, None] >= G[None, :, i]
-        flat.append(np.flatnonzero(member) + start * k)
-    fiber, col = np.divmod(np.concatenate(flat), k)
-    return _Level(images, fiber, images[fiber] - G[col], comps[col])
+    return _level_of(comps, G, images, lambda block, member: slice(None))
 
 
 def binomials_in_binomial_ideal(leads: np.ndarray, trails: np.ndarray, moves: MoveSet) -> np.ndarray:
@@ -413,7 +443,7 @@ def binomials_in_binomial_ideal(leads: np.ndarray, trails: np.ndarray, moves: Mo
     fiber under the moves.  Rows are grouped by T-degree; the distinct
     fibers of each group are built as one level by `_fibers_of` and
     labelled once by `_fiber_components`, and each lead and trail is found
-    in the level by the kernel's key.
+    in the level by its `_Level.key`.
     """
     spec = moves.spec
     n = spec.nground
@@ -433,21 +463,12 @@ def binomials_in_binomial_ideal(leads: np.ndarray, trails: np.ndarray, moves: Mo
     out = np.zeros(len(leads), dtype=bool)
     for tau in sorted(set(images[:, n].tolist())):
         rows = np.flatnonzero(images[:, n] == tau)
-        ground = images[rows, :n]
-        # distinct images in increasing order, and the fiber id of each row
-        order = np.lexsort(ground.T[::-1])
-        new = np.ones(len(rows), dtype=bool)
-        new[1:] = (np.diff(ground[order], axis=0) != 0).any(axis=1)
-        fiber = np.empty(len(rows), dtype=np.int64)
-        fiber[order] = np.cumsum(new) - 1
-        level = _fibers_of(spec, tau, ground[order[new]])
+        ground, fiber = _distinct_rows(images[rows, :n])
+        level = _fibers_of(spec, tau, ground)
         labels = _fiber_components(level, movearr)
-        radix = int(level.rees.max(initial=0)) + 1
-        weights = radix ** np.arange(spec.nrees - 1, -1, -1, dtype=np.int64)
-        keys = level.fiber * radix**spec.nrees + level.rees @ weights
-        fiber_keys = fiber * radix**spec.nrees
-        lead_at = np.searchsorted(keys, fiber_keys + leads[rows, n:] @ weights)
-        trail_at = np.searchsorted(keys, fiber_keys + trails[rows, n:] @ weights)
+        keys = level.key(level.fiber, level.rees)
+        lead_at = np.searchsorted(keys, level.key(fiber, leads[rows, n:]))
+        trail_at = np.searchsorted(keys, level.key(fiber, trails[rows, n:]))
         out[rows] = labels[lead_at] == labels[trail_at]
     return out
 
@@ -470,8 +491,9 @@ def _reduced_fibers_at(spec: ReesMapSpec, tau: int, ground_bound: int) -> _Level
     of a candidate fiber lacks it, so members never share a ground
     variable; the fiber is non-reduced exactly when all its members carry
     some t_j, and then it is t_j times a fiber of T-degree tau - 1.  Those
-    fibers are left out.  The candidate array is built whole: C(k + n - 1, n)
-    rows for k compositions of tau and n ground variables.
+    fibers are left out.  The candidate images are built whole (C(k + n - 1, n)
+    rows for k compositions and n ground variables), their member mask one
+    bounded block at a time by `_level_of`.
     """
     comps = np.array(list(compositions(tau, spec.nrees)), dtype=np.int64).reshape(-1, spec.nrees)
     G = comps @ spec.degree_matrix()  # image ground vector of each pure Rees monomial
@@ -483,27 +505,18 @@ def _reduced_fibers_at(spec: ReesMapSpec, tau: int, ground_bound: int) -> _Level
     cand = G[idx[:, 0]]
     for col in range(1, size):
         cand = np.maximum(cand, G[idx[:, col]])
-    # distinct candidates in increasing order, through one mixed-radix code
-    radix = int(G.max(initial=0)) + 1
-    code = cand @ radix ** np.arange(spec.nground - 1, -1, -1, dtype=np.int64)
-    code.sort()
-    code = code[np.diff(code, prepend=-1) != 0]
-    cand = np.empty((len(code), spec.nground), dtype=np.int64)
-    for i in range(spec.nground - 1, -1, -1):
-        code, cand[:, i] = np.divmod(code, radix)
-    member = np.ones((len(cand), k), dtype=bool)
-    for i in range(spec.nground):
-        member &= cand[:, i, None] >= G[None, :, i]
-    reduced = (member @ (comps == 0)).all(axis=1)  # each t_j is missing from some member
-    keep = reduced & (member.sum(axis=1) >= 2)
-    cand, member = cand[keep], member[keep]
+    faces = [np.flatnonzero(beta == 0) for beta in comps.T]  # the compositions without t_j
     gsum = G.sum(axis=1)
-    by_gsum = np.argsort(-gsum)
-    min_ground = cand.sum(axis=1) - gsum[by_gsum][member[:, by_gsum].argmax(axis=1)]
-    keep = min_ground <= ground_bound
-    cand, member = cand[keep], member[keep]
-    fiber, col = np.divmod(np.flatnonzero(member), k)
-    return _Level(cand, fiber, cand[fiber] - G[col], comps[col])
+
+    def keep(block: np.ndarray, member: np.ndarray) -> np.ndarray:
+        # each t_j is missing from some member, and two or more members
+        reduced = np.all([member[:, face].any(axis=1) for face in faces], axis=0)
+        rows = np.flatnonzero(reduced & (np.count_nonzero(member, axis=1) >= 2))
+        # then some member, so the smallest, has ground degree within bound
+        within = member[rows] & (gsum >= block[rows].sum(axis=1, keepdims=True) - ground_bound)
+        return rows[within.any(axis=1)]
+
+    return _level_of(comps, G, _distinct_rows(cand)[0], keep)
 
 
 @dataclass(frozen=True)

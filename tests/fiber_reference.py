@@ -4,10 +4,16 @@
 the one-image case of the array builder `toric._fibers_of`; the tests of
 the builder and of the sweep's fiber enumeration compare against it.
 
+`reference_reduced_fibers` is the body `toric._reduced_fibers_at` had
+before it built its member mask a bounded block at a time through the
+builder shared with `_fibers_of`: one dense (candidates x compositions)
+matrix per level.
+
 `reference_min_gens` is the loop `toric.bruteforce_min_gens` had before it
 labelled each T-degree level once: it labels every (T-degree, image ground
 degree) group of reduced fibers with its own `_fiber_components` call.
 """
+import itertools
 import random
 
 import numpy as np
@@ -33,6 +39,41 @@ def reference_fiber(spec, image):
             members.append(Monomial(tuple(ground), beta))
     members.sort(key=Monomial.sort_key)
     return tuple(members)
+
+
+def reference_reduced_fibers(spec, tau, ground_bound):
+    """`_reduced_fibers_at` with the whole member matrix of a level built at once."""
+    comps = np.array(list(compositions(tau, spec.nrees)), dtype=np.int64).reshape(-1, spec.nrees)
+    G = comps @ spec.degree_matrix()  # image ground vector of each pure Rees monomial
+    k = len(comps)
+    size = min(spec.nground, k)
+    idx = np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations_with_replacement(range(k), size)), dtype=np.int64
+    ).reshape(-1, size)
+    cand = G[idx[:, 0]]
+    for col in range(1, size):
+        cand = np.maximum(cand, G[idx[:, col]])
+    # distinct candidates in increasing order, through one mixed-radix code
+    radix = int(G.max(initial=0)) + 1
+    code = cand @ radix ** np.arange(spec.nground - 1, -1, -1, dtype=np.int64)
+    code.sort()
+    code = code[np.diff(code, prepend=-1) != 0]
+    cand = np.empty((len(code), spec.nground), dtype=np.int64)
+    for i in range(spec.nground - 1, -1, -1):
+        code, cand[:, i] = np.divmod(code, radix)
+    member = np.ones((len(cand), k), dtype=bool)
+    for i in range(spec.nground):
+        member &= cand[:, i, None] >= G[None, :, i]
+    reduced = (member @ (comps == 0)).all(axis=1)  # each t_j is missing from some member
+    keep = reduced & (member.sum(axis=1) >= 2)
+    cand, member = cand[keep], member[keep]
+    gsum = G.sum(axis=1)
+    by_gsum = np.argsort(-gsum)
+    min_ground = cand.sum(axis=1) - gsum[by_gsum][member[:, by_gsum].argmax(axis=1)]
+    keep = min_ground <= ground_bound
+    cand, member = cand[keep], member[keep]
+    fiber, col = np.divmod(np.flatnonzero(member), k)
+    return _Level(cand, fiber, cand[fiber] - G[col], comps[col])
 
 
 def _select(level, keep):

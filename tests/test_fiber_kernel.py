@@ -9,6 +9,9 @@ plus `_fiber_components`), and serves `generates_up_to`,
 `binomials_in_binomial_ideal`.  `bruteforce_min_gens` labels each level
 once and then applies only the moves it adds; the per-group loop it
 replaced is its reference (`fiber_reference.reference_min_gens`).
+`_reduced_fibers_at` builds its member mask a bounded block at a time; the
+dense matrix it replaced is its reference
+(`fiber_reference.reference_reduced_fibers`).
 """
 from math import gcd
 
@@ -17,7 +20,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from fiber_reference import reference_fiber, reference_min_gens
+from fiber_reference import reference_fiber, reference_min_gens, reference_reduced_fibers
 from reeslab import toric
 
 from reeslab.binary import sigma_set
@@ -259,6 +262,28 @@ def test_bruteforce_min_gens_matches_the_per_group_reference_ternary(a, b):
     for seed in (None, 0, 1, 2):
         got = bruteforce_min_gens(spec, 4, 3 * a, tie_break_seed=seed)
         assert got.moves == reference_min_gens(spec, 4, 3 * a, tie_break_seed=seed).moves, seed
+
+
+def _assert_same_level(got, expected):
+    for name in ("images", "fiber", "ground", "rees"):
+        assert getattr(got, name).tolist() == getattr(expected, name).tolist(), name
+
+
+@pytest.mark.parametrize("d", range(2, 13))
+def test_reduced_fibers_match_the_dense_reference(d):
+    # every coprime b, every T-degree the sweeps of criteria 2 and 3 visit
+    for b in range(1, d):
+        if gcd(d, b) == 1:
+            spec = binary_spec(d, b)
+            for tau in range(d + 2):
+                _assert_same_level(_reduced_fibers_at(spec, tau, 3 * d), reference_reduced_fibers(spec, tau, 3 * d))
+
+
+@pytest.mark.parametrize("a, b", [(a, b) for a in range(3, 7) for b in range(1, (a - 1) // 2 + 1)])
+def test_reduced_fibers_match_the_dense_reference_ternary(a, b):
+    spec = ternary_spec(a, b)
+    for tau in range(5):
+        _assert_same_level(_reduced_fibers_at(spec, tau, 3 * a), reference_reduced_fibers(spec, tau, 3 * a))
 
 
 def test_connected_under_moves_ignores_moves_off_the_kernel():

@@ -1,11 +1,13 @@
 """Fiber enumeration, congruence connectivity, membership and sweep oracles."""
 
 import random
+import tracemalloc
 from math import gcd
 
 import pytest
 
 from fiber_reference import reference_fiber
+from reeslab import toric
 from reeslab.core import AciSpec, Binomial, Monomial, ground_monomial, parse_binomial, parse_monomial
 from reeslab.binary import sigma_set
 from reeslab.toric import (
@@ -207,10 +209,10 @@ def test_bruteforce_matches_sigma_counts():
         assert len(moves) == sigma.count_formula(), (d, b)
 
 
-def test_bruteforce_count_agreement_d13_to_18():
+def test_bruteforce_count_agreement_d13_to_20():
     # new coverage beyond criterion 3's d <= 12 grid: every coprime
     # b <= d/2 (the other half mirrors it under x <-> y)
-    for d in range(13, 19):
+    for d in range(13, 21):
         for b in range(1, d // 2 + 1):
             if gcd(d, b) == 1:
                 moves = bruteforce_min_gens(binary_spec(d, b), d + 1, 3 * d)
@@ -249,6 +251,7 @@ def test_sweep_requires_coprime_moves():
 
 
 def _reduced_fiber_cases():
+    # d < 8 keeps the one-cell blocks of the parametrized test below affordable
     for d in range(2, 8):
         for b in range(1, d):
             yield binary_spec(d, b), 3, 2 * d
@@ -263,11 +266,14 @@ def _is_reduced(members):
     return common.is_unit()
 
 
-def test_reduced_fibers_match_fiber_enumerate():
+@pytest.mark.parametrize("cells", [toric._MASK_CELLS, 1, 7, 97], ids=["default", "1", "7", "97"])
+def test_reduced_fibers_match_fiber_enumerate(monkeypatch, cells):
     # Reference for the sweep's fiber enumeration: every fiber of the level
     # is complete, reduced (two or more members, no common variable) and
     # within the ground bound, no fiber appears twice, and no reduced fiber
-    # within the ground bound is missed.
+    # within the ground bound is missed, whatever the size of the blocks
+    # the member mask is built in.
+    monkeypatch.setattr(toric, "_MASK_CELLS", cells)
     for spec, t_max, g in _reduced_fiber_cases():
         n = spec.nground
         for tau in range(t_max + 1):
@@ -300,3 +306,15 @@ def test_reduced_fibers_match_fiber_enumerate():
                     continue
                 if _is_reduced(members):
                     assert image in yielded, (spec, image)
+
+
+def test_reduced_fibers_build_the_member_mask_in_bounded_blocks():
+    # building this level's whole (candidates x compositions) member matrix
+    # at once peaks near 145 MiB (`fiber_reference.reference_reduced_fibers`)
+    tracemalloc.start()
+    try:
+        _reduced_fibers_at(binary_spec(30, 7), 31, 90)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 48 * 2**20, peak
