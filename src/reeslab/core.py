@@ -336,7 +336,22 @@ def poly_identity_check(lhs: Polynomial, rhs: Polynomial) -> bool:
     return (lhs - rhs).is_zero()
 
 
-#: most cells of the (rows x kept x nvars) comparison one block may build
+def divisibility_mask(rows: np.ndarray, divisors: np.ndarray) -> np.ndarray:
+    """mask[i, j] tells whether divisors[j] <= rows[i] in every column,
+    i.e. whether the monomial of divisors[j] divides that of rows[i].
+
+    The mask is built as one 2-D array, one comparison per column, so no
+    (rows x divisors x columns) array is formed.  Both arrays need at least
+    one column.
+    """
+    columns = np.ascontiguousarray(divisors.T)  # each comparison reads one contiguous column
+    mask = rows[:, 0, None] >= columns[0]
+    for i in range(1, len(columns)):
+        mask &= rows[:, i, None] >= columns[i]
+    return mask
+
+
+#: most cells of the (block x kept) divisibility mask one block may build
 _BLOCK_CELLS = 1 << 18
 
 
@@ -345,7 +360,11 @@ def _minimalize(rows) -> np.ndarray:
 
     Sorted lex ascending, every divisor of a row comes before it, so a row
     is kept exactly when no earlier row divides it; of equal rows the first
-    is kept.
+    is kept.  Two variables take a staircase scan.  Otherwise equal rows
+    are dropped right after the sort, and the rows are checked a block at a
+    time against the rows already kept and against the rest of the block,
+    with `divisibility_mask`: a later distinct row never divides an earlier
+    one, so every off-diagonal hit within a block is an earlier divisor.
     """
     exps = np.asarray(rows, dtype=np.int64)
     if len(exps) < 2 or exps.shape[1] == 0:
@@ -358,17 +377,20 @@ def _minimalize(rows) -> np.ndarray:
         keep = np.ones(len(y), dtype=bool)
         keep[1:] = y[1:] < np.minimum.accumulate(y)[:-1]
         return exps[keep][::-1]
-    nvars = exps.shape[1]
+    distinct = np.ones(len(exps), dtype=bool)
+    distinct[1:] = (exps[1:] != exps[:-1]).any(axis=1)
+    exps = exps[distinct]
     kept = exps[:0]
     start = 0
     while start < len(exps):
-        size = max(1, min(256, _BLOCK_CELLS // (nvars * max(len(kept), 1))))
+        size = max(1, min(512, _BLOCK_CELLS // max(len(kept), 1)))
         block = exps[start:start + size]
         start += size
-        divided = (kept[None, :, :] <= block[:, None, :]).all(axis=2).any(axis=1)
-        # inner[i, j]: row j of the block divides row i
-        inner = (block[None, :, :] <= block[:, None, :]).all(axis=2)
-        divided |= np.tril(inner, -1).any(axis=1)
+        inner = divisibility_mask(block, block)
+        np.fill_diagonal(inner, False)
+        divided = inner.any(axis=1)
+        if len(kept):
+            divided |= divisibility_mask(block, kept).any(axis=1)
         kept = np.concatenate([kept, block[~divided]])
     return kept[::-1]
 

@@ -16,7 +16,16 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .core import AciSpec, Binomial, InputError, Monomial, Polynomial, check_exponent_cap, poly_identity_check
+from .core import (
+    AciSpec,
+    Binomial,
+    InputError,
+    Monomial,
+    Polynomial,
+    check_exponent_cap,
+    divisibility_mask,
+    poly_identity_check,
+)
 from .binary import sylvester_det
 from .toric import (
     GenerationReport,
@@ -360,7 +369,7 @@ def verify_colon_claims(a: int, b: int) -> ColonClaimsReport:
     for block_no, block in enumerate(_multiplier_blocks(a)):
         for c, (h, prefix, colon) in enumerate(checks):
             head = colon if block_no == 0 else colon[:0]  # the claimed generators, checked once
-            outside = ~(block[:, None, :] >= colon[None, :, :]).all(axis=2).any(axis=1)
+            outside = ~divisibility_mask(block, colon).any(axis=1)
             rows = np.concatenate((head, block[outside]))
             member = binomials_in_binomial_ideal(rows + _vec(h.lead), rows + _vec(h.trail), prefix)
             superset_ok[c] &= bool(member[:len(head)].all())
@@ -418,8 +427,10 @@ class TernaryLengthRow:
 def ternary_length_profile(a: int, b: int) -> tuple[TernaryLengthRow, ...]:
     """Exploratory: lambda(I^l / J I^(l-1)) by staircase counts for
     l <= 3a, until the first zero (J is a reduction when 3b >= a, so the
-    tail then vanishes).  No closed form is asserted here."""
+    tail then vanishes).  No closed form is asserted here.  J I^(3a-1)
+    has pure powers of exponent 3a * a, so a >= 578 is refused."""
     _check_ab(a, b)
+    check_exponent_cap(3 * a * a, "power exponent l * a =")
     rows = []
     for ell, colon in zip(range(1, 3 * a + 1), AciSpec((a,) * 3, (b,) * 3).colons()):
         lam = 0 if colon.is_unit_ideal() else colon.colength()

@@ -33,7 +33,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .core import AciSpec, Binomial, Monomial
+from .core import AciSpec, Binomial, Monomial, divisibility_mask
 
 Vec = tuple[int, ...]
 
@@ -406,16 +406,15 @@ def _level_of(comps: np.ndarray, G: np.ndarray, images: np.ndarray, keep: Callab
     increasing order) that `keep` selects, for the compositions `comps` of
     one T-degree with image ground vectors G.  A composition gives a member
     of an image when its image ground vector lies below the image; that
-    mask is built `_MASK_CELLS` cells at a time, and `keep(block, member)`
-    indexes the block's rows to keep, in increasing order."""
+    mask is `core.divisibility_mask` of the images by G, built
+    `_MASK_CELLS` cells at a time, and `keep(block, member)` indexes the
+    block's rows to keep, in increasing order."""
     k = len(comps)
     step = max(1, _MASK_CELLS // k)
     kept, flat, count = [images[:0]], [np.empty(0, dtype=np.int64)], 0
     for start in range(0, len(images), step):
         block = images[start:start + step]
-        member = block[:, 0, None] >= G[None, :, 0]
-        for i in range(1, G.shape[1]):
-            member &= block[:, i, None] >= G[None, :, i]
+        member = divisibility_mask(block, G)
         rows = keep(block, member)
         kept.append(block[rows])
         flat.append(np.flatnonzero(member[rows]) + count * k)

@@ -251,6 +251,19 @@ def test_power_exponents_above_the_cap_are_refused_at_once(capsys, argv):
     assert time.monotonic() - start < 1.0
 
 
+def test_ternary_length_exponents_above_the_cap_are_refused_at_once(capsys):
+    # the profile builds J I^(l-1) up to l = 3a, whose pure powers reach
+    # x^(3a * a): 3 * 578 * 578 = 1002252; without --lengths the same
+    # pair still runs
+    start = time.monotonic()
+    code, out, err = run_cli(capsys, "ternary", "578", "1", "--lengths")
+    assert code == 2 and out == ""
+    assert "power exponent l * a =" in err and "exceeds the supported cap" in err
+    assert time.monotonic() - start < 1.0
+    code, out, _ = run_cli(capsys, "ternary", "578", "1")
+    assert code == 0 and out
+
+
 def test_binary_verify_counts_the_reduced_fibers(capsys):
     # fibers_checked counts the reduced fibers (two or more members, no
     # common variable) of T-degree <= d + 1 whose smallest member has

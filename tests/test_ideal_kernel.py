@@ -4,8 +4,11 @@ The reference here is plain Python over exponent tuples: the pairwise
 divisibility antichain that `MonomialIdeal` used before its generators
 became one numpy array, with products, colons and colengths built from it
 point by point.  The kernel under test sorts the candidate rows once and
-keeps a staircase (two variables) or checks blocks of rows against the rows
-already kept (any other number of variables).
+keeps a staircase (two variables), or drops equal rows and checks blocks of
+rows against the rows already kept and within the block with one 2-D
+divisibility mask each (any other number of variables).  Its tests run at
+several block sizes (`_BLOCK_CELLS`), so that blocks of one row, blocks
+smaller than the input and duplicates on a block boundary are all covered.
 """
 import itertools
 import random
@@ -15,10 +18,13 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from reeslab import core
 from reeslab.core import InfiniteColength, MonomialIdeal, _minimalize, ground_monomial
 
+# the block-size fixture patches a module constant once per test, for all
+# of its examples
 SETTINGS = settings(max_examples=200, deadline=None, database=None, derandomize=True,
-                    suppress_health_check=[HealthCheck.too_slow])
+                    suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
 
 
 # -- the reference -------------------------------------------------------------
@@ -75,7 +81,7 @@ def ref_colength(gens, n):
 def ideal_rows(draw, max_rows=7, top=5):
     """(n, rows): up to max_rows exponent rows in n variables, duplicates
     allowed, sometimes with a pure power of every variable added."""
-    n = draw(st.sampled_from((1, 2, 3, 4)))
+    n = draw(st.sampled_from((1, 2, 3, 4, 5)))
     row = st.tuples(*[st.integers(0, top)] * n)
     rows = draw(st.lists(row, min_size=1, max_size=max_rows))
     rows += draw(st.lists(st.sampled_from(rows), max_size=3))  # duplicates
@@ -92,6 +98,13 @@ def gens_of(ideal):
     return tuple(g.ground for g in ideal.gens)
 
 
+@pytest.fixture(params=[1, 7, 97])
+def small_blocks(request, monkeypatch):
+    """`_BLOCK_CELLS` for one test, below the default: blocks of one row,
+    and two sizes that split small inputs over several blocks."""
+    monkeypatch.setattr(core, "_BLOCK_CELLS", request.param)
+
+
 # -- the properties ------------------------------------------------------------
 
 @SETTINGS
@@ -101,7 +114,18 @@ def gens_of(ideal):
 @example((2, [(1, 2), (1, 2), (2, 1), (1, 2)]))  # duplicates
 @example((1, [(3,), (5,), (3,)]))
 def test_generators_match_the_reference(case):
-    n, rows = case
+    check_generators(*case)
+
+
+@SETTINGS
+@given(ideal_rows())
+@example((2, [(1, 2), (1, 2), (2, 1), (1, 2)]))
+@example((3, [(1, 1, 1), (0, 2, 1), (1, 1, 1), (2, 0, 0), (1, 1, 1)]))
+def test_generators_match_the_reference_in_small_blocks(small_blocks, case):
+    check_generators(*case)
+
+
+def check_generators(n, rows):
     ideal = build(n, rows)
     assert gens_of(ideal) == ref_minimalize(rows)
     assert ideal.exps.tolist() == [list(g) for g in ref_minimalize(rows)]
@@ -148,12 +172,44 @@ def test_colength_matches_the_reference(case):
         assert ideal.colength() == expected
 
 
-@pytest.mark.parametrize("n, rows", [(2, 2000), (3, 900), (4, 600)])
+MANY_ROWS = [(2, 2000), (3, 900), (4, 600), (5, 500)]
+
+
+@pytest.mark.parametrize("n, rows", MANY_ROWS)
 def test_many_rows_match_the_reference(n, rows):
-    # enough rows that the n != 2 branch runs several blocks
+    # enough rows that the n != 2 branch runs several blocks, with many
+    # duplicates among them
+    check_many_rows(n, rows)
+
+
+@pytest.mark.parametrize("n, rows", MANY_ROWS)
+def test_many_rows_match_the_reference_in_small_blocks(small_blocks, n, rows):
+    check_many_rows(n, rows)
+
+
+def check_many_rows(n, rows):
     rng = random.Random(n)
     cand = [tuple(rng.randint(0, 9) for _ in range(n)) for _ in range(rows)]
     assert tuple(map(tuple, _minimalize(np.array(cand)).tolist())) == ref_minimalize(cand)
+
+
+@pytest.mark.parametrize(
+    "cells, before",
+    [(core._BLOCK_CELLS, 511), (core._BLOCK_CELLS, 510), (7, 6), (7, 5), (7, 3)],
+    ids=["default-511", "default-510", "7-6", "7-5", "7-3"],
+)
+def test_duplicates_on_a_block_boundary(monkeypatch, cells, before):
+    # An antichain of degree 40 in three variables, with the row that
+    # sorts after `before` others given three times.  The first block holds
+    # 512 rows at the default size and 7 rows at cells = 7, so the three
+    # copies straddle its end (or, at 7-3, all lie inside it); a copy
+    # dropped by its twin or kept twice shows here.  The antichain itself
+    # is the reference.
+    monkeypatch.setattr(core, "_BLOCK_CELLS", cells)
+    antichain = sorted((i, j, 40 - i - j) for i in range(41) for j in range(41 - i))
+    cand = antichain + [antichain[before]] * 2
+    random.Random(before).shuffle(cand)
+    assert _minimalize(np.array(cand)).tolist() == [list(row) for row in reversed(antichain)]
 
 
 def test_minimalize_takes_a_list_of_rows():

@@ -20,6 +20,7 @@ from reeslab.ternary import (
     verify_colon_claims,
 )
 from reeslab.toric import MoveSet, binomial_in_binomial_ideal, bruteforce_min_gens, compositions, ternary_spec
+from test_ideal_kernel import ref_colength, ref_colon, ref_product
 
 
 def pb3(text):
@@ -157,6 +158,35 @@ def test_exploratory_lengths():
     # reduction number is 2, so exactly two nonzero rows
     assert [r.ell for r in rows] == [1, 2]
     assert all(r.lam > 0 for r in rows)
+
+
+def reference_length_profile(a, b):
+    """(l, lambda) rows of `ternary_length_profile` from the pure-Python
+    ideal reference: J I^(l-1) : (xyz)^(bl) point by point."""
+    gens = ((a, 0, 0), (0, a, 0), (0, 0, a), (b, b, b))
+    power, rows = ((0, 0, 0),), []
+    for ell in range(1, 3 * a + 1):
+        lam = ref_colength(ref_colon(ref_product(gens[:3], power), (b * ell,) * 3), 3)
+        if lam == 0:
+            break
+        rows.append((ell, lam))
+        power = ref_product(power, gens)
+    return rows
+
+
+@pytest.mark.parametrize("a, b", [(3, 1), (4, 1), (5, 1), (5, 2)])
+def test_length_profile_matches_the_ideal_reference(a, b):
+    assert [(r.ell, r.lam) for r in ternary_length_profile(a, b)] == reference_length_profile(a, b)
+
+
+@pytest.mark.parametrize("a, b, lams", [
+    (7, 2, [125, 81] + [49] * 19),
+    (10, 3, [343, 208] + [100] * 28),
+], ids=["7-2", "10-3"])
+def test_length_profile_rows(a, b, lams):
+    # recorded before the ideal kernel built its divisibility masks column
+    # by column; too large for the point-by-point reference
+    assert [(r.ell, r.lam) for r in ternary_length_profile(a, b)] == list(enumerate(lams, start=1))
 
 
 def test_reduction_number_is_two_for_all_pairs():
