@@ -13,15 +13,18 @@ share no common variable).  Multiplying a fiber by a variable is a
 connectivity-preserving bijection as long as every move has coprime sides,
 so reduced fibers decide the sweep; move sets are validated accordingly.
 
-The sweeps work one T-degree level at a time: `_reduced_fibers_at` builds
-all reduced fibers of a level as arrays with `_level_of` (shared with
-`_fibers_of`; one bounded block of the member mask at a time), and
-`_fiber_components` labels every fiber of the level in one numpy pass.
-`generates_up_to`, `bruteforce_min_gens` and `connected_under_moves` all
-go through that one kernel, and so does `binomials_in_binomial_ideal`,
-which decides many memberships at once on the complete fibers that
-`_fibers_of` builds.  The kernel can also start from the labels of an
-earlier call, so `bruteforce_min_gens` labels each level once and then
+The sweeps build fibers one T-degree level at a time: `_reduced_fibers_at`
+builds all reduced fibers of a level as arrays with `_level_of` (shared
+with `_fibers_of`; one bounded block of the member mask at a time).
+`_fiber_components` labels every fiber of a level, or of a stack of
+consecutive levels, in one numpy pass.  `generates_up_to` and
+`binomials_in_binomial_ideal` (which decides many memberships at once on
+the complete fibers that `_fibers_of` builds) label `_stacks` of levels,
+each labelled once it holds `_STACK_MEMBERS` members; a level that large
+is labelled alone.
+`bruteforce_min_gens` and `connected_under_moves` go through the same
+kernel one level at a time.  The kernel can also start from the labels of
+an earlier call, so `bruteforce_min_gens` labels each level once and then
 applies only the moves it adds.  The tuple walk `_neighbors` serves only the
 congruence-class BFS behind the single membership tests.
 """
@@ -262,7 +265,7 @@ def monomial_in_mixed_ideal(
     return MixedMembership(False, explored)
 
 
-# -- fiber connectivity, one T-degree level at a time ------------------------
+# -- fiber connectivity, stacks of T-degree levels ---------------------------
 
 def _move_array(moves: Sequence[Binomial], width: int) -> np.ndarray:
     """The moves as one (moves, 2, width) array of (lead, trail) vectors."""
@@ -270,11 +273,19 @@ def _move_array(moves: Sequence[Binomial], width: int) -> np.ndarray:
     return np.array(pairs, dtype=np.int64).reshape(len(moves), 2, width)
 
 
+def _keyable(nrees: int, radix: int, fibers: int) -> bool:
+    """Whether `_Level.key` fits the members of `fibers` fibers whose Rees
+    exponents (nrees of them) are below radix."""
+    return radix**nrees * fibers < 2**62
+
+
 @dataclass(frozen=True)
 class _Level:
-    """Fibers of one T-degree as arrays.  Members are sorted by fiber id,
-    then by Rees exponents in `compositions` order; fiber ids index
-    `images`, whose rows are in increasing order."""
+    """Fibers of one T-degree, or a stack of consecutive T-degrees
+    (`_stack`), as arrays.  Members are sorted by fiber id, then by Rees
+    exponents in `compositions` order; fiber ids index `images`, whose rows
+    are in increasing (T-degree, image) order.  The T-degree of a fiber is
+    the Rees degree of any of its members."""
 
     images: np.ndarray  # (fibers, nground) ground part of each fiber's image
     fiber: np.ndarray   # (members,) fiber id of each member
@@ -289,7 +300,7 @@ class _Level:
         exponents; they increase along the level's members."""
         nrees = self.rees.shape[1]
         radix = int(self.rees.max(initial=0)) + 1
-        if radix**nrees * len(self.images) >= 2**62:
+        if not _keyable(nrees, radix, len(self.images)):
             raise ValueError(f"level of {len(self.images)} fibers with Rees exponents < {radix} is too large to key")
         return fiber * radix**nrees + rees @ radix ** np.arange(nrees - 1, -1, -1, dtype=np.int64)
 
@@ -399,6 +410,7 @@ def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 _MASK_CELLS = 1 << 20  # (images x compositions) cells per block of a level's member mask
+_STACK_MEMBERS = 1 << 12  # members at which a stack of levels is labelled
 
 
 def _level_of(comps: np.ndarray, G: np.ndarray, images: np.ndarray, keep: Callable) -> _Level:
@@ -433,6 +445,49 @@ def _fibers_of(spec: ReesMapSpec, tau: int, images: np.ndarray) -> _Level:
     return _level_of(comps, G, images, lambda block, member: slice(None))
 
 
+def _stack(levels: Sequence[_Level]) -> _Level:
+    """Levels of increasing T-degree as one level: fiber ids continue
+    across them, so `key`, `split_fibers` and `components` work unchanged.
+    Moves keep the T-degree, and `_fiber_components` joins only members
+    whose whole vectors differ by a move, so the labels of a stack are
+    those of its levels labelled alone: each label is the index of the
+    first member of its component."""
+    if len(levels) == 1:
+        return levels[0]
+    offsets = np.cumsum([0] + [len(level.images) for level in levels[:-1]])
+    return _Level(
+        np.concatenate([level.images for level in levels]),
+        np.concatenate([level.fiber + offset for level, offset in zip(levels, offsets)]),
+        np.concatenate([level.ground for level in levels]),
+        np.concatenate([level.rees for level in levels]),
+    )
+
+
+def _stacks(levels: Iterable[_Level]) -> Iterator[_Level]:
+    """The levels, in order, joined into stacks of consecutive levels, so
+    one `_fiber_components` call labels many small levels.  A stack is
+    yielded once it holds `_STACK_MEMBERS` members; a level that large is
+    yielded alone, so memory stays that of the largest level.  A stack is
+    also cut before a level that would take it past `_Level.key`'s range,
+    which a stack of few members can reach through one level of large Rees
+    exponents."""
+    def fits(group: list[_Level]) -> bool:
+        radix = max(int(level.rees.max(initial=0)) for level in group) + 1
+        return _keyable(group[0].rees.shape[1], radix, sum(len(level.images) for level in group))
+
+    pending: list[_Level] = []
+    for level in levels:
+        if pending and (len(level) >= _STACK_MEMBERS or not fits(pending + [level])):
+            yield _stack(pending)
+            pending = []
+        pending.append(level)
+        if sum(map(len, pending)) >= _STACK_MEMBERS:
+            yield _stack(pending)
+            pending = []
+    if pending:
+        yield _stack(pending)
+
+
 def binomials_in_binomial_ideal(leads: np.ndarray, trails: np.ndarray, moves: MoveSet) -> np.ndarray:
     """Batched `binomial_in_binomial_ideal`: entry i tells whether
     leads[i] - trails[i] lies in the binomial ideal of `moves`, the rows
@@ -440,9 +495,10 @@ def binomials_in_binomial_ideal(leads: np.ndarray, trails: np.ndarray, moves: Mo
 
     It does exactly when both monomials lie in one component of their
     fiber under the moves.  Rows are grouped by T-degree; the distinct
-    fibers of each group are built as one level by `_fibers_of` and
-    labelled once by `_fiber_components`, and each lead and trail is found
-    in the level by its `_Level.key`.
+    fibers of each group are built as one level by `_fibers_of`,
+    consecutive levels are labelled together by one `_fiber_components`
+    call per `_stacks` stack, and each lead and trail is found in its stack
+    by its `_Level.key`.
     """
     spec = moves.spec
     n = spec.nground
@@ -459,16 +515,24 @@ def binomials_in_binomial_ideal(leads: np.ndarray, trails: np.ndarray, moves: Mo
         b = Binomial(_mono(tuple(leads[i].tolist()), n), _mono(tuple(trails[i].tolist()), n))
         raise KernelMismatch(f"{b} is not a kernel element; images differ")
     movearr = _move_array(moves.moves, n + spec.nrees)
-    out = np.zeros(len(leads), dtype=bool)
+    fiber = np.empty(len(leads), dtype=np.int64)  # fiber id of each row in all the levels stacked
+    grounds = []
     for tau in sorted(set(images[:, n].tolist())):
         rows = np.flatnonzero(images[:, n] == tau)
-        ground, fiber = _distinct_rows(images[rows, :n])
-        level = _fibers_of(spec, tau, ground)
-        labels = _fiber_components(level, movearr)
-        keys = level.key(level.fiber, level.rees)
-        lead_at = np.searchsorted(keys, level.key(fiber, leads[rows, n:]))
-        trail_at = np.searchsorted(keys, level.key(fiber, trails[rows, n:]))
+        ground, local = _distinct_rows(images[rows, :n])
+        fiber[rows] = local + sum(len(g) for _, g in grounds)
+        grounds.append((tau, ground))
+    out = np.zeros(len(leads), dtype=bool)
+    start = 0
+    for stack in _stacks(_fibers_of(spec, tau, ground) for tau, ground in grounds):
+        end = start + len(stack.images)
+        rows = np.flatnonzero((fiber >= start) & (fiber < end))
+        labels = _fiber_components(stack, movearr)
+        keys = stack.key(stack.fiber, stack.rees)
+        lead_at = np.searchsorted(keys, stack.key(fiber[rows] - start, leads[rows, n:]))
+        trail_at = np.searchsorted(keys, stack.key(fiber[rows] - start, trails[rows, n:]))
         out[rows] = labels[lead_at] == labels[trail_at]
+        start = end
     return out
 
 
@@ -539,25 +603,25 @@ class GenerationReport:
 def generates_up_to(spec: ReesMapSpec, moves: MoveSet, t_bound: int, ground_bound: int) -> GenerationReport:
     """Pass iff every fiber with T-degree <= t_bound and source ground
     degree <= ground_bound is connected under `moves`.  The reduced fibers
-    decide it; they are labelled one T-degree level at a time, and the
-    failure reported is the first disconnected one in increasing
-    (T-degree, image) order, so it is deterministic.  `fibers_checked`
-    counts the reduced fibers up to and including that one.
+    decide it; their T-degree levels are labelled a `_stacks` stack at a
+    time, and the failure reported is the first disconnected one in
+    increasing (T-degree, image) order, so it is deterministic.
+    `fibers_checked` counts the reduced fibers up to and including that one.
     """
     _require_coprime(list(moves))
-    movearr = _move_array(moves.moves, spec.nground + spec.nrees)
+    n = spec.nground
+    movearr = _move_array(moves.moves, n + spec.nrees)
     checked = 0
-    for tau in range(t_bound + 1):
-        level = _reduced_fibers_at(spec, tau, ground_bound)
-        labels = _fiber_components(level, movearr)
-        split = level.split_fibers(labels)
+    for stack in _stacks(_reduced_fibers_at(spec, tau, ground_bound) for tau in range(t_bound + 1)):
+        labels = _fiber_components(stack, movearr)
+        split = stack.split_fibers(labels)
         if split:
             f = split[0]
-            parts = level.components(f, labels)
-            image = Monomial(tuple(level.images[f].tolist()), (tau,))
-            failure = FiberFailure(image, tuple(tuple(_mono(v, spec.nground) for v in g) for g in parts))
+            parts = stack.components(f, labels)
+            image = Monomial(tuple(stack.images[f].tolist()), (sum(parts[0][0][n:]),))
+            failure = FiberFailure(image, tuple(tuple(_mono(v, n) for v in g) for g in parts))
             return GenerationReport(t_bound, ground_bound, checked + f + 1, failure)
-        checked += len(level.images)
+        checked += len(stack.images)
     return GenerationReport(t_bound, ground_bound, checked)
 
 

@@ -12,6 +12,11 @@ matrix per level.
 `reference_min_gens` is the loop `toric.bruteforce_min_gens` had before it
 labelled each T-degree level once: it labels every (T-degree, image ground
 degree) group of reduced fibers with its own `_fiber_components` call.
+
+`reference_generates_up_to` and `reference_binomials_in_binomial_ideal` are
+the loops `toric.generates_up_to` and `toric.binomials_in_binomial_ideal`
+had before they labelled stacks of consecutive T-degree levels: one
+`_fiber_components` call per T-degree level.
 """
 import itertools
 import random
@@ -19,7 +24,21 @@ import random
 import numpy as np
 
 from reeslab.core import Binomial, Monomial
-from reeslab.toric import MoveSet, _fiber_components, _Level, _mono, _move_array, _reduced_fibers_at, compositions
+from reeslab.toric import (
+    FiberFailure,
+    GenerationReport,
+    KernelMismatch,
+    MoveSet,
+    _distinct_rows,
+    _fiber_components,
+    _fibers_of,
+    _Level,
+    _mono,
+    _move_array,
+    _reduced_fibers_at,
+    _require_coprime,
+    compositions,
+)
 
 
 def reference_fiber(spec, image):
@@ -110,3 +129,52 @@ def reference_min_gens(spec, t_bound, ground_bound, tie_break_seed=None):
                 movearr = np.concatenate((movearr, _move_array(added, width)))
     found.sort(key=lambda entry: entry[0])
     return MoveSet(spec, tuple(b for _, b in found))
+
+
+def reference_generates_up_to(spec, moves, t_bound, ground_bound):
+    """`generates_up_to` with one labelling per T-degree level."""
+    _require_coprime(list(moves))
+    movearr = _move_array(moves.moves, spec.nground + spec.nrees)
+    checked = 0
+    for tau in range(t_bound + 1):
+        level = _reduced_fibers_at(spec, tau, ground_bound)
+        labels = _fiber_components(level, movearr)
+        split = level.split_fibers(labels)
+        if split:
+            f = split[0]
+            parts = level.components(f, labels)
+            image = Monomial(tuple(level.images[f].tolist()), (tau,))
+            failure = FiberFailure(image, tuple(tuple(_mono(v, spec.nground) for v in g) for g in parts))
+            return GenerationReport(t_bound, ground_bound, checked + f + 1, failure)
+        checked += len(level.images)
+    return GenerationReport(t_bound, ground_bound, checked)
+
+
+def reference_binomials_in_binomial_ideal(leads, trails, moves):
+    """`binomials_in_binomial_ideal` with one labelling per T-degree level."""
+    spec = moves.spec
+    n = spec.nground
+    leads, trails = np.asarray(leads, dtype=np.int64), np.asarray(trails, dtype=np.int64)
+    degrees = spec.degree_matrix()
+
+    def image_of(vecs):  # rows of (ground part, T-degree)
+        return np.column_stack((vecs[:, :n] + vecs[:, n:] @ degrees, vecs[:, n:].sum(axis=1)))
+
+    images = image_of(leads)
+    differ = (images != image_of(trails)).any(axis=1)
+    if differ.any():
+        i = int(np.argmax(differ))
+        b = Binomial(_mono(tuple(leads[i].tolist()), n), _mono(tuple(trails[i].tolist()), n))
+        raise KernelMismatch(f"{b} is not a kernel element; images differ")
+    movearr = _move_array(moves.moves, n + spec.nrees)
+    out = np.zeros(len(leads), dtype=bool)
+    for tau in sorted(set(images[:, n].tolist())):
+        rows = np.flatnonzero(images[:, n] == tau)
+        ground, fiber = _distinct_rows(images[rows, :n])
+        level = _fibers_of(spec, tau, ground)
+        labels = _fiber_components(level, movearr)
+        keys = level.key(level.fiber, level.rees)
+        lead_at = np.searchsorted(keys, level.key(fiber, leads[rows, n:]))
+        trail_at = np.searchsorted(keys, level.key(fiber, trails[rows, n:]))
+        out[rows] = labels[lead_at] == labels[trail_at]
+    return out

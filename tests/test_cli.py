@@ -1,16 +1,21 @@
 """CLI behaviour: golden output, exit codes, determinism, round-trip."""
 
+import contextlib
 import csv
+import io
 import json
 import time
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fiber_reference import reference_fiber
 from reeslab import binary, toric
 from reeslab.binary import IntegralityError, SylvesterError
 from reeslab.cli import Report, main
-from reeslab.core import Monomial, parse_binomial
+from reeslab.core import EXPONENT_CAP, Monomial, parse_binomial
 from reeslab.toric import KernelMismatch
 
 
@@ -238,6 +243,42 @@ def test_image_exponents_up_to_the_cap_pass(capsys, argv):
     # 1002 * 997 = 998994 and 2000 * 1996 / 4 = 998000
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0 and out
+
+
+@st.composite
+def binary_gens_near_the_image_cap(draw):
+    """`binary-gens d b` with d = g d', b = g b', gcd(d', b') = 1 and g
+    within two of where the image cap d * max(b, d - b) / gcd(d, b) =
+    g d' max(b', d' - b') meets EXPONENT_CAP."""
+    d1 = draw(st.integers(2, 1100))
+    b1 = draw(st.sampled_from([b for b in range(1, d1) if gcd(d1, b) == 1]))
+    g = max(1, EXPONENT_CAP // (d1 * max(b1, d1 - b1)) + draw(st.integers(-2, 2)))
+    return ["binary-gens", str(g * d1), str(g * b1)]
+
+
+@st.composite
+def ternary_near_the_cap(draw):
+    """`ternary a b` with a within three of EXPONENT_CAP, and b anywhere up
+    to a, at the regime boundaries a / 3 and a / 2, or small."""
+    a = EXPONENT_CAP + draw(st.integers(-3, 3))
+    b = draw(st.one_of(
+        st.integers(0, a),
+        st.tuples(st.sampled_from([a // 3, a // 2]), st.integers(-1, 1)).map(sum),
+        st.integers(0, 3),
+    ))
+    return ["ternary", str(a), str(b)]
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(st.one_of(binary_gens_near_the_image_cap(), ternary_near_the_cap()), st.sampled_from(["text", "json"]))
+def test_commands_near_the_caps_pass_or_are_refused(argv, fmt):
+    # a parameter near a cap is either run or refused as a usage error,
+    # never an internal error
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([*argv, "--format", fmt])
+    assert code in (0, 2), (argv, err.getvalue())
+    assert bool(out.getvalue()) == (code == 0)
 
 
 @pytest.mark.parametrize("argv", [["lengths", "2000", "1"], ["lengths", "1001", "2"]])

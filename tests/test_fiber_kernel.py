@@ -11,7 +11,12 @@ once and then applies only the moves it adds; the per-group loop it
 replaced is its reference (`fiber_reference.reference_min_gens`).
 `_reduced_fibers_at` builds its member mask a bounded block at a time; the
 dense matrix it replaced is its reference
-(`fiber_reference.reference_reduced_fibers`).
+(`fiber_reference.reference_reduced_fibers`).  `generates_up_to` and
+`binomials_in_binomial_ideal` label stacks of consecutive T-degree levels;
+their per-level loops are the references
+(`fiber_reference.reference_generates_up_to` and
+`reference_binomials_in_binomial_ideal`), compared under several stack
+budgets.
 """
 from math import gcd
 
@@ -20,12 +25,18 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from fiber_reference import reference_fiber, reference_min_gens, reference_reduced_fibers
+from fiber_reference import (
+    reference_binomials_in_binomial_ideal,
+    reference_fiber,
+    reference_generates_up_to,
+    reference_min_gens,
+    reference_reduced_fibers,
+)
 from reeslab import toric
 
 from reeslab.binary import sigma_set
 from reeslab.core import Binomial, Monomial
-from reeslab.ternary import ternary_gens
+from reeslab.ternary import colon_claims, ternary_gens
 from reeslab.toric import (
     Fiber,
     MoveSet,
@@ -33,8 +44,11 @@ from reeslab.toric import (
     KernelMismatch,
     _fiber_components,
     _fibers_of,
+    _Level,
     _move_array,
     _reduced_fibers_at,
+    _stack,
+    _stacks,
     binary_spec,
     binomial_in_binomial_ideal,
     binomials_in_binomial_ideal,
@@ -389,10 +403,100 @@ def test_batched_membership_in_a_non_reduced_fiber():
     assert answers == {True, False}
 
 
-def test_batched_membership_refuses_pairs_off_the_kernel():
+#: stack budgets: every level alone (1); levels larger than the budget
+#: labelled alone after a stack of the small ones (64: the binary sweeps'
+#: first levels hold 0, 7 and 39 members); a stack of several levels that
+#: reaches the budget mid-sweep (1000); every level in one final partial
+#: stack (2^30)
+BUDGETS = (1, 64, 1000, 1 << 30)
+
+
+def test_batched_membership_refuses_pairs_off_the_kernel(monkeypatch):
+    # no rows, and a pair off the kernel, are answered before any level is
+    # built, under every stack budget
+    def unreachable(*args):
+        raise AssertionError("a level was built")
+
+    monkeypatch.setattr(toric, "_fibers_of", unreachable)
+    monkeypatch.setattr(toric, "_fiber_components", unreachable)
     moves = sigma_set(3, 1).move_set()
     width = moves.spec.nground + moves.spec.nrees
-    assert binomials_in_binomial_ideal(np.zeros((0, width)), np.zeros((0, width)), moves).tolist() == []
     lead = Monomial((0, 0), (1, 0, 0))
-    with pytest.raises(KernelMismatch):
-        binomials_in_binomial_ideal(_vecs([lead, lead]), _vecs([lead, Monomial((3, 0), (0, 0, 0))]), moves)
+    for budget in BUDGETS:
+        monkeypatch.setattr(toric, "_STACK_MEMBERS", budget)
+        assert binomials_in_binomial_ideal(np.zeros((0, width)), np.zeros((0, width)), moves).tolist() == []
+        with pytest.raises(KernelMismatch):
+            binomials_in_binomial_ideal(_vecs([lead, lead]), _vecs([lead, Monomial((3, 0), (0, 0, 0))]), moves)
+
+
+@pytest.mark.parametrize("d", range(2, 13))
+def test_stacked_sweep_matches_the_per_level_reference(d, monkeypatch):
+    # every coprime b, on the full Sigma set and with each generator dropped;
+    # with a generator dropped the first failure often lies in a later stack
+    for b in range(1, d):
+        if gcd(d, b) != 1:
+            continue
+        moves = sigma_set(d, b).move_set()
+        for drop in [None, *range(len(moves))]:
+            sub = moves if drop is None else moves.without(drop)
+            expected = reference_generates_up_to(sub.spec, sub, d + 1, 3 * d)
+            for budget in BUDGETS:
+                monkeypatch.setattr(toric, "_STACK_MEMBERS", budget)
+                assert generates_up_to(sub.spec, sub, d + 1, 3 * d) == expected, (b, drop, budget)
+
+
+@st.composite
+def multiplier_cases(draw):
+    """The prefix moves and H of a colon claim of ternary_spec(a, b), a <= 6,
+    random multiplier rows (possibly none), and a stack budget."""
+    a = draw(st.integers(3, 6))
+    b = draw(st.integers(1, (a - 1) // 2))
+    gens = ternary_gens(a, b)
+    by_label = dict(gens.labelled(), implicit=gens.implicit)
+    claim = draw(st.sampled_from(colon_claims(a, b)))
+    prefix = MoveSet(gens.spec(), tuple(by_label[p] for p in claim["prefix"]))
+    rows = draw(st.lists(st.lists(st.integers(0, 2), min_size=7, max_size=7), max_size=40))
+    return prefix, by_label[claim["h"]], np.array(rows, dtype=np.int64).reshape(-1, 7), draw(st.sampled_from(BUDGETS))
+
+
+@SETTINGS
+@given(multiplier_cases())
+def test_stacked_membership_matches_the_per_level_reference(case):
+    prefix, h, rows, budget = case
+    leads, trails = rows + _vecs([h.lead]), rows + _vecs([h.trail])
+    saved, toric._STACK_MEMBERS = toric._STACK_MEMBERS, budget
+    try:
+        got = binomials_in_binomial_ideal(leads, trails, prefix)
+    finally:
+        toric._STACK_MEMBERS = saved
+    assert got.dtype == bool
+    assert got.tolist() == reference_binomials_in_binomial_ideal(leads, trails, prefix).tolist()
+
+
+def _one_member_fibers(rees):
+    """A level of one member per fiber, one ground and one Rees variable."""
+    rees = np.array(rees, dtype=np.int64).reshape(-1, 1)
+    return _Level(np.zeros((len(rees), 1), dtype=np.int64), np.arange(len(rees)), np.zeros_like(rees), rees)
+
+
+def test_stacks_are_cut_before_the_key_overflows():
+    # Rees exponents below 2^60 take 2^60 keys per fiber, and the key range
+    # ends at 2^62: three such fibers fit in one stack, four do not
+    top = _one_member_fibers([0, 2**60 - 1])
+    three = [top, _one_member_fibers([1])]
+    four = [top, _one_member_fibers([1, 1])]
+    for level in four:
+        level.key(level.fiber, level.rees)  # each level alone is keyed
+    stacked = _stack(three)
+    assert np.all(np.diff(stacked.key(stacked.fiber, stacked.rees)) > 0)
+    stacked = _stack(four)
+    with pytest.raises(ValueError, match="too large to key"):
+        stacked.key(stacked.fiber, stacked.rees)
+    assert [len(stack.images) for stack in _stacks(three)] == [3]
+    assert [len(stack.images) for stack in _stacks(four)] == [2, 2]
+
+
+def test_stacks_close_at_the_budget_and_keep_large_levels_alone(monkeypatch):
+    monkeypatch.setattr(toric, "_STACK_MEMBERS", 50)
+    levels = [_one_member_fibers(range(size)) for size in (5, 10, 40, 3, 60, 4, 2)]
+    assert [len(stack) for stack in _stacks(levels)] == [55, 3, 60, 6]
