@@ -336,10 +336,6 @@ def _multiplier_blocks(degree: int) -> Iterator[np.ndarray]:
         yield block
 
 
-def _vec(m: Monomial) -> np.ndarray:
-    return np.array(m.ground + m.rees, dtype=np.int64)
-
-
 def verify_colon_claims(a: int, b: int) -> ColonClaimsReport:
     """Check every colon claim: exact certificates, oracle membership of
     each claimed generator, and the bounded-degree converse (monomials of
@@ -359,19 +355,19 @@ def verify_colon_claims(a: int, b: int) -> ColonClaimsReport:
 
     claims = colon_claims(a, b)
     checks = [
-        (by_label[claim["h"]], MoveSet(spec, tuple(by_label[p] for p in claim["prefix"])),
-         np.array([_vec(g) for g in claim["colon"]]))
+        (MoveSet(spec, (by_label[claim["h"]],)).array[0], MoveSet(spec, tuple(by_label[p] for p in claim["prefix"])),
+         np.array([g.ground + g.rees for g in claim["colon"]], dtype=np.int64))
         for claim in claims
     ]
     superset_ok = [True] * len(claims)
     checked = [0] * len(claims)
     violations: list[list] = [[] for _ in claims]
     for block_no, block in enumerate(_multiplier_blocks(a)):
-        for c, (h, prefix, colon) in enumerate(checks):
+        for c, ((lead, trail), prefix, colon) in enumerate(checks):
             head = colon if block_no == 0 else colon[:0]  # the claimed generators, checked once
             outside = ~divisibility_mask(block, colon).any(axis=1)
             rows = np.concatenate((head, block[outside]))
-            member = binomials_in_binomial_ideal(rows + _vec(h.lead), rows + _vec(h.trail), prefix)
+            member = binomials_in_binomial_ideal(rows + lead, rows + trail, prefix)
             superset_ok[c] &= bool(member[:len(head)].all())
             checked[c] += int(outside.sum())
             violations[c] += rows[len(head):][member[len(head):]].tolist()

@@ -8,6 +8,9 @@ congruent, and a move set generates the whole kernel iff every fiber is
 connected.  Fibers here are finite because the map is bigraded and every
 ideal generator has positive degree.
 
+`MoveSet` alone checks that moves lie in the kernel, all at once, and
+keeps them as the array that the kernel and the walk read.
+
 The full-sweep operations only check *reduced* fibers (those whose members
 share no common variable).  Multiplying a fiber by a variable is a
 connectivity-preserving bijection as long as every move has coprime sides,
@@ -16,42 +19,34 @@ so reduced fibers decide the sweep; move sets are validated accordingly.
 The sweeps build fibers one T-degree level at a time: `_reduced_fibers_at`
 builds all reduced fibers of a level as arrays with `_level_of` (shared
 with `_fibers_of`; one bounded block of the member mask at a time).
-`_fiber_components` labels every fiber of a level, or of a stack of
-consecutive levels, in one numpy pass.  `generates_up_to` and
-`binomials_in_binomial_ideal` (which decides many memberships at once on
-the complete fibers that `_fibers_of` builds) label `_stacks` of levels,
-each labelled once it holds `_STACK_MEMBERS` members; a level that large
-is labelled alone.
-`bruteforce_min_gens` and `connected_under_moves` go through the same
-kernel one level at a time.  The kernel can also start from the labels of
-an earlier call, so `bruteforce_min_gens` labels each level once and then
-applies only the moves it adds.  The tuple walk `_neighbors` serves only the
-congruence-class BFS behind the single membership tests.
+`_fiber_components` labels every complete fiber of a level, or of a stack
+of consecutive levels, under kernel moves in one numpy pass.
+`generates_up_to` and `binomials_in_binomial_ideal` (which decides many
+memberships at once on the complete fibers that `_fibers_of` builds) label
+`_stacks` of levels, each labelled once it holds `_STACK_MEMBERS` members;
+a level that large is labelled alone.  `bruteforce_min_gens` and
+`connected_under_moves` go through the same kernel one level at a time.
+The kernel can also start from the labels of an earlier call, so
+`bruteforce_min_gens` labels each level once and then applies only the
+moves it adds.  The tuple walk `_neighbors` answers single membership
+questions; the kernel answers batches.
 """
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .core import AciSpec, Binomial, Monomial, divisibility_mask
+from .core import AciSpec, Binomial, InputError, Monomial, divisibility_mask
 
 Vec = tuple[int, ...]
 
 
 class KernelMismatch(ValueError):
     """A binomial whose two monomials have different images."""
-
-
-class ClassCapExceeded(RuntimeError):
-    """Congruence class grew past the search cap; raise the bound to decide."""
-
-    def __init__(self, cap: int, explored: int):
-        super().__init__(f"congruence class exceeded cap {cap} (explored {explored} states)")
-        self.cap = cap
-        self.explored = explored
 
 
 @dataclass(frozen=True)
@@ -86,6 +81,12 @@ class ReesMapSpec:
                 for i, e in enumerate(self.gens[j].ground):
                     ground[i] += beta * e
         return Monomial(tuple(ground), (sum(m.rees),))
+
+    def images(self, rows: np.ndarray) -> np.ndarray:
+        """`image_of` of many monomials at once: rows of exponent vectors
+        (ground, then Rees) to rows of (image ground part, T-degree)."""
+        n = self.nground
+        return np.column_stack((rows[:, :n] + rows[:, n:] @ self.degree_matrix(), rows[:, n:].sum(axis=1)))
 
     def in_kernel(self, b: Binomial) -> bool:
         return self.image_of(b.lead) == self.image_of(b.trail)
@@ -138,12 +139,16 @@ def compositions(total: int, parts: int):
         c[-1] = rest
 
 
-def fiber_enumerate(spec: ReesMapSpec, image: Monomial) -> Fiber:
-    """Complete fiber of `image`: the one-image level of `_fibers_of`, with
-    its members sorted by `Monomial.sort_key`."""
+def _image_level(spec: ReesMapSpec, image: Monomial) -> _Level:
+    """The one-image level of `_fibers_of`: the complete fiber of `image`."""
     if image.ambient != (spec.nground, 1):
         raise ValueError(f"image ambient {image.ambient}, expected {(spec.nground, 1)}")
-    level = _fibers_of(spec, image.rees[0], np.array([image.ground], dtype=np.int64))
+    return _fibers_of(spec, image.rees[0], np.array([image.ground], dtype=np.int64))
+
+
+def fiber_enumerate(spec: ReesMapSpec, image: Monomial) -> Fiber:
+    """Complete fiber of `image`, its members sorted by `Monomial.sort_key`."""
+    level = _image_level(spec, image)
     members = [Monomial(tuple(g), tuple(r)) for g, r in zip(level.ground.tolist(), level.rees.tolist())]
     members.sort(key=Monomial.sort_key)
     return Fiber(image, tuple(members))
@@ -151,15 +156,23 @@ def fiber_enumerate(spec: ReesMapSpec, image: Monomial) -> Fiber:
 
 @dataclass(frozen=True)
 class MoveSet:
-    """Binomials in the kernel of a fixed Rees map, validated at build."""
+    """Binomials in the kernel of a fixed Rees map, validated at build;
+    `array` holds them as a `_move_array`."""
 
     spec: ReesMapSpec
     moves: tuple[Binomial, ...]
+    array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        ambient = (self.spec.nground, self.spec.nrees)
         for mv in self.moves:
-            if not self.spec.in_kernel(mv):
-                raise KernelMismatch(f"{mv} is not in the kernel of the map")
+            if mv.ambient != ambient:
+                raise ValueError(f"move {mv} has ambient {mv.ambient}, expected {ambient}")
+        array = _move_array(self.moves, sum(ambient))
+        off = (self.spec.images(array[:, 0]) != self.spec.images(array[:, 1])).any(axis=1)
+        if off.any():
+            raise KernelMismatch(f"{self.moves[int(np.argmax(off))]} is not in the kernel of the map")
+        object.__setattr__(self, "array", array)
 
     def __iter__(self):
         return iter(self.moves)
@@ -181,12 +194,11 @@ def _mono(vec: Vec, n: int) -> Monomial:
     return Monomial(vec[:n], vec[n:])
 
 
-def _move_vecs(moves: Iterable[Binomial]) -> list[tuple[Vec, Vec]]:
+def _move_vecs(moves: np.ndarray) -> list[tuple[Vec, Vec]]:
+    """Both directions of each move of a `_move_array`, as vector pairs."""
     out = []
-    for mv in moves:
-        l, t = _vec(mv.lead), _vec(mv.trail)
-        out.append((l, t))
-        out.append((t, l))
+    for lead, trail in moves.tolist():
+        out += [(tuple(lead), tuple(trail)), (tuple(trail), tuple(lead))]
     return out
 
 
@@ -224,10 +236,9 @@ def _congruence_class(start: Vec, movevecs: Sequence[tuple[Vec, Vec]]) -> Iterat
 def binomial_in_binomial_ideal(b: Binomial, gens: MoveSet) -> bool:
     """Membership of a pure difference in the binomial ideal of `gens`:
     walk the congruence from b.lead and look for b.trail."""
-    spec = gens.spec
-    if spec.image_of(b.lead) != spec.image_of(b.trail):
+    if not gens.spec.in_kernel(b):
         raise KernelMismatch(f"{b} is not a kernel element; images differ")
-    return _vec(b.trail) in _congruence_class(_vec(b.lead), _move_vecs(gens.moves))
+    return _vec(b.trail) in _congruence_class(_vec(b.lead), _move_vecs(gens.array))
 
 
 @dataclass(frozen=True)
@@ -236,7 +247,6 @@ class MixedMembership:
 
     member: bool
     explored: int
-    witness: Optional[Monomial] = None
 
     def __bool__(self):
         return self.member
@@ -246,22 +256,22 @@ def monomial_in_mixed_ideal(
     m: Monomial,
     diff_gens: Sequence[Binomial],
     mono_gens: Sequence[Monomial],
-    cap: int = 10**6,
 ) -> MixedMembership:
     """Membership of `m` in (diff_gens) + (mono_gens) for homogeneous pure
     differences: true iff the congruence class of m under the difference
     moves contains a multiple of some monomial generator.
 
-    Raises ClassCapExceeded instead of answering when the class outgrows
-    `cap` (at least 1); the caller must raise the bound.
+    The class lies among the C(D + n - 1, n - 1) monomials of m's degree D
+    in its n variables; above 10^6 of them, InputError at once.
     """
+    start = _vec(m)
+    size = math.comb(sum(start) + len(start) - 1, len(start) - 1)
+    if size > 10**6:
+        raise InputError(f"the congruence class of {m} may hold {size} monomials, above the cap 10^6")
     monos = [_vec(g) for g in mono_gens]
-    n = len(m.ground)
-    for explored, state in enumerate(_congruence_class(_vec(m), _move_vecs(diff_gens)), start=1):
+    for explored, state in enumerate(_congruence_class(start, _move_vecs(_move_array(diff_gens, len(start)))), 1):
         if any(all(s >= g for s, g in zip(state, mg)) for mg in monos):
-            return MixedMembership(True, explored, _mono(state, n))
-        if explored > cap:
-            raise ClassCapExceeded(cap, explored)
+            return MixedMembership(True, explored)
     return MixedMembership(False, explored)
 
 
@@ -321,6 +331,9 @@ def _fiber_components(level: _Level, moves: np.ndarray, labels: Optional[np.ndar
     """Component label of every member of `level` under `moves` (a
     `_move_array`): the index of the first member of its component.
 
+    Precondition: kernel moves (as in `MoveSet`) on complete fibers.  A
+    move then keeps a member's image, so its target is found by key alone.
+
     `labels`, when given, are this function's labels of the level under
     some other moves A; the result is then the labelling under A and
     `moves` together, found from the edges of `moves` alone.
@@ -337,18 +350,14 @@ def _fiber_components(level: _Level, moves: np.ndarray, labels: Optional[np.ndar
     shifts = level.key(0, moves[:, 1, -nrees:] - moves[:, 0, -nrees:])
     columns = [*level.ground.T, *level.rees.T]
     edges = []
-    for (lead, trail), shift in zip(moves, shifts):
+    for (lead, _), shift in zip(moves, shifts):
         feasible = np.ones(len(keys), dtype=bool)
         for c in np.flatnonzero(lead):
             feasible &= columns[c] >= lead[c]
         src = np.flatnonzero(feasible)
         target = keys[src] + shift
         dst = np.minimum(np.searchsorted(keys, target), len(keys) - 1)
-        # a key match is the target only if the whole vector agrees: moves
-        # off the map's kernel, or off the fiber's T-degree, give no edge
         hit = keys[dst] == target
-        for c, col in enumerate(columns):
-            hit &= col[dst] == col[src] + (trail[c] - lead[c])
         if hit.any():
             edges.append((src[hit].astype(np.int32), dst[hit].astype(np.int32)))
     labels = np.arange(len(keys)) if labels is None else labels.copy()
@@ -378,22 +387,19 @@ def _groups(vecs: Sequence[Vec], labels: Sequence[int]) -> list[list[Vec]]:
     return sorted(groups.values(), key=lambda g: g[0])
 
 
-def connected_under_moves(fiber: Fiber, moves: MoveSet | Sequence[Binomial]) -> tuple[tuple[Monomial, ...], ...]:
-    """Partition of the fiber into congruence components, deterministically
-    ordered by each component's smallest member."""
-    movelist = list(moves.moves if isinstance(moves, MoveSet) else moves)
-    if not fiber.members:
-        return ()
-    n = len(fiber.image.ground)
+def connected_under_moves(fiber: Fiber, moves: MoveSet) -> tuple[tuple[Monomial, ...], ...]:
+    """Partition of the fiber into congruence components, each in the
+    fiber's member order, ordered by their first members.  The members
+    must be the complete fiber of the image, in any order (else
+    ValueError), which the kernel needs."""
+    level = _image_level(moves.spec, fiber.image)
+    index = {tuple(v): i for i, v in enumerate(np.hstack((level.ground, level.rees)).tolist())}
     vecs = [_vec(m) for m in fiber.members]
-    if len({v[n:] for v in vecs}) < len(vecs):
-        raise ValueError("fiber members must differ in their Rees exponents")
-    order = sorted(range(len(vecs)), key=lambda i: vecs[i][n:])  # the level's member order
-    arr = np.array([vecs[i] for i in order], dtype=np.int64)
-    level = _Level(np.array([fiber.image.ground]), np.zeros(len(arr), dtype=np.int64), arr[:, :n], arr[:, n:])
-    labels = np.empty(len(arr), dtype=np.int64)
-    labels[order] = _fiber_components(level, _move_array(movelist, arr.shape[1]))
-    return tuple(tuple(_mono(v, n) for v in g) for g in _groups(vecs, labels))
+    if len(vecs) != len(index) or set(vecs) != index.keys():
+        raise ValueError(f"the members given for {fiber.image} are not its complete fiber")
+    labels = _fiber_components(level, moves.array)
+    n = moves.spec.nground
+    return tuple(tuple(_mono(v, n) for v in g) for g in _groups(vecs, [labels[index[v]] for v in vecs]))
 
 
 def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -436,22 +442,26 @@ def _level_of(comps: np.ndarray, G: np.ndarray, images: np.ndarray, keep: Callab
     return _Level(images, fiber, images[fiber] - G[col], comps[col])
 
 
+def _compositions_at(spec: ReesMapSpec, tau: int) -> tuple[np.ndarray, np.ndarray]:
+    """The compositions of tau as rows, and G: their Rees monomials' image ground vectors."""
+    comps = np.array(list(compositions(tau, spec.nrees)), dtype=np.int64).reshape(-1, spec.nrees)
+    return comps, comps @ spec.degree_matrix()
+
+
 def _fibers_of(spec: ReesMapSpec, tau: int, images: np.ndarray) -> _Level:
     """The level of the complete fibers of T-degree tau whose image ground
     parts are the rows of `images` (distinct, in increasing order): the
     layout and member order of `_reduced_fibers_at`, without its filters."""
-    comps = np.array(list(compositions(tau, spec.nrees)), dtype=np.int64).reshape(-1, spec.nrees)
-    G = comps @ spec.degree_matrix()
-    return _level_of(comps, G, images, lambda block, member: slice(None))
+    return _level_of(*_compositions_at(spec, tau), images, lambda block, member: slice(None))
 
 
 def _stack(levels: Sequence[_Level]) -> _Level:
     """Levels of increasing T-degree as one level: fiber ids continue
     across them, so `key`, `split_fibers` and `components` work unchanged.
-    Moves keep the T-degree, and `_fiber_components` joins only members
-    whose whole vectors differ by a move, so the labels of a stack are
-    those of its levels labelled alone: each label is the index of the
-    first member of its component."""
+    Kernel moves keep the image, so `_fiber_components` joins only members
+    of one fiber, and the labels of a stack are those of its levels
+    labelled alone: each label is the index of the first member of its
+    component."""
     if len(levels) == 1:
         return levels[0]
     offsets = np.cumsum([0] + [len(level.images) for level in levels[:-1]])
@@ -503,18 +513,12 @@ def binomials_in_binomial_ideal(leads: np.ndarray, trails: np.ndarray, moves: Mo
     spec = moves.spec
     n = spec.nground
     leads, trails = np.asarray(leads, dtype=np.int64), np.asarray(trails, dtype=np.int64)
-    degrees = spec.degree_matrix()
-
-    def image_of(vecs: np.ndarray) -> np.ndarray:  # rows of (ground part, T-degree)
-        return np.column_stack((vecs[:, :n] + vecs[:, n:] @ degrees, vecs[:, n:].sum(axis=1)))
-
-    images = image_of(leads)
-    differ = (images != image_of(trails)).any(axis=1)
+    images = spec.images(leads)
+    differ = (images != spec.images(trails)).any(axis=1)
     if differ.any():
         i = int(np.argmax(differ))
         b = Binomial(_mono(tuple(leads[i].tolist()), n), _mono(tuple(trails[i].tolist()), n))
         raise KernelMismatch(f"{b} is not a kernel element; images differ")
-    movearr = _move_array(moves.moves, n + spec.nrees)
     fiber = np.empty(len(leads), dtype=np.int64)  # fiber id of each row in all the levels stacked
     grounds = []
     for tau in sorted(set(images[:, n].tolist())):
@@ -527,7 +531,7 @@ def binomials_in_binomial_ideal(leads: np.ndarray, trails: np.ndarray, moves: Mo
     for stack in _stacks(_fibers_of(spec, tau, ground) for tau, ground in grounds):
         end = start + len(stack.images)
         rows = np.flatnonzero((fiber >= start) & (fiber < end))
-        labels = _fiber_components(stack, movearr)
+        labels = _fiber_components(stack, moves.array)
         keys = stack.key(stack.fiber, stack.rees)
         lead_at = np.searchsorted(keys, stack.key(fiber[rows] - start, leads[rows, n:]))
         trail_at = np.searchsorted(keys, stack.key(fiber[rows] - start, trails[rows, n:]))
@@ -558,8 +562,7 @@ def _reduced_fibers_at(spec: ReesMapSpec, tau: int, ground_bound: int) -> _Level
     rows for k compositions and n ground variables), their member mask one
     bounded block at a time by `_level_of`.
     """
-    comps = np.array(list(compositions(tau, spec.nrees)), dtype=np.int64).reshape(-1, spec.nrees)
-    G = comps @ spec.degree_matrix()  # image ground vector of each pure Rees monomial
+    comps, G = _compositions_at(spec, tau)
     k = len(comps)
     size = min(spec.nground, k)
     idx = np.fromiter(
@@ -610,10 +613,9 @@ def generates_up_to(spec: ReesMapSpec, moves: MoveSet, t_bound: int, ground_boun
     """
     _require_coprime(list(moves))
     n = spec.nground
-    movearr = _move_array(moves.moves, n + spec.nrees)
     checked = 0
     for stack in _stacks(_reduced_fibers_at(spec, tau, ground_bound) for tau in range(t_bound + 1)):
-        labels = _fiber_components(stack, movearr)
+        labels = _fiber_components(stack, moves.array)
         split = stack.split_fibers(labels)
         if split:
             f = split[0]
@@ -654,6 +656,7 @@ def bruteforce_min_gens(
     n = spec.nground
     width = n + spec.nrees
     found: list[tuple[tuple[int, int], Binomial]] = []
+    # a spanning binomial joins two members of one fiber: a kernel move
     movearr = _move_array((), width)
     for tau in range(t_bound + 1):
         level = _reduced_fibers_at(spec, tau, ground_bound)

@@ -134,11 +134,10 @@ def reference_min_gens(spec, t_bound, ground_bound, tie_break_seed=None):
 def reference_generates_up_to(spec, moves, t_bound, ground_bound):
     """`generates_up_to` with one labelling per T-degree level."""
     _require_coprime(list(moves))
-    movearr = _move_array(moves.moves, spec.nground + spec.nrees)
     checked = 0
     for tau in range(t_bound + 1):
         level = _reduced_fibers_at(spec, tau, ground_bound)
-        labels = _fiber_components(level, movearr)
+        labels = _fiber_components(level, moves.array)
         split = level.split_fibers(labels)
         if split:
             f = split[0]
@@ -155,24 +154,18 @@ def reference_binomials_in_binomial_ideal(leads, trails, moves):
     spec = moves.spec
     n = spec.nground
     leads, trails = np.asarray(leads, dtype=np.int64), np.asarray(trails, dtype=np.int64)
-    degrees = spec.degree_matrix()
-
-    def image_of(vecs):  # rows of (ground part, T-degree)
-        return np.column_stack((vecs[:, :n] + vecs[:, n:] @ degrees, vecs[:, n:].sum(axis=1)))
-
-    images = image_of(leads)
-    differ = (images != image_of(trails)).any(axis=1)
+    images = spec.images(leads)
+    differ = (images != spec.images(trails)).any(axis=1)
     if differ.any():
         i = int(np.argmax(differ))
         b = Binomial(_mono(tuple(leads[i].tolist()), n), _mono(tuple(trails[i].tolist()), n))
         raise KernelMismatch(f"{b} is not a kernel element; images differ")
-    movearr = _move_array(moves.moves, n + spec.nrees)
     out = np.zeros(len(leads), dtype=bool)
     for tau in sorted(set(images[:, n].tolist())):
         rows = np.flatnonzero(images[:, n] == tau)
         ground, fiber = _distinct_rows(images[rows, :n])
         level = _fibers_of(spec, tau, ground)
-        labels = _fiber_components(level, movearr)
+        labels = _fiber_components(level, moves.array)
         keys = level.key(level.fiber, level.rees)
         lead_at = np.searchsorted(keys, level.key(fiber, leads[rows, n:]))
         trail_at = np.searchsorted(keys, level.key(fiber, trails[rows, n:]))

@@ -18,6 +18,7 @@ their per-level loops are the references
 `reference_binomials_in_binomial_ideal`), compared under several stack
 budgets.
 """
+import re
 from math import gcd
 
 import numpy as np
@@ -45,7 +46,6 @@ from reeslab.toric import (
     _fiber_components,
     _fibers_of,
     _Level,
-    _move_array,
     _reduced_fibers_at,
     _stack,
     _stacks,
@@ -177,10 +177,9 @@ cases = st.one_of(random_cases(), sigma_cases(), ternary_cases())
 def test_level_labels_match_bfs_per_fiber(case):
     moves, t_bound, g = case
     spec = moves.spec
-    movearr = _move_array(moves.moves, spec.nground + spec.nrees)
     for tau in range(t_bound + 1):
         level = _reduced_fibers_at(spec, tau, g)
-        labels = _fiber_components(level, movearr)
+        labels = _fiber_components(level, moves.array)
         vecs = [tuple(g) + tuple(r) for g, r in zip(level.ground.tolist(), level.rees.tolist())]
         for f, image in enumerate(level.images.tolist()):
             rows = [i for i in range(len(level)) if level.fiber[i] == f]
@@ -193,15 +192,17 @@ def test_level_labels_match_bfs_per_fiber(case):
 
 
 @SETTINGS
-@given(cases)
-def test_connected_under_moves_matches_bfs(case):
-    # whole fibers, reduced or not, in the reference's member order
+@given(cases, st.randoms(use_true_random=False))
+def test_connected_under_moves_matches_bfs(case, rng):
+    # whole fibers, reduced or not, their members in any order
     moves, t_bound, g = case
     spec = moves.spec
     for tau in range(1, t_bound + 1):
         for beta in compositions(tau, spec.nrees):
             image = spec.image_of(Monomial((1,) * spec.nground, beta))
-            fiber = Fiber(image, reference_fiber(spec, image))
+            members = list(reference_fiber(spec, image))
+            rng.shuffle(members)
+            fiber = Fiber(image, tuple(members))
             parts = connected_under_moves(fiber, moves)
             firsts = [p[0].ground + p[0].rees for p in parts]
             assert firsts == sorted(firsts)
@@ -242,9 +243,8 @@ def split_move_cases(draw):
             for ground in compositions(draw(st.integers(0, g)), spec.nground)
         })
         level = _fibers_of(spec, tau, np.array(grounds, dtype=np.int64))
-    movearr = _move_array(moves.moves, spec.nground + spec.nrees)
-    k = draw(st.integers(0, len(movearr)))
-    return level, movearr[:k], movearr[k:]
+    k = draw(st.integers(0, len(moves)))
+    return level, moves.array[:k], moves.array[k:]
 
 
 @SETTINGS
@@ -300,13 +300,54 @@ def test_reduced_fibers_match_the_dense_reference_ternary(a, b):
         _assert_same_level(_reduced_fibers_at(spec, tau, 3 * a), reference_reduced_fibers(spec, tau, 3 * a))
 
 
-def test_connected_under_moves_ignores_moves_off_the_kernel():
+def test_move_sets_refuse_the_first_move_off_the_kernel():
     spec = ReesMapSpec(2, (Monomial((2, 0)), Monomial((0, 2)), Monomial((1, 1))))
-    image = Monomial((2, 2), (2,))
-    fiber = Fiber(image, reference_fiber(spec, image))  # t*u and v^2
-    off_kernel = Binomial(Monomial((0, 0), (1, 1, 0)), Monomial((1, 0), (0, 0, 2)))
-    assert len(connected_under_moves(fiber, [off_kernel])) == 2
-    assert connected_under_moves(Fiber(fiber.image, ()), [off_kernel]) == ()
+    kernel = Binomial(Monomial((0, 0), (1, 1, 0)), Monomial((0, 0), (0, 0, 2)))  # t*u - v^2
+    first = Binomial(Monomial((0, 0), (1, 1, 0)), Monomial((1, 0), (0, 0, 2)))  # t*u - x*v^2
+    second = Binomial(Monomial((1, 0), (0, 0, 0)), Monomial((0, 1), (0, 0, 0)))  # x - y
+    for moves, named in (((kernel, first, second), first), ((second, kernel, first), second)):
+        with pytest.raises(KernelMismatch, match=re.escape(f"{named} is not in the kernel")):
+            MoveSet(spec, moves)
+    with pytest.raises(ValueError, match="ambient"):
+        MoveSet(spec, (Binomial(Monomial((0, 0, 0), (1, 0)), Monomial((0, 0, 0), (0, 1))),))
+    rows = [list(m.ground + m.rees) for m in (kernel.lead, kernel.trail)]
+    assert MoveSet(spec, (kernel,)).array.tolist() == [rows]
+
+
+def test_connected_under_moves_refuses_members_that_are_not_the_complete_fiber():
+    moves = sigma_set(2, 1).move_set()  # x^2, y^2, x*y -> t, u, v
+    image = Monomial((2, 2), (1,))
+    members = reference_fiber(moves.spec, image)  # y^2*t, x^2*u and x*y*v
+    assert len(members) == 3
+    assert len(connected_under_moves(Fiber(image, members[::-1]), moves)) == 1
+    other = reference_fiber(moves.spec, Monomial((3, 1), (1,)))[0]
+    for wrong in (members[:2], members + members[:1], members[:2] + (other,), members + (other,), ()):
+        with pytest.raises(ValueError, match="complete fiber"):
+            connected_under_moves(Fiber(image, wrong), moves)
+    with pytest.raises(ValueError, match="ambient"):
+        connected_under_moves(Fiber(Monomial((2, 2), (1, 0)), members), moves)
+    assert connected_under_moves(Fiber(Monomial((1, 1), (2,)), ()), moves) == ()
+
+
+@st.composite
+def specs(draw):
+    """A binary map (d <= 12) or a ternary one (a <= 12)."""
+    if draw(st.booleans()):
+        d = draw(st.integers(2, 12))
+        return binary_spec(d, draw(st.sampled_from([b for b in range(1, d) if gcd(d, b) == 1])))
+    a = draw(st.integers(3, 12))
+    return ternary_spec(a, draw(st.integers(1, (a - 1) // 2)))
+
+
+@SETTINGS
+@given(specs(), st.data())
+def test_images_are_image_of_row_by_row(spec, data):
+    width = spec.nground + spec.nrees
+    rows = data.draw(st.lists(st.lists(st.integers(0, 50), min_size=width, max_size=width), max_size=20))
+    got = spec.images(np.array(rows, dtype=np.int64).reshape(-1, width))
+    assert got.dtype == np.int64 and got.shape == (len(rows), spec.nground + 1)
+    images = [spec.image_of(Monomial(tuple(r[:spec.nground]), tuple(r[spec.nground:]))) for r in rows]
+    assert got.tolist() == [list(im.ground + im.rees) for im in images]
 
 
 @st.composite

@@ -263,6 +263,16 @@ def test_colon_claims_are_the_same_in_small_blocks(monkeypatch):
     assert verify_colon_claims(5, 2) == expected[1]
 
 
+@pytest.mark.parametrize("block_rows", [7, 64])
+def test_colon_claims_over_many_blocks_match_one_block(monkeypatch, block_rows):
+    # every a <= 5 fits in one block of the default size; these sizes split
+    # its multipliers over 2 to 114 batched calls per claim
+    pairs = [(a, b) for a, b in PAIRS_TO_8 if a <= 5]
+    expected = [verify_colon_claims(a, b) for a, b in pairs]
+    monkeypatch.setattr(ternary, "_BLOCK_ROWS", block_rows)
+    assert [verify_colon_claims(a, b) for a, b in pairs] == expected
+
+
 def _bidegrees(spec, moves):
     images = [spec.image_of(mv.lead) for mv in moves]
     return Counter((im.ground_degree(), im.rees[0]) for im in images)

@@ -8,10 +8,9 @@ import pytest
 
 from fiber_reference import reference_fiber
 from reeslab import toric
-from reeslab.core import AciSpec, Binomial, Monomial, ground_monomial, parse_binomial, parse_monomial
+from reeslab.core import AciSpec, Binomial, InputError, Monomial, ground_monomial, parse_binomial, parse_monomial
 from reeslab.binary import sigma_set
 from reeslab.toric import (
-    ClassCapExceeded,
     Fiber,
     KernelMismatch,
     MoveSet,
@@ -71,7 +70,7 @@ def test_connected_under_moves():
     comps = connected_under_moves(fib, sigma)
     assert len(comps) == 1
     # ground-free moves cannot rewrite the ground-free fiber members
-    only_linear = [parse_binomial("x*v - y*t", 2, 3), parse_binomial("y*v - x*u", 2, 3)]
+    only_linear = MoveSet(spec, (parse_binomial("x*v - y*t", 2, 3), parse_binomial("y*v - x*u", 2, 3)))
     comps = connected_under_moves(fib, only_linear)
     assert len(comps) == 2
     # empty fiber
@@ -132,12 +131,17 @@ def test_mixed_ideal_membership():
 
 
 def test_mixed_ideal_cap():
+    # the class of a degree-D monomial in 3 variables lies among C(D + 2, 2)
+    # monomials: at D = 1412 (998,991 of them) the walk runs, at D = 1413
+    # (1,000,405) it is refused before any state is explored
     from reeslab.reduction import _q_times
 
     spec = AciSpec((5, 5, 5), (1, 1, 1))
     diffs, monos = _q_times(spec, spec.ideal.power(2))
-    with pytest.raises(ClassCapExceeded):
-        monomial_in_mixed_ideal(ground_monomial((0, 0, 15)), diffs, monos, cap=3)
+    res = monomial_in_mixed_ideal(ground_monomial((0, 0, 1412)), diffs, [ground_monomial((0, 0, 1))])
+    assert res and res.explored == 1
+    with pytest.raises(InputError, match="1000405 monomials"):
+        monomial_in_mixed_ideal(ground_monomial((0, 0, 1413)), diffs, monos)
 
 
 def test_generates_up_to_sigma_14_3():

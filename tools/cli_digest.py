@@ -1,0 +1,69 @@
+"""Print one digest line per CLI command over a fixed grid.
+
+Each line is ``exit sha256(stdout) argv``.  The commands run in-process
+through ``reeslab.cli.main``, from the ``src`` directory next to this
+script, with stderr (the timing trailer) discarded.  To check that a
+change leaves every report byte-identical, run the script in both trees
+and compare the outputs:
+
+    python tools/cli_digest.py > after.txt
+    diff before.txt after.txt
+
+The grid, each command in text and in JSON:
+
+- ``binary-verify d b`` for every coprime d <= 12, plain and with each
+  ``--drop`` index;
+- ``ternary a b --verify`` for every a <= 8;
+- ``lengths d b`` for every d <= 15;
+- ``red --uniform n a b`` for n <= 4 and a <= 7;
+- ``sweep --binary-max-d 10 --ternary-max-a 5 --uniform``.
+"""
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import sys
+from math import gcd
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from reeslab import binary, cli  # noqa: E402
+
+
+def commands():
+    for d in range(2, 13):
+        for b in range(1, d):
+            if gcd(d, b) == 1:
+                yield ["binary-verify", str(d), str(b)]
+                for i in range(len(binary.sigma_set(d, b))):
+                    yield ["binary-verify", str(d), str(b), "--drop", str(i)]
+    for a in range(3, 9):
+        for b in range(1, (a - 1) // 2 + 1):
+            yield ["ternary", str(a), str(b), "--verify"]
+    for d in range(2, 16):
+        for b in range(1, d):
+            yield ["lengths", str(d), str(b)]
+    for n in range(2, 5):
+        for a in range(2, 8):
+            for b in range(1, a):
+                yield ["red", "--uniform", str(n), str(a), str(b)]
+    yield ["sweep", "--binary-max-d", "10", "--ternary-max-a", "5", "--uniform"]
+
+
+def digest(argv: list[str]) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+    return f"{code} {hashlib.sha256(out.getvalue().encode()).hexdigest()} {' '.join(argv)}"
+
+
+def main() -> None:
+    for argv in commands():
+        for fmt in ("text", "json"):
+            print(digest(argv + ["--format", fmt]), flush=True)
+
+
+if __name__ == "__main__":
+    main()
