@@ -4,8 +4,9 @@ Every command assembles a Report whose canonical body is deterministic:
 fixed sort orders, no timestamps.  Timing goes to stderr as a trailer so
 stdout stays byte-identical across runs.  Exit codes, all set in ``main``:
 
-- 0: success / pass (or a plain report);
-- 1: a verified claim failed, with its witness in the report;
+- 0: the verdict is "pass" (or "report", a plain report);
+- 1: the verdict is "fail": a verified claim failed, with its witness in
+  the report;
 - 2: usage error: a parser error, or a parameter outside the supported
   range (``core.InputError``, raised by the validator that owns it);
 - 3: internal error: any other exception; stdout stays empty and stderr
@@ -104,7 +105,7 @@ def _entry_dict(e: binary.SigmaEntry) -> dict:
 
 # -- commands ----------------------------------------------------------------
 
-def cmd_binary_gens(args) -> tuple[Report, int]:
+def cmd_binary_gens(args) -> Report:
     d, b = args.d, args.b
     params = {"d": d, "b": b}
     results: dict = {}
@@ -123,7 +124,7 @@ def cmd_binary_gens(args) -> tuple[Report, int]:
         results["count_formula"] = sigma.count_formula()
         results["kernel_ok"] = kernel_ok
         verdict = "pass" if kernel_ok and len(gens) == sigma.count_formula() else "fail"
-        return Report("binary-gens", params, results, verdict), 0 if verdict == "pass" else 1
+        return Report("binary-gens", params, results, verdict)
     sigma = binary.sigma_set(d, b)
     sigma.move_set()  # validates kernel membership of every generator
     results["euclid"] = {
@@ -135,10 +136,10 @@ def cmd_binary_gens(args) -> tuple[Report, int]:
     results["count"] = len(sigma)
     results["count_formula"] = sigma.count_formula()
     ok = len(sigma) == sigma.count_formula()
-    return Report("binary-gens", params, results, "pass" if ok else "fail"), 0 if ok else 1
+    return Report("binary-gens", params, results, "pass" if ok else "fail")
 
 
-def cmd_binary_verify(args) -> tuple[Report, int]:
+def cmd_binary_verify(args) -> Report:
     d, b = args.d, args.b
     sigma = binary.sigma_set(d, b)
     moves = sigma.move_set()
@@ -149,7 +150,7 @@ def cmd_binary_verify(args) -> tuple[Report, int]:
         dropped = sigma.entries[args.drop].binomial
         moves = moves.without(args.drop)
     t_bound, g_bound = _sweep_bounds(d)
-    report = toric.generates_up_to(moves.spec, moves, t_bound, g_bound)
+    report = toric.generates_up_to(moves, t_bound, g_bound)
     removal = []
     minimal = None  # the removal probes run on the full set only
     if dropped is None:
@@ -174,10 +175,10 @@ def cmd_binary_verify(args) -> tuple[Report, int]:
             "components": [[m.text() for m in comp] for comp in ff.components],
         }
     ok = report.passed and minimal is True
-    return Report("binary-verify", {"d": d, "b": b}, results, "pass" if ok else "fail"), 0 if ok else 1
+    return Report("binary-verify", {"d": d, "b": b}, results, "pass" if ok else "fail")
 
 
-def cmd_lengths(args) -> tuple[Report, int]:
+def cmd_lengths(args) -> Report:
     d, b = args.d, args.b
     bb = min(b, d - b) if 0 < b < d else b  # symmetric under x <-> y; bad b stays as typed
     profile = lengths.hm_profile(d, bb)  # raises unless l0' >= d - l0
@@ -193,11 +194,10 @@ def cmd_lengths(args) -> tuple[Report, int]:
     }
     if b != bb:
         results["mirrored_b"] = bb
-    verdict = "pass" if profile.hm_holds else "fail"
-    return Report("lengths", {"d": d, "b": b}, results, verdict), 0 if verdict == "pass" else 1
+    return Report("lengths", {"d": d, "b": b}, results, "pass" if profile.hm_holds else "fail")
 
 
-def cmd_red(args) -> tuple[Report, int]:
+def cmd_red(args) -> Report:
     if args.uniform:
         n, a, b = args.uniform
         params = {"uniform": [n, a, b]}
@@ -211,7 +211,7 @@ def cmd_red(args) -> tuple[Report, int]:
             search = reduction.red_search_general(AciSpec((a,) * n, (b,) * n), args.r_cap)
             results["search_red"] = search.r
             results["witness"] = list(search.witness) if search.witness else None
-        return Report("red", params, results, "report"), 0
+        return Report("red", params, results, "report")
     a = tuple(args.a)
     b = tuple(args.b)
     params = {"a": list(a), "b": list(b)}
@@ -228,10 +228,10 @@ def cmd_red(args) -> tuple[Report, int]:
         results["undecided"] = False
         results["witness"] = list(res.witness)
         results["search_red"] = search.r
-    return Report("red", params, results, "report"), 0
+    return Report("red", params, results, "report")
 
 
-def cmd_ternary(args) -> tuple[Report, int]:
+def cmd_ternary(args) -> Report:
     a, b = args.a, args.b
     gens = ternary.ternary_gens(a, b)
     results: dict = {
@@ -263,8 +263,7 @@ def cmd_ternary(args) -> tuple[Report, int]:
             "note": "no closed form asserted",
             "rows": [{"ell": r.ell, "lambda": r.lam} for r in rows],
         }
-    verdict = "pass" if ok else "fail"
-    return Report("ternary", {"a": a, "b": b}, results, verdict), 0 if ok else 1
+    return Report("ternary", {"a": a, "b": b}, results, "pass" if ok else "fail")
 
 
 CSV_COLUMNS = ["d", "b", "count", "hmSum", "e1", "ell0", "ell0prime", "verdict"]
@@ -273,7 +272,7 @@ CSV_COLUMNS = ["d", "b", "count", "hmSum", "e1", "ell0", "ell0prime", "verdict"]
 def _binary_instance(d: int, b: int) -> dict:
     sigma = binary.sigma_set(d, b)
     moves = sigma.move_set()
-    gen = toric.generates_up_to(moves.spec, moves, *_sweep_bounds(d))
+    gen = toric.generates_up_to(moves, *_sweep_bounds(d))
     profile = lengths.hm_profile(d, min(b, d - b))
     red = reduction.is_monomial_reduction(AciSpec((d, d), (b, d - b)))
     ok = (
@@ -293,7 +292,7 @@ def _binary_instance(d: int, b: int) -> dict:
     }
 
 
-def cmd_sweep(args) -> tuple[Report, int]:
+def cmd_sweep(args) -> Report:
     if args.binary_max_d < 2 and args.ternary_max_a < 3:
         raise InputError("the sweep checks nothing: need --binary-max-d >= 2 or --ternary-max-a >= 3")
     rows = [  # canonical parameter order
@@ -350,7 +349,7 @@ def cmd_sweep(args) -> tuple[Report, int]:
         else:
             with open(args.out, "w") as fh:
                 fh.write(report.to_json() + "\n")
-    return report, 0 if all_pass else 1
+    return report
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -416,7 +415,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         parser.error("--format csv writes only to a file: add --out PATH")
     start = time.monotonic()
     try:
-        report, code = args.func(args)
+        report = args.func(args)
         text = report.to_json() + "\n" if args.format == "json" else report.to_text()
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -429,7 +428,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     sys.stdout.write(text)
     elapsed_ms = int((time.monotonic() - start) * 1000)
     print(f"# elapsed_ms={elapsed_ms}", file=sys.stderr)
-    return code
+    return 1 if report.verdict == "fail" else 0
 
 
 if __name__ == "__main__":

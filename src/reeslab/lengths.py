@@ -6,8 +6,9 @@ exponents, their product lengths, the Huckaba-Marley comparison against
 e_1 = C(d, 2), and the linear-syzygy indices l0 (first row with a 1) and
 l0' (first row equal to (1, 1)).
 
-Two independent routes produce (s_l, t_l): a closed-form scan over the
-index triangle and the literal ideal-arithmetic colon.
+Two independent routes produce (s_l, t_l): one closed-form scan over the
+index triangle, `formula_minima`, whose four sector minima `st_formula`
+combines, and `st_oracle`, the literal ideal-arithmetic colon.
 """
 from __future__ import annotations
 
@@ -45,36 +46,17 @@ def _check_params(d: int, b: int, ell: int | None = None, top_power: int | None 
         check_exponent_cap(top_power * d, "power exponent l * d =")
 
 
-def st_formula(d: int, b: int, ell: int) -> tuple[int, int]:
-    """(s_l, t_l) by exact minimization over the triangle i + j <= l - 1.
+def formula_minima(d: int, b: int, ell: int) -> dict:
+    """The four sector minima m, m', n', n of the triangle i + j <= l - 1.
 
     The colon generators are x^v for v = alpha*d - (l-j)*b > 0 and y^(-v)
-    for v < 0, with alpha running over i and i + 1; s_l and t_l are the two
-    minimal magnitudes.  No ideal arithmetic is involved.
+    for v < 0, with alpha running over i and i + 1.  The cell (i, j) lies
+    in the positive sector when both of its v are positive (m is their
+    least), in the negative sector when both are negative (n is the least
+    -v), and otherwise in the sign-change sector (m' the least positive v,
+    n' the least -v).  A zero v raises ProfileError.  No ideal arithmetic
+    is involved.
     """
-    _check_params(d, b, ell)
-    s_min = None
-    t_min = None
-    for i in range(ell):
-        for j in range(ell - i):
-            w = (ell - j) * b
-            for alpha in (i, i + 1):
-                v = alpha * d - w
-                if v > 0:
-                    if s_min is None or v < s_min:
-                        s_min = v
-                elif v < 0:
-                    if t_min is None or -v < t_min:
-                        t_min = -v
-                else:
-                    raise ProfileError(f"zero colon exponent at (d={d}, b={b}, l={ell})")
-    assert s_min is not None and t_min is not None
-    return s_min, t_min
-
-
-def formula_minima(d: int, b: int, ell: int) -> dict:
-    """The four sector minima m, m', n', n driving the selection rule
-    (diagnostic detail; st_formula is the minimum over all of them)."""
     _check_params(d, b, ell)
     m = mp = np_ = n = None
 
@@ -85,6 +67,8 @@ def formula_minima(d: int, b: int, ell: int) -> dict:
         for j in range(ell - i):
             lo = i * d - (ell - j) * b
             hi = (i + 1) * d - (ell - j) * b
+            if lo == 0 or hi == 0:
+                raise ProfileError(f"zero colon exponent at (d={d}, b={b}, l={ell})")
             if lo > 0:  # both positive
                 m = take(m, lo)
             elif hi > 0:  # sign change
@@ -93,6 +77,19 @@ def formula_minima(d: int, b: int, ell: int) -> dict:
             else:  # both negative
                 n = take(n, -hi)
     return {"m": m, "m_prime": mp, "n_prime": np_, "n": n}
+
+
+def st_formula(d: int, b: int, ell: int) -> tuple[int, int]:
+    """(s_l, t_l) = (min(m, m'), min(n', n)) over the sector minima of
+    `formula_minima`, the two minimal colon exponent magnitudes.  The cell
+    i = l - 1, j = 0 has a positive v and the cell i = j = 0 a negative
+    one, so both minima exist."""
+    mins = formula_minima(d, b, ell)
+
+    def least(*values):
+        return min(v for v in values if v is not None)
+
+    return least(mins["m"], mins["m_prime"]), least(mins["n_prime"], mins["n"])
 
 
 def _pure_power_split(colon: MonomialIdeal, d: int, b: int, ell: int) -> tuple[int, int]:

@@ -7,6 +7,10 @@ mapping-cone argument are checked three ways: exact Cramer-style
 polynomial identities, oracle memberships for the claimed colon
 generators, and a bounded-degree scan showing nothing smaller multiplies in.
 The memberships of both checks are decided by fiber components.
+
+`ternary_gens` is the one source of the generators: the generation sweep,
+the memberships and the certificate identities all read its binomials, and
+colon claims name their generator by its label.
 """
 from __future__ import annotations
 
@@ -41,10 +45,6 @@ from .toric import (
 
 def _m(gx=0, gy=0, gz=0, t=0, u=0, v=0, w=0) -> Monomial:
     return Monomial((gx, gy, gz), (t, u, v, w))
-
-
-def _poly(*terms: tuple[int, Monomial]) -> Polynomial:
-    return Polynomial(terms)
 
 
 @dataclass(frozen=True)
@@ -158,9 +158,9 @@ def enumerate_kernel_binomials(a: int, b: int, delta_max: int = 3) -> tuple[Bino
     """All coprime kernel binomials with w-degree 1 <= delta <= delta_max
     and every ground exponent < a, by exhausting the per-type exponent
     equations: with alpha the (t, u, v) degrees, each coordinate forces
-    beta from alpha_c * a - delta * b."""
+    beta from alpha_c * a - delta * b.  Building their `MoveSet` checks
+    that every one lies in the kernel."""
     _check_ab(a, b)
-    spec = ternary_spec(a, b)
     out = []
     for delta in range(1, delta_max + 1):
         for alpha in compositions(delta, 3):
@@ -176,40 +176,30 @@ def enumerate_kernel_binomials(a: int, b: int, delta_max: int = 3) -> tuple[Bino
                 continue
             lead = Monomial(tuple(wside), (0, 0, 0, delta))
             trail = Monomial(tuple(other), alpha + (0,))
-            bin_ = Binomial(lead, trail)
-            assert spec.in_kernel(bin_)
-            out.append(bin_)
-    return tuple(sorted(out, key=lambda bb: (bb.lead.rees[3] + bb.trail.rees[3], bb.lead.sort_key())))
+            out.append(Binomial(lead, trail))
+    out.sort(key=lambda bb: (bb.lead.rees[3] + bb.trail.rees[3], bb.lead.sort_key()))
+    return MoveSet(ternary_spec(a, b), tuple(out)).moves
 
 
 # -- colon claims ------------------------------------------------------------
 
 def _oriented_polys(a: int, b: int) -> dict[str, Polynomial]:
-    """The generators as polynomials in the construction orientation the
-    certificate identities need (they are sign-sensitive)."""
-    e3 = 3 * b - a
-    polys = {
-        "f1": _poly((1, _m(gx=a, u=1)), (-1, _m(gy=a, t=1))),
-        "f2": _poly((1, _m(gx=a, v=1)), (-1, _m(gz=a, t=1))),
-        "f3": _poly((1, _m(gy=a, v=1)), (-1, _m(gz=a, u=1))),
-        "g1": _poly((1, _m(gx=a - b, w=1)), (-1, _m(gy=b, gz=b, t=1))),
-        "g2": _poly((1, _m(gy=a - b, w=1)), (-1, _m(gx=b, gz=b, u=1))),
-        "g3": _poly((1, _m(gz=a - b, w=1)), (-1, _m(gx=b, gy=b, v=1))),
-        "H1": _poly((1, _m(gx=a - 2 * b, gy=a - 2 * b, w=2)), (-1, _m(gz=2 * b, t=1, u=1))),
-        "H2": _poly((1, _m(gx=a - 2 * b, gz=a - 2 * b, w=2)), (-1, _m(gy=2 * b, t=1, v=1))),
-        "H3": _poly((1, _m(gy=a - 2 * b, gz=a - 2 * b, w=2)), (-1, _m(gx=2 * b, u=1, v=1))),
-    }
-    if e3 >= 0:
-        polys["E"] = _poly((1, _m(w=3)), (-1, _m(gx=e3, gy=e3, gz=e3, t=1, u=1, v=1)))
-    else:
-        polys["E'"] = _poly((1, _m(gx=-e3, gy=-e3, gz=-e3, w=3)), (-1, _m(t=1, u=1, v=1)))
+    """The generators of `ternary_gens` as polynomials, by label, in the
+    construction orientation the certificate identities need (they are
+    sign-sensitive): the positive side is the one whose Rees exponents,
+    read w, v, u, t, are lexicographically larger.  The two sides of a
+    kernel binomial share an image, so equal Rees parts would make them
+    equal; no tie arises."""
+    polys = {}
+    for label, bin_ in ternary_gens(a, b).labelled():
+        pos, neg = sorted((bin_.lead, bin_.trail), key=lambda m: m.rees[::-1], reverse=True)
+        polys[label] = Polynomial(((1, pos), (-1, neg)))
     return polys
 
 
 def certificate_identities(a: int, b: int) -> tuple[tuple[str, str, Polynomial, Polynomial], ...]:
     """Every claimed colon generator paired with its exact identity in the
     prefix ideal: (step, label, lhs, rhs) with lhs = generator * step."""
-    _check_ab(a, b)
     P = _oriented_polys(a, b)
     f1, f3 = P["f1"], P["f3"]
     g1, g2, g3 = P["g1"], P["g2"], P["g3"]
@@ -273,7 +263,8 @@ def certificate_identities(a: int, b: int) -> tuple[tuple[str, str, Polynomial, 
 
 def colon_claims(a: int, b: int) -> tuple[dict, ...]:
     """The four colon steps of the construction: for each new generator,
-    the prefix ideal it is coloned against and the claimed colon ideal."""
+    named by its `ternary_gens` label, the labels of the prefix ideal it is
+    coloned against and the claimed colon ideal."""
     _check_ab(a, b)
     last_name = "E" if 3 * b >= a else "E'"
     last_gens = (
@@ -284,13 +275,13 @@ def colon_claims(a: int, b: int) -> tuple[dict, ...]:
               _m(gx=b, gy=b), _m(gx=b, gz=b), _m(gy=b, gz=b)]
     )
     return (
-        {"name": "H1", "h": "H1", "prefix": ("f1", "f2", "f3", "g1", "g2", "g3"),
+        {"name": "H1", "prefix": ("f1", "f2", "f3", "g1", "g2", "g3"),
          "colon": [_m(gx=b), _m(gy=b), _m(gz=a - b)]},
-        {"name": "H2", "h": "H2", "prefix": ("f1", "f2", "f3", "g1", "g2", "g3", "H1"),
+        {"name": "H2", "prefix": ("f1", "f2", "f3", "g1", "g2", "g3", "H1"),
          "colon": [_m(gx=b), _m(gy=a - 2 * b), _m(gz=b)]},
-        {"name": "H3", "h": "H3", "prefix": ("f1", "f2", "f3", "g1", "g2", "g3", "H1", "H2"),
+        {"name": "H3", "prefix": ("f1", "f2", "f3", "g1", "g2", "g3", "H1", "H2"),
          "colon": [_m(gx=a - 2 * b), _m(gy=b), _m(gz=b)]},
-        {"name": last_name, "h": "implicit", "prefix": ("f1", "f2", "f3", "g1", "g2", "g3", "H1", "H2", "H3"),
+        {"name": last_name, "prefix": ("f1", "f2", "f3", "g1", "g2", "g3", "H1", "H2", "H3"),
          "colon": last_gens},
     )
 
@@ -346,7 +337,6 @@ def verify_colon_claims(a: int, b: int) -> ColonClaimsReport:
     gens = ternary_gens(a, b)
     spec = gens.spec()
     by_label = dict(gens.labelled())
-    by_label["implicit"] = gens.implicit
     certs = certificate_identities(a, b)
     cert_ok_by_step: dict[str, bool] = {}
     for step, _, lhs, rhs in certs:
@@ -355,7 +345,7 @@ def verify_colon_claims(a: int, b: int) -> ColonClaimsReport:
 
     claims = colon_claims(a, b)
     checks = [
-        (MoveSet(spec, (by_label[claim["h"]],)).array[0], MoveSet(spec, tuple(by_label[p] for p in claim["prefix"])),
+        (MoveSet(spec, (by_label[claim["name"]],)).array[0], MoveSet(spec, tuple(by_label[p] for p in claim["prefix"])),
          np.array([g.ground + g.rees for g in claim["colon"]], dtype=np.int64))
         for claim in claims
     ]
@@ -398,13 +388,14 @@ class TernaryGenerationReport:
         return self.generation.passed
 
 
-def ternary_generation_check(a: int, b: int, t_bound: int = 4) -> TernaryGenerationReport:
-    """Full fiber sweep (ground degree <= 3a) for the ten generators plus
+def ternary_generation_check(a: int, b: int) -> TernaryGenerationReport:
+    """Full fiber sweep (T-degree <= 4, one beyond the w-degree 3 of the
+    cube relation, and ground degree <= 3a) for the ten generators plus
     per-generator removal probes.  A removable generator is reported, not
     asserted away."""
     gens = ternary_gens(a, b)
     moves = gens.move_set()
-    report = generates_up_to(gens.spec(), moves, t_bound, 3 * a)
+    report = generates_up_to(moves, 4, 3 * a)
     redundant = []
     for idx, (lbl, bin_) in enumerate(gens.labelled()):
         if binomial_in_binomial_ideal(bin_, moves.without(idx)):

@@ -9,7 +9,9 @@ connected.  Fibers here are finite because the map is bigraded and every
 ideal generator has positive degree.
 
 `MoveSet` alone checks that moves lie in the kernel, all at once, and
-keeps them as the array that the kernel and the walk read.
+keeps them as the array that the kernel and the walk read.  It also
+carries the map: every sweep and membership reads `moves.spec`, so no
+caller can pair moves with a map they were not checked against.
 
 The full-sweep operations only check *reduced* fibers (those whose members
 share no common variable).  Multiplying a fiber by a variable is a
@@ -603,15 +605,17 @@ class GenerationReport:
         return self.first_failure is None
 
 
-def generates_up_to(spec: ReesMapSpec, moves: MoveSet, t_bound: int, ground_bound: int) -> GenerationReport:
-    """Pass iff every fiber with T-degree <= t_bound and source ground
-    degree <= ground_bound is connected under `moves`.  The reduced fibers
-    decide it; their T-degree levels are labelled a `_stacks` stack at a
-    time, and the failure reported is the first disconnected one in
-    increasing (T-degree, image) order, so it is deterministic.
-    `fibers_checked` counts the reduced fibers up to and including that one.
+def generates_up_to(moves: MoveSet, t_bound: int, ground_bound: int) -> GenerationReport:
+    """Pass iff every fiber of the map `moves.spec` with T-degree <= t_bound
+    and source ground degree <= ground_bound is connected under `moves`.
+    The reduced fibers decide it; their T-degree levels are labelled a
+    `_stacks` stack at a time, and the failure reported is the first
+    disconnected one in increasing (T-degree, image) order, so it is
+    deterministic.  `fibers_checked` counts the reduced fibers up to and
+    including that one.
     """
     _require_coprime(list(moves))
+    spec = moves.spec
     n = spec.nground
     checked = 0
     for stack in _stacks(_reduced_fibers_at(spec, tau, ground_bound) for tau in range(t_bound + 1)):

@@ -131,8 +131,9 @@ def reference_min_gens(spec, t_bound, ground_bound, tie_break_seed=None):
     return MoveSet(spec, tuple(b for _, b in found))
 
 
-def reference_generates_up_to(spec, moves, t_bound, ground_bound):
+def reference_generates_up_to(moves, t_bound, ground_bound):
     """`generates_up_to` with one labelling per T-degree level."""
+    spec = moves.spec
     _require_coprime(list(moves))
     checked = 0
     for tau in range(t_bound + 1):

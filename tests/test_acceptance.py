@@ -86,7 +86,7 @@ def test_criterion_02_generation_and_minimality():
     for d, b in pairs:
         sigma = sigma_set(d, b)
         moves = sigma.move_set()
-        rep = generates_up_to(moves.spec, moves, d + 1, 3 * d)
+        rep = generates_up_to(moves, d + 1, 3 * d)
         assert rep.passed, (d, b)
         # dropping any entry disconnects its own fiber: the sweep fails at
         # exactly that bidegree (no smaller fiber can use the entry)
@@ -97,7 +97,7 @@ def test_criterion_02_generation_and_minimality():
         sigma = sigma_set(d, b)
         moves = sigma.move_set()
         for i, e in enumerate(sigma.entries):
-            rep = generates_up_to(moves.spec, moves.without(i), d + 1, 3 * d)
+            rep = generates_up_to(moves.without(i), d + 1, 3 * d)
             assert not rep.passed
             failure = rep.first_failure
             assert failure.image == moves.spec.image_of(e.binomial.lead), (d, b, i)
@@ -225,7 +225,7 @@ def test_criterion_08_ternary():
             assert claim.certificates_ok, (a, b, claim.name)
             assert claim.superset_ok, (a, b, claim.name)
             assert claim.subset_ok, (a, b, claim.name, claim.subset_violations)
-        gen_rep = ternary_generation_check(a, b, t_bound=4)
+        gen_rep = ternary_generation_check(a, b)
         assert gen_rep.passed, (a, b)
         found = set(enumerate_kernel_binomials(a, b, 3))
         headline = {gens.h1, gens.h2, gens.h3, gens.implicit}

@@ -95,9 +95,11 @@ def is_reduced(members):
     return common.is_unit()
 
 
-def reference_sweep(spec, moves, t_bound, g):
+def reference_sweep(moves, t_bound, g):
     """(fibers checked, first failure image, its partition) over the reduced
-    fibers in increasing (T-degree, image) order, or (count, None, None)."""
+    fibers of `moves.spec` in increasing (T-degree, image) order, or
+    (count, None, None)."""
+    spec = moves.spec
     checked = 0
     for tau in range(t_bound + 1):
         images = {
@@ -217,8 +219,8 @@ def test_connected_under_moves_matches_bfs(case, rng):
 @given(cases)
 def test_generates_up_to_matches_reference_sweep(case):
     moves, t_bound, g = case
-    report = generates_up_to(moves.spec, moves, t_bound, g)
-    checked, image, parts = reference_sweep(moves.spec, moves, t_bound, g)
+    report = generates_up_to(moves, t_bound, g)
+    checked, image, parts = reference_sweep(moves, t_bound, g)
     assert report.fibers_checked == checked
     assert report.passed == (image is None)
     if image is not None:
@@ -480,10 +482,10 @@ def test_stacked_sweep_matches_the_per_level_reference(d, monkeypatch):
         moves = sigma_set(d, b).move_set()
         for drop in [None, *range(len(moves))]:
             sub = moves if drop is None else moves.without(drop)
-            expected = reference_generates_up_to(sub.spec, sub, d + 1, 3 * d)
+            expected = reference_generates_up_to(sub, d + 1, 3 * d)
             for budget in BUDGETS:
                 monkeypatch.setattr(toric, "_STACK_MEMBERS", budget)
-                assert generates_up_to(sub.spec, sub, d + 1, 3 * d) == expected, (b, drop, budget)
+                assert generates_up_to(sub, d + 1, 3 * d) == expected, (b, drop, budget)
 
 
 @st.composite
@@ -493,11 +495,11 @@ def multiplier_cases(draw):
     a = draw(st.integers(3, 6))
     b = draw(st.integers(1, (a - 1) // 2))
     gens = ternary_gens(a, b)
-    by_label = dict(gens.labelled(), implicit=gens.implicit)
+    by_label = dict(gens.labelled())
     claim = draw(st.sampled_from(colon_claims(a, b)))
     prefix = MoveSet(gens.spec(), tuple(by_label[p] for p in claim["prefix"]))
     rows = draw(st.lists(st.lists(st.integers(0, 2), min_size=7, max_size=7), max_size=40))
-    return prefix, by_label[claim["h"]], np.array(rows, dtype=np.int64).reshape(-1, 7), draw(st.sampled_from(BUDGETS))
+    return prefix, by_label[claim["name"]], np.array(rows, dtype=np.int64).reshape(-1, 7), draw(st.sampled_from(BUDGETS))
 
 
 @SETTINGS

@@ -5,7 +5,7 @@ from collections import Counter
 import pytest
 
 from reeslab import ternary
-from reeslab.core import InputError, Monomial, parse_binomial, poly_identity_check
+from reeslab.core import InputError, Monomial, Polynomial, parse_binomial, poly_identity_check
 from reeslab.ternary import (
     ColonClaimReport,
     ColonClaimsReport,
@@ -19,7 +19,14 @@ from reeslab.ternary import (
     ternary_length_profile,
     verify_colon_claims,
 )
-from reeslab.toric import MoveSet, binomial_in_binomial_ideal, bruteforce_min_gens, compositions, ternary_spec
+from reeslab.toric import (
+    KernelMismatch,
+    MoveSet,
+    binomial_in_binomial_ideal,
+    bruteforce_min_gens,
+    compositions,
+    ternary_spec,
+)
 from test_ideal_kernel import ref_colength, ref_colon, ref_product
 
 
@@ -97,6 +104,14 @@ def test_enumeration_recovers_generators():
         extras = found - {g.h1, g.h2, g.h3, g.implicit}
         for bi in extras:
             assert binomial_in_binomial_ideal(bi, l_moves), (a, b, str(bi))
+
+
+def test_enumeration_is_checked_against_the_map(monkeypatch):
+    # the enumerated binomials go through one MoveSet, whose kernel check
+    # survives python -O: under the map of another pair they are refused
+    monkeypatch.setattr(ternary, "ternary_spec", lambda a, b: ternary_spec(a + 1, b))
+    with pytest.raises(KernelMismatch):
+        enumerate_kernel_binomials(5, 2)
 
 
 def test_enumeration_types_at_5_2():
@@ -196,18 +211,54 @@ def test_reduction_number_is_two_for_all_pairs():
         assert red_uniform(3, a, b).red == 2, (a, b)
 
 
+def construction_polys(a, b):
+    """The ten generators as polynomials in the construction orientation,
+    typed out by hand: the reference for `ternary._oriented_polys`, which
+    derives them from `ternary_gens`."""
+    def m(gx=0, gy=0, gz=0, t=0, u=0, v=0, w=0):
+        return Monomial((gx, gy, gz), (t, u, v, w))
+
+    def poly(pos, neg):
+        return Polynomial(((1, pos), (-1, neg)))
+
+    e3 = 3 * b - a
+    polys = {
+        "f1": poly(m(gx=a, u=1), m(gy=a, t=1)),
+        "f2": poly(m(gx=a, v=1), m(gz=a, t=1)),
+        "f3": poly(m(gy=a, v=1), m(gz=a, u=1)),
+        "g1": poly(m(gx=a - b, w=1), m(gy=b, gz=b, t=1)),
+        "g2": poly(m(gy=a - b, w=1), m(gx=b, gz=b, u=1)),
+        "g3": poly(m(gz=a - b, w=1), m(gx=b, gy=b, v=1)),
+        "H1": poly(m(gx=a - 2 * b, gy=a - 2 * b, w=2), m(gz=2 * b, t=1, u=1)),
+        "H2": poly(m(gx=a - 2 * b, gz=a - 2 * b, w=2), m(gy=2 * b, t=1, v=1)),
+        "H3": poly(m(gy=a - 2 * b, gz=a - 2 * b, w=2), m(gx=2 * b, u=1, v=1)),
+    }
+    if e3 >= 0:
+        polys["E"] = poly(m(w=3), m(gx=e3, gy=e3, gz=e3, t=1, u=1, v=1))
+    else:
+        polys["E'"] = poly(m(gx=-e3, gy=-e3, gz=-e3, w=3), m(t=1, u=1, v=1))
+    return polys
+
+
+def test_certificate_polynomials_are_the_generators_in_construction_orientation():
+    # every pair with a <= 12: both regimes and the boundary a = 3b
+    pairs = [(a, b) for a in range(3, 13) for b in range(1, (a - 1) // 2 + 1)]
+    assert {ternary_gens(a, b).regime for a, b in pairs} == {"E", "E'"} and (6, 2) in pairs
+    for a, b in pairs:
+        assert ternary._oriented_polys(a, b) == construction_polys(a, b), (a, b)
+
+
 def reference_colon_claims(a, b, claims):
     """The colon checks with one congruence walk per multiplier: the route
     `verify_colon_claims` took before its memberships were batched."""
     gens = ternary_gens(a, b)
     by_label = dict(gens.labelled())
-    by_label["implicit"] = gens.implicit
     certs_ok = {}
     for step, _, lhs, rhs in certificate_identities(a, b):
         certs_ok[step] = certs_ok.get(step, True) and poly_identity_check(lhs, rhs)
     reports = []
     for claim in claims:
-        h = by_label[claim["h"]]
+        h = by_label[claim["name"]]
         prefix = MoveSet(gens.spec(), tuple(by_label[p] for p in claim["prefix"]))
         superset_ok = all(binomial_in_binomial_ideal(h.scale(m), prefix) for m in claim["colon"])
         violations, checked = [], 0

@@ -147,15 +147,26 @@ def test_mixed_ideal_cap():
 def test_generates_up_to_sigma_14_3():
     sigma = sigma_set(14, 3)
     moves = sigma.move_set()
-    report = generates_up_to(moves.spec, moves, 15, 42)
+    report = generates_up_to(moves, 15, 42)
     assert report.passed
+
+
+def test_a_sweep_reads_the_map_of_its_move_set():
+    # the moves of Sigma(7, 3) generate within these bounds under their own
+    # map; under the map of (11, 5) they are not kernel moves, and the only
+    # way to pair them with it, a MoveSet, refuses them
+    moves = sigma_set(7, 3).move_set()
+    report = generates_up_to(moves, 8, 21)
+    assert report.passed and report.fibers_checked == 729
+    with pytest.raises(KernelMismatch):
+        MoveSet(binary_spec(11, 5), moves.moves)
 
 
 def test_generates_failure_lands_at_removed_bidegree():
     sigma = sigma_set(14, 3)
     moves = sigma.move_set()
     dropped = moves.without(len(moves) - 1)  # drop t^3 u^11 - v^14
-    report = generates_up_to(moves.spec, dropped, 15, 42)
+    report = generates_up_to(dropped, 15, 42)
     assert not report.passed
     implicit = sigma.implicit_equation()
     assert report.first_failure.image == moves.spec.image_of(implicit.lead)
@@ -181,7 +192,7 @@ def test_oracle_consistency_on_random_kernel_binomials():
     sigma = sigma_set(7, 3)
     moves = sigma.move_set()
     spec = moves.spec
-    assert generates_up_to(spec, moves, 8, 21).passed
+    assert generates_up_to(moves, 8, 21).passed
     for _ in range(25):
         tau = rng.randint(2, 6)
         beta1 = rng.choice(list(compositions(tau, 3)))
@@ -251,7 +262,7 @@ def test_sweep_requires_coprime_moves():
     spec = binary_spec(2, 1)
     scaled = sigma_set(2, 1).binomials()[0].scale(Monomial((1, 0), (0, 0, 0)))
     with pytest.raises(ValueError):
-        generates_up_to(spec, MoveSet(spec, (scaled,)), 3, 6)
+        generates_up_to(MoveSet(spec, (scaled,)), 3, 6)
 
 
 def _reduced_fiber_cases():

@@ -11,12 +11,17 @@ and compare the outputs:
 
 The grid, each command in text and in JSON:
 
+- ``binary-gens d b`` for every b < d <= 12, gcd > 1 included;
 - ``binary-verify d b`` for every coprime d <= 12, plain and with each
   ``--drop`` index;
-- ``ternary a b --verify`` for every a <= 8;
+- ``ternary a b --verify`` for every a <= 8, and ``ternary a b --lengths``
+  for every a <= 6;
 - ``lengths d b`` for every d <= 15;
-- ``red --uniform n a b`` for n <= 4 and a <= 7;
-- ``sweep --binary-max-d 10 --ternary-max-a 5 --uniform``.
+- ``red --uniform n a b`` for n <= 4 and a <= 7, and ``red --a --b`` with
+  a decided reduction number, an undecided one and the
+  ``sum_b_over_a_below_1`` short cut;
+- ``sweep --binary-max-d 10 --ternary-max-a 5 --uniform``;
+- one refused input (exit 2) per command.
 """
 from __future__ import annotations
 
@@ -32,9 +37,20 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from reeslab import binary, cli  # noqa: E402
 
 
+REFUSED = (
+    ["binary-gens", "5", "5"],
+    ["binary-verify", "4", "2"],
+    ["ternary", "4", "2"],
+    ["lengths", "1001", "2"],
+    ["red", "--uniform", "1000", "5", "1"],
+    ["sweep", "--binary-max-d", "1"],
+)
+
+
 def commands():
     for d in range(2, 13):
         for b in range(1, d):
+            yield ["binary-gens", str(d), str(b)]
             if gcd(d, b) == 1:
                 yield ["binary-verify", str(d), str(b)]
                 for i in range(len(binary.sigma_set(d, b))):
@@ -42,6 +58,8 @@ def commands():
     for a in range(3, 9):
         for b in range(1, (a - 1) // 2 + 1):
             yield ["ternary", str(a), str(b), "--verify"]
+            if a <= 6:
+                yield ["ternary", str(a), str(b), "--lengths"]
     for d in range(2, 16):
         for b in range(1, d):
             yield ["lengths", str(d), str(b)]
@@ -49,7 +67,11 @@ def commands():
         for a in range(2, 8):
             for b in range(1, a):
                 yield ["red", "--uniform", str(n), str(a), str(b)]
+    yield ["red", "--a", "3,5,7", "--b", "1,2,2"]  # decided
+    yield ["red", "--a", "2,3,6", "--b", "1,1,1", "--r-cap", "4"]  # undecided
+    yield ["red", "--a", "4,4", "--b", "1,1"]  # sum of b_i / a_i below 1
     yield ["sweep", "--binary-max-d", "10", "--ternary-max-a", "5", "--uniform"]
+    yield from REFUSED
 
 
 def digest(argv: list[str]) -> str:
