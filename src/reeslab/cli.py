@@ -116,8 +116,11 @@ def cmd_binary_gens(args) -> Report:
         d_red, b_red = rp.a_reduced[0], rp.b_reduced[0]
         sigma = binary.sigma_set(d_red, b_red)
         gens = [binary.transport(bi, rp.delta) for bi in sigma.binomials()]
-        spec = toric.binary_spec(d, b)
-        kernel_ok = all(spec.in_kernel(bi) for bi in gens)
+        try:
+            toric.MoveSet(toric.binary_spec(d, b), tuple(gens))
+            kernel_ok = True
+        except toric.KernelMismatch:
+            kernel_ok = False
         results["reparametrized"] = {"d": d_red, "b": b_red, "delta": list(rp.delta)}
         results["generators"] = [bi.text() for bi in gens]
         results["count"] = len(gens)

@@ -15,7 +15,7 @@ from fiber_reference import reference_fiber
 from reeslab import binary, toric
 from reeslab.binary import IntegralityError, SylvesterError
 from reeslab.cli import Report, main
-from reeslab.core import EXPONENT_CAP, Monomial, parse_binomial
+from reeslab.core import EXPONENT_CAP, Binomial, Monomial, parse_binomial
 from reeslab.toric import KernelMismatch
 
 
@@ -60,6 +60,24 @@ def test_binary_gens_reparametrizes(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["results"]["reparametrized"] == {"d": 2, "b": 1, "delta": [2, 2]}
+    assert data["results"]["count"] == 3
+    assert data["results"]["kernel_ok"] and data["verdict"] == "pass"
+
+
+def test_binary_gens_reports_an_off_kernel_transport(capsys, monkeypatch):
+    # the transported generators are checked by one MoveSet; generators
+    # moved off the kernel read as kernel_ok false and verdict fail
+    transport = binary.transport
+    x = Monomial((1, 0), (0, 0, 0))
+
+    def skewed(binomial, delta):
+        moved = transport(binomial, delta)
+        return Binomial(moved.lead * x, moved.trail)
+
+    monkeypatch.setattr(binary, "transport", skewed)
+    code, out, _ = run_cli(capsys, "binary-gens", "4", "2", "--format", "json")
+    data = json.loads(out)
+    assert (code, data["results"]["kernel_ok"], data["verdict"]) == (1, False, "fail")
     assert data["results"]["count"] == 3
 
 

@@ -2,7 +2,10 @@
 
 from collections import Counter
 
+import numpy as np
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 from reeslab import ternary
 from reeslab.core import InputError, Monomial, Polynomial, parse_binomial, poly_identity_check
@@ -277,10 +280,15 @@ def reference_colon_claims(a, b, claims):
 
 
 def weakened_claims(drop):
-    """`colon_claims` with the claimed colon generator `drop` removed from
-    every claim."""
+    """`colon_claims` with claimed colon generators removed: the generator
+    of index `drop` from every claim when `drop` is an int, else the
+    indices in `drop[c]` from claim c."""
     def claims(a, b):
-        return tuple(dict(c, colon=[g for i, g in enumerate(c["colon"]) if i != drop]) for c in colon_claims(a, b))
+        full = colon_claims(a, b)
+        drops = [{drop}] * len(full) if isinstance(drop, int) else drop
+        return tuple(
+            dict(c, colon=[g for i, g in enumerate(c["colon"]) if i not in out]) for c, out in zip(full, drops)
+        )
 
     return claims
 
@@ -288,6 +296,62 @@ def weakened_claims(drop):
 @pytest.mark.parametrize("a, b", [(3, 1), (5, 2), (6, 1)])
 def test_colon_claims_match_the_walk_reference(a, b):
     assert verify_colon_claims(a, b) == reference_colon_claims(a, b, colon_claims(a, b))
+
+
+# no shrink phase: each example runs the walk reference, so shrinking a
+# failure takes minutes, while an unshrunk example is already small
+@settings(max_examples=20, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate])
+@given(
+    pair=st.sampled_from([(a, b) for a, b in ALL_PAIRS if a <= 6]),
+    drop=st.tuples(*[st.sets(st.integers(0, 2), min_size=1)] * 3, st.sets(st.integers(0, 5), min_size=1)),
+)
+def test_claims_missing_generators_match_the_walk_reference(pair, drop):
+    # the converse is decided on the degree-a multipliers; with any claimed
+    # generators dropped, all of them included, it still reports every
+    # violation the walk over all degrees <= a finds, in the walk's order
+    a, b = pair
+    claims = weakened_claims(drop)
+    expected = reference_colon_claims(a, b, claims(a, b))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ternary, "colon_claims", claims)
+        assert verify_colon_claims(a, b) == expected
+
+
+def test_a_claimed_generator_with_a_rees_part_is_refused(monkeypatch):
+    # the degree-a rule needs claimed generators without a Rees part
+    def claims(a, b):
+        first, *rest = colon_claims(a, b)
+        return (dict(first, colon=first["colon"][:2] + [first["colon"][2] * Monomial((0, 0, 0), (1, 0, 0, 0))]), *rest)
+
+    monkeypatch.setattr(ternary, "colon_claims", claims)
+    with pytest.raises(ValueError, match="Rees part"):
+        verify_colon_claims(5, 2)
+
+
+@pytest.mark.parametrize("a, b", [(5, 2), (6, 1)])
+def test_passing_claims_test_only_the_degree_a_multipliers(monkeypatch, a, b):
+    # one block per claim: the claimed generators, then the multipliers of
+    # total degree exactly a outside the claimed colon, in walk order
+    calls = []
+    batched = ternary.binomials_in_binomial_ideal
+
+    def spy(leads, trails, moves):
+        calls.append(leads)
+        return batched(leads, trails, moves)
+
+    monkeypatch.setattr(ternary, "binomials_in_binomial_ideal", spy)
+    assert verify_colon_claims(a, b).ok
+    by_label = dict(ternary_gens(a, b).labelled())
+    claims = colon_claims(a, b)
+    assert len(calls) == len(claims)
+    for claim, leads in zip(claims, calls):
+        h = by_label[claim["name"]]
+        rows = [tuple(r) for r in (leads - np.array(h.lead.ground + h.lead.rees)).tolist()]
+        top = [
+            split for split in compositions(a, 7)
+            if not any(g.divides(Monomial(split[:3], split[3:])) for g in claim["colon"])
+        ]
+        assert rows == [g.ground + g.rees for g in claim["colon"]] + top
 
 
 @pytest.mark.parametrize("a, b, counts", [(5, 2, [111, 77, 259, 21]), (7, 3, None)])

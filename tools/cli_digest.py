@@ -14,7 +14,7 @@ The grid, each command in text and in JSON:
 - ``binary-gens d b`` for every b < d <= 12, gcd > 1 included;
 - ``binary-verify d b`` for every coprime d <= 12, plain and with each
   ``--drop`` index;
-- ``ternary a b --verify`` for every a <= 8, and ``ternary a b --lengths``
+- ``ternary a b --verify`` for every a <= 10, and ``ternary a b --lengths``
   for every a <= 6;
 - ``lengths d b`` for every d <= 15;
 - ``red --uniform n a b`` for n <= 4 and a <= 7, and ``red --a --b`` with
@@ -55,7 +55,7 @@ def commands():
                 yield ["binary-verify", str(d), str(b)]
                 for i in range(len(binary.sigma_set(d, b))):
                     yield ["binary-verify", str(d), str(b), "--drop", str(i)]
-    for a in range(3, 9):
+    for a in range(3, 11):
         for b in range(1, (a - 1) // 2 + 1):
             yield ["ternary", str(a), str(b), "--verify"]
             if a <= 6:
