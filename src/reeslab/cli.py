@@ -205,13 +205,13 @@ def cmd_red(args) -> Report:
         n, a, b = args.uniform
         params = {"uniform": [n, a, b]}
         u = reduction.red_uniform(n, a, b)
+        spec = AciSpec((a,) * n, (b,) * n)
         results = {"kind": u.kind, "red": u.red}
         if u.kind == "binomial":
             results["q_generators"] = list(u.q_generators)
-            results["j_undecided"] = reduction.is_monomial_reduction(
-                AciSpec((a,) * n, (b,) * n)).undecided
+            results["j_undecided"] = reduction.is_monomial_reduction(spec, args.r_cap).undecided
         else:
-            search = reduction.red_search_general(AciSpec((a,) * n, (b,) * n), args.r_cap)
+            search = reduction.red_search_general(spec, args.r_cap)
             results["search_red"] = search.r
             results["witness"] = list(search.witness) if search.witness else None
         return Report("red", params, results, "report")

@@ -56,6 +56,11 @@ def formula_minima(d: int, b: int, ell: int) -> dict:
     -v), and otherwise in the sign-change sector (m' the least positive v,
     n' the least -v).  A zero v raises ProfileError.  No ideal arithmetic
     is involved.
+
+    On every (d, b, l) with d <= 40 the sign-change sector is non-empty,
+    m = m' wherever m exists and n = n' wherever n does
+    (`test_sector_minima_coincide`), so `test_selection_rule_agrees_with_minima`
+    cannot tell the selection rule of `st_formula` from (m', n') alone.
     """
     _check_params(d, b, ell)
     m = mp = np_ = n = None

@@ -14,9 +14,9 @@ colon claims name their generator by its label.
 """
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -311,31 +311,28 @@ class ColonClaimsReport:
         return all(c.ok for c in self.claims)
 
 
-_BLOCK_ROWS = 1 << 16  # multipliers per batched membership call; a <= 12 takes one block
+_BLOCK_ROWS = 1 << 16  # most rows per batched membership call; for a <= 12 a passing claim takes one
 
 
-def _multiplier_blocks(degree: int) -> Iterator[np.ndarray]:
-    """Exponent vectors of all (3, 4)-ambient monomials of total degree <=
-    degree, by total degree, then in `compositions` order, as arrays of at
-    most _BLOCK_ROWS rows."""
-    rows = itertools.chain.from_iterable(compositions(total, 7) for total in range(degree + 1))
-    while True:
-        flat = itertools.chain.from_iterable(itertools.islice(rows, _BLOCK_ROWS))
-        block = np.fromiter(flat, dtype=np.int64).reshape(-1, 7)
-        if not len(block):
-            return
-        yield block
-
-
-def _outside_members(a: int, binomial: np.ndarray, prefix: MoveSet, colon: np.ndarray) -> list[list[int]]:
-    """Every multiplier m of total degree <= a outside the ideal of `colon`
-    with m * binomial in the ideal of `prefix`, in `_multiplier_blocks` order."""
-    lead, trail = binomial
-    found = []
-    for block in _multiplier_blocks(a):
-        rows = block[~divisibility_mask(block, colon).any(axis=1)]
-        found += rows[binomials_in_binomial_ideal(rows + lead, rows + trail, prefix)].tolist()
-    return found
+def _multiplier_blocks(head: np.ndarray, ground: np.ndarray, degrees: Sequence[int]) -> Iterator[np.ndarray]:
+    """The rows of `head`, then for each total degree in `degrees` every
+    `ground` row of at most that degree, in order, times each Rees tail
+    completing the degree, in `compositions` order: arrays of at most
+    _BLOCK_ROWS rows of 7 exponents."""
+    tails = [np.array(list(compositions(k, 4)), dtype=np.int64) for k in range(max(degrees) + 1)]
+    pending, size = [head], len(head)
+    for degree in degrees:
+        for g in ground[ground.sum(axis=1) <= degree]:
+            tail = tails[degree - int(g.sum())]
+            pending.append(np.hstack((np.broadcast_to(g, (len(tail), 3)), tail)))
+            size += len(tail)
+            if size >= _BLOCK_ROWS:
+                rows = np.concatenate(pending)
+                cut = size - size % _BLOCK_ROWS
+                pending, size = [rows[cut:].copy()], size - cut  # a copy, so `rows` goes with its blocks
+                yield from np.split(rows[:cut], cut // _BLOCK_ROWS)
+    if size:
+        yield np.concatenate(pending)
 
 
 def verify_colon_claims(a: int, b: int) -> ColonClaimsReport:
@@ -343,61 +340,51 @@ def verify_colon_claims(a: int, b: int) -> ColonClaimsReport:
     each claimed generator, and the bounded-degree converse (monomials of
     total degree <= a outside the claimed colon never multiply H into the
     prefix).  The memberships go through `binomials_in_binomial_ideal`,
-    one call per claim and block of multipliers, which decides them by
-    fiber components.
+    which decides them by fiber components, in `_multiplier_blocks`, the
+    claimed generators heading the first.
 
-    The converse is decided on the outside multipliers of total degree
-    exactly a.  The claimed generators have no Rees part, so an outside m
-    of lower degree stays outside when multiplied by t: it divides the
-    outside multiplier m * t^(a - deg m), which multiplies H into the
-    prefix whenever m does.  Only when a degree-a multiplier is a member
-    are all outside multipliers tested, so that `subset_violations` lists
-    every violation.  `subset_checked` counts the outside multipliers the
-    verdict covers, of every degree <= a."""
+    The claimed generators are ground monomials, so the outside
+    multipliers are the ground monomials g of degree <= a outside the
+    claimed colon (its staircase) times every Rees monomial of degree
+    <= a - |g|: `subset_checked` is the sum of C(a - |g| + 4, 4).  The
+    converse is decided on the outside multipliers of total degree exactly
+    a: an outside m of lower degree divides the outside multiplier
+    m * t^(a - deg m), which multiplies H into the prefix whenever m does.
+    Only when a degree-a multiplier is a member are all outside
+    multipliers tested, by total degree and then lexicographically, so
+    that `subset_violations` lists every violation in that order."""
     gens = ternary_gens(a, b)
     spec = gens.spec()
     by_label = dict(gens.labelled())
-    certs = certificate_identities(a, b)
     cert_ok_by_step: dict[str, bool] = {}
-    for step, _, lhs, rhs in certs:
-        ok = poly_identity_check(lhs, rhs)
-        cert_ok_by_step[step] = cert_ok_by_step.get(step, True) and ok
-
-    claims = colon_claims(a, b)
-    checks = [
-        (MoveSet(spec, (by_label[claim["name"]],)).array[0], MoveSet(spec, tuple(by_label[p] for p in claim["prefix"])),
-         np.array([g.ground + g.rees for g in claim["colon"]], dtype=np.int64).reshape(-1, 7))
-        for claim in claims
-    ]
-    for claim, (_, _, colon) in zip(claims, checks):
+    for step, _, lhs, rhs in certificate_identities(a, b):
+        cert_ok_by_step[step] = cert_ok_by_step.get(step, True) and poly_identity_check(lhs, rhs)
+    grid = np.array([(x, y, z) for x in range(a + 1) for y in range(a + 1 - x) for z in range(a + 1 - x - y)],
+                    dtype=np.int64)  # the ground monomials of degree <= a, lexicographically
+    reports = []
+    for claim in colon_claims(a, b):
+        lead, trail = MoveSet(spec, (by_label[claim["name"]],)).array[0]
+        prefix = MoveSet(spec, tuple(by_label[p] for p in claim["prefix"]))
+        colon = np.array([g.ground + g.rees for g in claim["colon"]], dtype=np.int64).reshape(-1, 7)
         if colon[:, 3:].any():
             raise ValueError(f"claimed colon generator of {claim['name']} has a Rees part; "
                              "the degree-a converse needs ground monomials only")
-    superset_ok = [True] * len(claims)
-    checked = [0] * len(claims)
-    refuted = [False] * len(claims)
-    for block_no, block in enumerate(_multiplier_blocks(a)):
-        top = block.sum(axis=1) == a
-        for c, ((lead, trail), prefix, colon) in enumerate(checks):
-            head = colon if block_no == 0 else colon[:0]  # the claimed generators, checked once
-            outside = ~divisibility_mask(block, colon).any(axis=1)
-            rows = np.concatenate((head, block[outside & top]))
-            member = binomials_in_binomial_ideal(rows + lead, rows + trail, prefix)
-            superset_ok[c] &= bool(member[:len(head)].all())
-            checked[c] += int(outside.sum())
-            refuted[c] |= bool(member[len(head):].any())
-    violations = [_outside_members(a, *check) if refuted[c] else [] for c, check in enumerate(checks)]
-    return ColonClaimsReport(a, b, tuple(
-        ColonClaimReport(
+        ground = grid[~divisibility_mask(grid, colon[:, :3]).any(axis=1)]
+        member = np.concatenate([binomials_in_binomial_ideal(rows + lead, rows + trail, prefix)
+                                 for rows in _multiplier_blocks(colon, ground, (a,))])
+        violations = []
+        if member[len(colon):].any():
+            for rows in _multiplier_blocks(colon[:0], ground, range(a + 1)):
+                violations += rows[binomials_in_binomial_ideal(rows + lead, rows + trail, prefix)].tolist()
+        reports.append(ColonClaimReport(
             claim["name"],
             cert_ok_by_step[claim["name"]],
-            superset_ok[c],
-            not violations[c],
-            checked[c],
-            tuple(Monomial(tuple(v[:3]), tuple(v[3:])).text() for v in violations[c]),
-        )
-        for c, claim in enumerate(claims)
-    ))
+            bool(member[:len(colon)].all()),
+            not violations,
+            sum(math.comb(a - d + 4, 4) for d in ground.sum(axis=1).tolist()),
+            tuple(Monomial(tuple(v[:3]), tuple(v[3:])).text() for v in violations),
+        ))
+    return ColonClaimsReport(a, b, tuple(reports))
 
 
 # -- generation --------------------------------------------------------------

@@ -215,6 +215,9 @@ def test_invalid_parameters_exit_2(capsys):
     assert main(["binary-gens", "3", "0"]) == 2
     assert main(["binary-verify", "4", "2"]) == 2  # gcd > 1
     assert main(["lengths", "4", "2"]) == 2
+    # one r_cap validator for both branches of red --uniform
+    assert main(["red", "--uniform", "3", "6", "2", "--r-cap", "-1"]) == 2  # monomial Q
+    assert main(["red", "--uniform", "3", "10", "2", "--r-cap", "-1"]) == 2  # binomial Q
     capsys.readouterr()
 
 

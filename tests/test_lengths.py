@@ -75,6 +75,20 @@ def test_selection_rule_agrees_with_minima():
             assert t == (mins["n"] if mins["n"] is not None else mins["n_prime"])
 
 
+def test_sector_minima_coincide():
+    # on all 6,311 (d, b, l) with d <= 40 the sign-change sector is never
+    # empty, and the positive and negative sectors, where non-empty, have
+    # the minima m' and n' of the sign-change one: the selection rule above
+    # agrees with (m', n') alone
+    triples = [(d, b, ell) for d, b in sweep_pairs(40) for ell in range(1, d)]
+    assert len(triples) == 6311
+    for d, b, ell in triples:
+        mins = formula_minima(d, b, ell)
+        assert mins["m_prime"] is not None and mins["n_prime"] is not None, (d, b, ell)
+        assert mins["m"] in (None, mins["m_prime"]), (d, b, ell)
+        assert mins["n"] in (None, mins["n_prime"]), (d, b, ell)
+
+
 def test_row_two_formula():
     for d, b in sweep_pairs(13):
         if 2 * b < d and d >= 3:

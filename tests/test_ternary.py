@@ -1,6 +1,7 @@
 """Ternary uniform generators, type classification, colon claims."""
 
 from collections import Counter
+from itertools import groupby
 
 import numpy as np
 import pytest
@@ -328,30 +329,53 @@ def test_a_claimed_generator_with_a_rees_part_is_refused(monkeypatch):
         verify_colon_claims(5, 2)
 
 
-@pytest.mark.parametrize("a, b", [(5, 2), (6, 1)])
-def test_passing_claims_test_only_the_degree_a_multipliers(monkeypatch, a, b):
-    # one block per claim: the claimed generators, then the multipliers of
-    # total degree exactly a outside the claimed colon, in walk order
+@pytest.mark.parametrize("a, b, block_rows", [
+    pytest.param(a, b, rows, id=f"{a}-{b}" + (f"-rows{rows}" if rows else ""))
+    for rows in (None, 7, 97) for a, b in [(5, 2), (6, 1)]
+])
+def test_passing_claims_test_only_the_degree_a_multipliers(monkeypatch, a, b, block_rows):
+    # the claimed generators, then the multipliers of total degree exactly
+    # a outside the claimed colon, in walk order, in calls of at most
+    # _BLOCK_ROWS rows: one call per claim at the default size
+    if block_rows is not None:
+        monkeypatch.setattr(ternary, "_BLOCK_ROWS", block_rows)
     calls = []
     batched = ternary.binomials_in_binomial_ideal
 
     def spy(leads, trails, moves):
-        calls.append(leads)
+        calls.append((moves, leads))
         return batched(leads, trails, moves)
 
     monkeypatch.setattr(ternary, "binomials_in_binomial_ideal", spy)
     assert verify_colon_claims(a, b).ok
+    assert all(len(leads) <= ternary._BLOCK_ROWS for _, leads in calls)
     by_label = dict(ternary_gens(a, b).labelled())
     claims = colon_claims(a, b)
-    assert len(calls) == len(claims)
-    for claim, leads in zip(claims, calls):
+    per_claim = [[leads for _, leads in group] for _, group in groupby(calls, key=lambda call: id(call[0]))]
+    assert len(per_claim) == len(claims)
+    if block_rows is None:
+        assert all(len(leads) == 1 for leads in per_claim)
+    for claim, leads in zip(claims, per_claim):
         h = by_label[claim["name"]]
-        rows = [tuple(r) for r in (leads - np.array(h.lead.ground + h.lead.rees)).tolist()]
+        rows = [tuple(r) for r in (np.concatenate(leads) - np.array(h.lead.ground + h.lead.rees)).tolist()]
         top = [
             split for split in compositions(a, 7)
             if not any(g.divides(Monomial(split[:3], split[3:])) for g in claim["colon"])
         ]
         assert rows == [g.ground + g.rees for g in claim["colon"]] + top
+
+
+@pytest.mark.parametrize("a, b", [(a, b) for a in range(3, 11) for b in range(1, (a - 1) // 2 + 1)])
+def test_subset_checked_counts_the_outside_multipliers(monkeypatch, a, b):
+    # count only: the closed form over the staircase against the 7-variable
+    # monomials of degree <= a that no claimed generator divides; the
+    # memberships are stubbed out, the walk-reference tests cover them
+    monkeypatch.setattr(ternary, "binomials_in_binomial_ideal", lambda leads, trails, moves: np.zeros(len(leads), bool))
+    rows = np.array([split for e in range(a + 1) for split in compositions(e, 7)])
+    for claim, report in zip(colon_claims(a, b), verify_colon_claims(a, b).claims):
+        colon = np.array([g.ground for g in claim["colon"]])
+        inside = (rows[:, None, :3] >= colon[None]).all(axis=2).any(axis=1)
+        assert report.subset_checked == int((~inside).sum()), (a, b, claim["name"])
 
 
 @pytest.mark.parametrize("a, b, counts", [(5, 2, [111, 77, 259, 21]), (7, 3, None)])
@@ -381,7 +405,7 @@ def test_colon_claims_are_the_same_in_small_blocks(monkeypatch):
 @pytest.mark.parametrize("block_rows", [7, 64])
 def test_colon_claims_over_many_blocks_match_one_block(monkeypatch, block_rows):
     # every a <= 5 fits in one block of the default size; these sizes split
-    # its multipliers over 2 to 114 batched calls per claim
+    # its degree-a multipliers over 1 to 40 batched calls per claim
     pairs = [(a, b) for a, b in PAIRS_TO_8 if a <= 5]
     expected = [verify_colon_claims(a, b) for a, b in pairs]
     monkeypatch.setattr(ternary, "_BLOCK_ROWS", block_rows)

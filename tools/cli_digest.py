@@ -16,6 +16,8 @@ The grid, each command in text and in JSON:
   ``--drop`` index;
 - ``ternary a b --verify`` for every a <= 10, and ``ternary a b --lengths``
   for every a <= 6;
+- ``ternary 18 5 --verify``, whose colon claims span more than one block
+  of batched memberships;
 - ``lengths d b`` for every d <= 15;
 - ``red --uniform n a b`` for n <= 4 and a <= 7, and ``red --a --b`` with
   a decided reduction number, an undecided one and the
@@ -60,6 +62,7 @@ def commands():
             yield ["ternary", str(a), str(b), "--verify"]
             if a <= 6:
                 yield ["ternary", str(a), str(b), "--lengths"]
+    yield ["ternary", "18", "5", "--verify"]
     for d in range(2, 16):
         for b in range(1, d):
             yield ["lengths", str(d), str(b)]
