@@ -20,6 +20,7 @@ import json
 import sys
 import time
 from dataclasses import dataclass
+from functools import cache
 from math import gcd
 from typing import Optional
 
@@ -355,7 +356,10 @@ def cmd_sweep(args) -> Report:
     return report
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on first use; ``main`` runs the
+    module's ``cmd_<command>`` as it stands at call time."""
     parser = argparse.ArgumentParser(
         prog="rees-lab",
         description="Sylvester-form generators of Rees ideals of monomial "
@@ -366,19 +370,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("binary-gens", help="generators of the binary Rees ideal")
     p.add_argument("d", type=int)
     p.add_argument("b", type=int)
-    p.set_defaults(func=cmd_binary_gens)
 
     p = sub.add_parser("binary-verify", help="generation + minimality via the fiber oracle")
     p.add_argument("d", type=int)
     p.add_argument("b", type=int)
     p.add_argument("--drop", type=int, default=None,
                    help="drop the generator at this index first and skip the removal probes (expect failure)")
-    p.set_defaults(func=cmd_binary_verify)
 
     p = sub.add_parser("lengths", help="length profile and Huckaba-Marley verdict")
     p.add_argument("d", type=int)
     p.add_argument("b", type=int)
-    p.set_defaults(func=cmd_lengths)
 
     p = sub.add_parser("red", help="reduction numbers")
     p.add_argument("--a", type=lambda s: [int(x) for x in s.split(",")], default=None,
@@ -387,21 +388,18 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated mixed-monomial exponents")
     p.add_argument("--uniform", type=int, nargs=3, metavar=("N", "A", "B"), default=None)
     p.add_argument("--r-cap", type=int, default=None)
-    p.set_defaults(func=cmd_red)
 
     p = sub.add_parser("ternary", help="ternary uniform generators and colon claims")
     p.add_argument("a", type=int)
     p.add_argument("b", type=int)
     p.add_argument("--verify", action="store_true", help="run colon claims + generation sweep")
     p.add_argument("--lengths", action="store_true", help="exploratory length rows")
-    p.set_defaults(func=cmd_ternary)
 
     p = sub.add_parser("sweep", help="batch invariant suites over parameter grids")
     p.add_argument("--binary-max-d", type=int, default=12)
     p.add_argument("--ternary-max-a", type=int, default=0)
     p.add_argument("--uniform", action="store_true", help="include the uniform reduction-number data grid")
     p.add_argument("--out", type=str, default=None)
-    p.set_defaults(func=cmd_sweep)
 
     for name, sp in sub.choices.items():
         formats = ("text", "json", "csv") if name == "sweep" else ("text", "json")
@@ -418,7 +416,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         parser.error("--format csv writes only to a file: add --out PATH")
     start = time.monotonic()
     try:
-        report = args.func(args)
+        report = globals()["cmd_" + args.command.replace("-", "_")](args)
         text = report.to_json() + "\n" if args.format == "json" else report.to_text()
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

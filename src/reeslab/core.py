@@ -75,7 +75,7 @@ def _check_exps(exps: Iterable[int]) -> None:
         if e < 0:
             raise ValueError(f"negative exponent {e}")
         if e > EXPONENT_CAP:
-            raise ValueError(f"exponent {e} exceeds cap {EXPONENT_CAP}")
+            raise InputError(f"exponent {e} exceeds cap {EXPONENT_CAP}")
 
 
 @dataclass(frozen=True)
@@ -401,7 +401,7 @@ def _check_rows(rows: np.ndarray) -> None:
     if rows.size and rows.max() > EXPONENT_CAP:
         flat = rows.ravel()
         e = flat[np.argmax(flat > EXPONENT_CAP)]
-        raise ValueError(f"exponent {e} exceeds cap {EXPONENT_CAP}")
+        raise InputError(f"exponent {e} exceeds cap {EXPONENT_CAP}")
 
 
 class MonomialIdeal:

@@ -1,5 +1,6 @@
 """CLI behaviour: golden output, exit codes, determinism, round-trip."""
 
+import argparse
 import contextlib
 import csv
 import io
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fiber_reference import reference_fiber
-from reeslab import binary, toric
+from reeslab import binary, cli, toric
 from reeslab.binary import IntegralityError, SylvesterError
 from reeslab.cli import Report, main
 from reeslab.core import EXPONENT_CAP, Binomial, Monomial, parse_binomial
@@ -403,3 +404,98 @@ def test_internal_error_exit_3(capsys, monkeypatch, module, name, exc):
     assert out == ""
     assert err.startswith("internal error:")
     assert f"{type(exc).__name__}: injected" in err
+
+
+@pytest.mark.parametrize("exps, code", [((EXPONENT_CAP + 1, 0), 2), ((-1, 0), 3)])
+def test_monomial_exponent_refusals_map_to_their_exit_codes(capsys, monkeypatch, exps, code):
+    # an exponent above the cap is the caller's (exit 2); a negative one
+    # can only come from a bug (exit 3)
+    monkeypatch.setattr(binary, "sigma_set", lambda d, b: Monomial(exps))
+    got, out, err = run_cli(capsys, "binary-verify", "7", "3")
+    assert (got, out) == (code, "")
+    assert ("internal error:" in err) == (code == 3)
+
+
+# -- one parser per process ----------------------------------------------------
+
+@pytest.fixture
+def fresh_parser():
+    # drop the parser of earlier tests before and after, so the test sees a
+    # first build and leaves no parser built under its patches behind
+    cli.build_parser.cache_clear()
+    yield
+    cli.build_parser.cache_clear()
+
+
+def test_main_builds_the_parser_at_most_once(capsys, monkeypatch, fresh_parser):
+    progs = []
+    init = argparse.ArgumentParser.__init__
+
+    def spy(self, *args, **kwargs):
+        progs.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+    main(["lengths", "7", "3"])
+    built = len(progs)  # the subcommand parsers pass through the spy too
+    for argv in (["red", "--uniform", "3", "7", "2", "--format", "json"],
+                 ["lengths", "4", "2"], ["binary-gens", "14", "3"]):
+        main(argv)
+    with pytest.raises(SystemExit):
+        main(["lengths", "7"])
+    main(["lengths", "7", "3"])
+    capsys.readouterr()
+    assert progs.count("rees-lab") == 1
+    assert len(progs) == built
+
+
+def test_main_uses_the_parser_that_build_parser_returns(capsys, monkeypatch):
+    parser = cli.build_parser()
+    assert cli.build_parser() is parser
+    seen = []
+    parse_args = parser.parse_args
+
+    def spy(argv=None):
+        seen.append(argv)
+        return parse_args(argv)
+
+    monkeypatch.setattr(parser, "parse_args", spy)
+    code, out, _ = run_cli(capsys, "lengths", "7", "3")
+    assert code == 0 and out
+    assert seen == [["lengths", "7", "3"]]
+
+
+def _outcome(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue()
+
+
+@pytest.mark.parametrize("argv, other", [
+    (["lengths", "7", "3"], ["red", "--uniform", "3", "7", "2", "--format", "json"]),
+    (["binary-verify", "7", "3", "--drop", "5", "--format", "json"], ["lengths", "9", "2"]),
+    (["red", "--a", "3,5,7", "--b", "1,2,2"], ["ternary", "5", "2", "--format", "json"]),
+    (["ternary", "5", "2", "--verify", "--format", "json"], ["binary-gens", "4", "2"]),
+])
+def test_a_command_reads_the_same_after_refusals_and_other_commands(argv, other, fresh_parser):
+    first = _outcome(argv)
+    assert _outcome(["lengths", "7"])[0] == 2  # a parser error
+    assert _outcome(["lengths", "4", "2"]) == (2, "")  # an InputError refusal
+    assert _outcome(other)[0] in (0, 1)
+    assert _outcome(argv) == first
+
+
+def test_main_runs_the_command_patched_after_the_parser_is_built(capsys, monkeypatch):
+    cli.build_parser()
+
+    def stub(args):
+        return Report("lengths", {"d": args.d, "b": args.b}, {"stub": True}, "fail")
+
+    monkeypatch.setattr(cli, "cmd_lengths", stub)
+    code, out, _ = run_cli(capsys, "lengths", "7", "3", "--format", "json")
+    assert code == 1
+    assert json.loads(out)["results"] == {"stub": True}

@@ -8,6 +8,7 @@ import pytest
 from reeslab.core import (
     EXPONENT_CAP,
     AmbientMismatch,
+    InputError,
     Binomial,
     InfiniteColength,
     Monomial,
@@ -45,15 +46,25 @@ def test_mono_divide():
 
 
 def test_exponent_guard():
-    with pytest.raises(ValueError):
+    # an exponent above the cap is the caller's parameter out of range
+    with pytest.raises(InputError, match=f"exponent 1000001 exceeds cap {EXPONENT_CAP}"):
         Monomial((10**6 + 1, 0))
-    with pytest.raises(ValueError):
-        Monomial((-1, 0))
+    with pytest.raises(InputError):
+        Monomial((0, 0), (0, EXPONENT_CAP + 1))
+    Monomial((EXPONENT_CAP, 0), (EXPONENT_CAP,))
+
+
+def test_negative_exponent_is_not_an_input_error():
+    # no parameter reaches a negative exponent, so one is a bug
+    for ground, rees in (((-1, 0), ()), ((0, 0), (0, -1))):
+        with pytest.raises(ValueError, match="negative exponent -1") as exc:
+            Monomial(ground, rees)
+        assert not isinstance(exc.value, InputError)
 
 
 def test_candidate_rows_above_the_cap_are_refused():
     # every candidate row is checked, not only the minimal ones
-    with pytest.raises(ValueError, match=f"exponent 1200000 exceeds cap {EXPONENT_CAP}"):
+    with pytest.raises(InputError, match=f"exponent 1200000 exceeds cap {EXPONENT_CAP}"):
         ideal("x^600000", nvars=1).power(2)
     # x^1000001*y^5*z^5 is over the cap but divisible by y*z
     a = MonomialIdeal([Monomial((600000, 0, 5)), Monomial((0, 1, 0))])

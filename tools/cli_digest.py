@@ -23,7 +23,10 @@ The grid, each command in text and in JSON:
   a decided reduction number, an undecided one and the
   ``sum_b_over_a_below_1`` short cut;
 - ``sweep --binary-max-d 10 --ternary-max-a 5 --uniform``;
-- one refused input (exit 2) per command.
+- one refused input (exit 2) per command;
+- between those sections, one argv the parser refuses (``SystemExit``,
+  whose code is printed as the exit), so that a parser reused after a
+  refusal must still give the next command the same report.
 """
 from __future__ import annotations
 
@@ -48,8 +51,19 @@ REFUSED = (
     ["sweep", "--binary-max-d", "1"],
 )
 
+PARSER_REFUSED = (
+    ["lengths", "7"],  # a missing argument
+    ["binary-verify", "7", "x"],  # not an integer
+    ["red"],  # neither --a and --b nor --uniform
+    ["ternary", "5", "2", "--bogus"],  # an unknown option
+    ["red", "--uniform", "3", "7"],  # too few values
+    ["sweep", "--out"],  # an option without its value
+    ["no-such-command", "1"],
+)
+
 
 def commands():
+    refused = iter(PARSER_REFUSED)
     for d in range(2, 13):
         for b in range(1, d):
             yield ["binary-gens", str(d), str(b)]
@@ -57,30 +71,40 @@ def commands():
                 yield ["binary-verify", str(d), str(b)]
                 for i in range(len(binary.sigma_set(d, b))):
                     yield ["binary-verify", str(d), str(b), "--drop", str(i)]
+    yield next(refused)
     for a in range(3, 11):
         for b in range(1, (a - 1) // 2 + 1):
             yield ["ternary", str(a), str(b), "--verify"]
             if a <= 6:
                 yield ["ternary", str(a), str(b), "--lengths"]
+    yield next(refused)
     yield ["ternary", "18", "5", "--verify"]
+    yield next(refused)
     for d in range(2, 16):
         for b in range(1, d):
             yield ["lengths", str(d), str(b)]
+    yield next(refused)
     for n in range(2, 5):
         for a in range(2, 8):
             for b in range(1, a):
                 yield ["red", "--uniform", str(n), str(a), str(b)]
+    yield next(refused)
     yield ["red", "--a", "3,5,7", "--b", "1,2,2"]  # decided
     yield ["red", "--a", "2,3,6", "--b", "1,1,1", "--r-cap", "4"]  # undecided
     yield ["red", "--a", "4,4", "--b", "1,1"]  # sum of b_i / a_i below 1
+    yield next(refused)
     yield ["sweep", "--binary-max-d", "10", "--ternary-max-a", "5", "--uniform"]
+    yield next(refused)
     yield from REFUSED
 
 
 def digest(argv: list[str]) -> str:
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        code = cli.main(argv)
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
     return f"{code} {hashlib.sha256(out.getvalue().encode()).hexdigest()} {' '.join(argv)}"
 
 
