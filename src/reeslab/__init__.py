@@ -7,11 +7,9 @@ from .core import (
     InputError,
     Monomial,
     MonomialIdeal,
-    Polynomial,
     ideal,
     parse_binomial,
     parse_monomial,
-    poly_identity_check,
 )
 from .toric import (
     Fiber,

@@ -158,9 +158,7 @@ def cmd_binary_verify(args) -> Report:
     removal = []
     minimal = None  # the removal probes run on the full set only
     if dropped is None:
-        for i, e in enumerate(sigma.entries):
-            redundant = toric.binomial_in_binomial_ideal(e.binomial, moves.without(i))
-            removal.append({"binomial": e.binomial.text(), "redundant": redundant})
+        removal = [{"binomial": mv.text(), "redundant": r} for mv, r in zip(moves, moves.redundant())]
         minimal = not any(p["redundant"] for p in removal)
     results = {
         "t_bound": t_bound,
@@ -356,6 +354,14 @@ def cmd_sweep(args) -> Report:
     return report
 
 
+def _int_list(text: str) -> list[int]:
+    """The value of ``red --a`` and ``--b``: comma-separated integers."""
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
+
+
 @cache
 def build_parser() -> argparse.ArgumentParser:
     """The one parser of this process, built on first use; ``main`` runs the
@@ -382,9 +388,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("b", type=int)
 
     p = sub.add_parser("red", help="reduction numbers")
-    p.add_argument("--a", type=lambda s: [int(x) for x in s.split(",")], default=None,
+    p.add_argument("--a", type=_int_list, default=None,
                    help="comma-separated pure-power exponents")
-    p.add_argument("--b", type=lambda s: [int(x) for x in s.split(",")], default=None,
+    p.add_argument("--b", type=_int_list, default=None,
                    help="comma-separated mixed-monomial exponents")
     p.add_argument("--uniform", type=int, nargs=3, metavar=("N", "A", "B"), default=None)
     p.add_argument("--r-cap", type=int, default=None)

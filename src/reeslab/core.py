@@ -1,5 +1,4 @@
-"""Exact arithmetic for monomials, binomials, sparse integer polynomials and
-monomial ideals.
+"""Exact arithmetic for monomials, binomials and monomial ideals.
 
 Everything lives in a bigraded polynomial ring with ``n`` ground variables
 (x, y, z, ... mapped to themselves) and ``m`` Rees variables (t, u, v, w,
@@ -248,92 +247,6 @@ def parse_binomial(text: str, n: int, m: int = 0) -> Binomial:
     if not sep:
         raise ValueError(f"not a binomial: {text!r}")
     return Binomial(parse_monomial(left, n, m), parse_monomial(right, n, m))
-
-
-class Polynomial:
-    """Sparse polynomial with integer coefficients, normalized on build.
-
-    Only what the certificate identities need: addition, subtraction,
-    monomial/scalar multiplication and normalized equality.
-    """
-
-    __slots__ = ("_terms", "_ambient")
-
-    def __init__(self, terms: Iterable[tuple[int, Monomial]] = (), ambient: tuple[int, int] | None = None):
-        acc: dict[Monomial, int] = {}
-        for coeff, mono in terms:
-            if ambient is None:
-                ambient = mono.ambient
-            elif mono.ambient != ambient:
-                raise AmbientMismatch(f"{mono.ambient} vs {ambient}")
-            c = acc.get(mono, 0) + coeff
-            if c:
-                acc[mono] = c
-            else:
-                acc.pop(mono, None)
-        self._terms = acc
-        self._ambient = ambient
-
-    @classmethod
-    def from_monomial(cls, m: Monomial, coeff: int = 1) -> "Polynomial":
-        return cls([(coeff, m)])
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def terms(self) -> list[tuple[int, Monomial]]:
-        return [(c, m) for m, c in sorted(self._terms.items(), key=lambda kv: kv[0].sort_key(), reverse=True)]
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        merged = list(self._terms_iter()) + list(other._terms_iter())
-        return Polynomial(merged, self._ambient or other._ambient)
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        merged = list(self._terms_iter()) + [(-c, m) for c, m in other._terms_iter()]
-        return Polynomial(merged, self._ambient or other._ambient)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return Polynomial([(c * other, m) for c, m in self._terms_iter()], self._ambient)
-        if isinstance(other, Monomial):
-            return Polynomial([(c, m * other) for c, m in self._terms_iter()], self._ambient)
-        if isinstance(other, Polynomial):
-            prods = [
-                (c1 * c2, m1 * m2)
-                for c1, m1 in self._terms_iter()
-                for c2, m2 in other._terms_iter()
-            ]
-            return Polynomial(prods, self._ambient or other._ambient)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def _terms_iter(self):
-        return ((c, m) for m, c in self._terms.items())
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return self._terms == other._terms
-
-    def __hash__(self):
-        return hash(frozenset(self._terms.items()))
-
-    def __str__(self) -> str:
-        if self.is_zero():
-            return "0"
-        out = []
-        for c, m in self.terms():
-            sign = "-" if c < 0 else ("+" if out else "")
-            mag = abs(c)
-            body = m.text() if mag == 1 and not m.is_unit() else (f"{mag}" if m.is_unit() else f"{mag}*{m.text()}")
-            out.append(f"{sign}{body}" if not out else f" {sign} {body}")
-        return "".join(out)
-
-
-def poly_identity_check(lhs: Polynomial, rhs: Polynomial) -> bool:
-    """True iff lhs - rhs normalizes to the zero polynomial."""
-    return (lhs - rhs).is_zero()
 
 
 def divisibility_mask(rows: np.ndarray, divisors: np.ndarray) -> np.ndarray:

@@ -4,13 +4,17 @@ The six syzygy binomials L, three Sylvester forms H1, H2, H3 on the pivots
 (x^b, y^b), (x^b, z^b), (y^b, z^b), and a final cube relation E (3b >= a)
 or E' (a > 3b) generate the Rees ideal.  The colon claims behind the
 mapping-cone argument are checked three ways: exact Cramer-style
-polynomial identities, oracle memberships for the claimed colon
-generators, and a bounded-degree scan showing nothing smaller multiplies in.
-The memberships of both checks are decided by fiber components.
+identities, each expanded on both sides and compared term by term, oracle
+memberships for the claimed colon generators, and a bounded-degree scan
+showing nothing smaller multiplies in.  The memberships of both checks are
+decided by fiber components.
 
 `ternary_gens` is the one source of the generators: the generation sweep,
 the memberships and the certificate identities all read its binomials, and
-colon claims name their generator by its label.
+colon claims name their generator by its label.  `_certificate_table` is
+the one source of the colon claims: each claimed colon generator is
+written once there, with its identity, and `colon_claims` reads the claims
+off it.
 """
 from __future__ import annotations
 
@@ -25,17 +29,15 @@ from .core import (
     Binomial,
     InputError,
     Monomial,
-    Polynomial,
     check_exponent_cap,
     divisibility_mask,
-    poly_identity_check,
 )
 from .binary import sylvester_det
 from .toric import (
     GenerationReport,
     MoveSet,
     ReesMapSpec,
-    binomial_in_binomial_ideal,
+    binomial_in_binomial_ideal,  # noqa: F401  (perfbench's tracer test reads ternary.binomial_in_binomial_ideal)
     binomials_in_binomial_ideal,
     compositions,
     generates_up_to,
@@ -183,106 +185,88 @@ def enumerate_kernel_binomials(a: int, b: int, delta_max: int = 3) -> tuple[Bino
 
 # -- colon claims ------------------------------------------------------------
 
-def _oriented_polys(a: int, b: int) -> dict[str, Polynomial]:
-    """The generators of `ternary_gens` as polynomials, by label, in the
-    construction orientation the certificate identities need (they are
+def _oriented(a: int, b: int) -> dict[str, tuple[Monomial, Monomial]]:
+    """The generators of `ternary_gens` as (pos, neg) pairs, by label, in
+    the construction orientation the certificate identities need (they are
     sign-sensitive): the positive side is the one whose Rees exponents,
     read w, v, u, t, are lexicographically larger.  The two sides of a
     kernel binomial share an image, so equal Rees parts would make them
     equal; no tie arises."""
-    polys = {}
-    for label, bin_ in ternary_gens(a, b).labelled():
-        pos, neg = sorted((bin_.lead, bin_.trail), key=lambda m: m.rees[::-1], reverse=True)
-        polys[label] = Polynomial(((1, pos), (-1, neg)))
-    return polys
+    return {
+        label: tuple(sorted((bin_.lead, bin_.trail), key=lambda m: m.rees[::-1], reverse=True))
+        for label, bin_ in ternary_gens(a, b).labelled()
+    }
 
 
-def certificate_identities(a: int, b: int) -> tuple[tuple[str, str, Polynomial, Polynomial], ...]:
-    """Every claimed colon generator paired with its exact identity in the
-    prefix ideal: (step, label, lhs, rhs) with lhs = generator * step."""
-    P = _oriented_polys(a, b)
-    f1, f3 = P["f1"], P["f3"]
-    g1, g2, g3 = P["g1"], P["g2"], P["g3"]
-    H1, H2, H3 = P["H1"], P["H2"], P["H3"]
-    ids = [
-        ("H1", "z^(a-b)*H1", H1 * _m(gz=a - b),
-         g3 * _m(gx=a - 2 * b, gy=a - 2 * b, w=1) + g1 * _m(gy=a - b, v=1) + f3 * _m(gz=b, t=1)),
-        ("H1", "x^b*H1", H1 * _m(gx=b),
-         g1 * _m(gy=a - 2 * b, w=1) + g2 * _m(gz=b, t=1)),
-        ("H1", "y^b*H1", H1 * _m(gy=b),
-         g1 * _m(gz=b, u=1) + g2 * _m(gx=a - 2 * b, w=1)),
-        ("H2", "y^(a-2b)*H2", H2 * _m(gy=a - 2 * b),
-         H1 * _m(gz=a - 2 * b) - f3 * _m(t=1)),
-        ("H2", "x^b*H2", H2 * _m(gx=b),
-         g1 * _m(gz=a - 2 * b, w=1) + g3 * _m(gy=b, t=1)),
-        ("H2", "z^b*H2", H2 * _m(gz=b),
-         g1 * _m(gy=b, v=1) + g3 * _m(gx=a - 2 * b, w=1)),
-        ("H3", "x^(a-2b)*H3", H3 * _m(gx=a - 2 * b),
-         H2 * _m(gy=a - 2 * b) - f1 * _m(v=1)),
-        ("H3", "y^b*H3", H3 * _m(gy=b),
-         g2 * _m(gz=a - 2 * b, w=1) + g3 * _m(gx=b, u=1)),
-        ("H3", "z^b*H3", H3 * _m(gz=b),
-         g2 * _m(gx=b, v=1) + g3 * _m(gy=a - 2 * b, w=1)),
-    ]
+def _certificate_table(a: int, b: int) -> tuple[tuple[str, str, Monomial, list[tuple[int, str, Monomial]]], ...]:
+    """Every claimed colon generator with its certificate, as (claim label,
+    text, multiplier, terms): multiplier * claim = sum of sign * generator
+    * monomial over the terms, all generators read in `_oriented`.  The
+    only place a claimed colon monomial is written; `colon_claims` reads
+    each claim's generators off its rows, in row order.
+
+    With c = a - 2b, p = max(a - 3b, 0) and q = max(3b - a, 0), the last
+    claim, E (3b >= a) or E' (a > 3b), has one set of rows for both
+    regimes: its single-variable multipliers have exponent s = 2b - q
+    (a - b or 2b) and its paired ones r = b - q (a - 2b or b)."""
+    c = a - 2 * b
     if 3 * b >= a:
-        E = P["E"]
-        e3 = 3 * b - a
-        ids += [
-            ("E", "x^(a-b)*E", E * _m(gx=a - b),
-             g1 * _m(w=2) + H3 * _m(gy=e3, gz=e3, t=1)),
-            ("E", "(yz)^(a-2b)*E", E * _m(gy=a - 2 * b, gz=a - 2 * b),
-             g1 * _m(gx=e3, u=1, v=1) + H3 * _m(w=1)),
-            ("E", "y^(a-b)*E", E * _m(gy=a - b),
-             g2 * _m(w=2) + H2 * _m(gx=e3, gz=e3, u=1)),
-            ("E", "(xz)^(a-2b)*E", E * _m(gx=a - 2 * b, gz=a - 2 * b),
-             g2 * _m(gy=e3, t=1, v=1) + H2 * _m(w=1)),
-            ("E", "z^(a-b)*E", E * _m(gz=a - b),
-             g3 * _m(w=2) + H1 * _m(gx=e3, gy=e3, v=1)),
-            ("E", "(xy)^(a-2b)*E", E * _m(gx=a - 2 * b, gy=a - 2 * b),
-             g3 * _m(gz=e3, t=1, u=1) + H1 * _m(w=1)),
-        ]
+        last, p, q, single, pair = "E", 0, 3 * b - a, "(a-b)", "(a-2b)"
     else:
-        Ep = P["E'"]
-        e3 = a - 3 * b
-        ids += [
-            ("E'", "x^(2b)*E'", Ep * _m(gx=2 * b),
-             g1 * _m(gy=e3, gz=e3, w=2) + H3 * _m(t=1)),
-            ("E'", "(yz)^b*E'", Ep * _m(gy=b, gz=b),
-             g1 * _m(u=1, v=1) + H3 * _m(gx=e3, w=1)),
-            ("E'", "y^(2b)*E'", Ep * _m(gy=2 * b),
-             g2 * _m(gx=e3, gz=e3, w=2) + H2 * _m(u=1)),
-            ("E'", "(xz)^b*E'", Ep * _m(gx=b, gz=b),
-             g2 * _m(t=1, v=1) + H2 * _m(gy=e3, w=1)),
-            ("E'", "z^(2b)*E'", Ep * _m(gz=2 * b),
-             g3 * _m(gx=e3, gy=e3, w=2) + H1 * _m(v=1)),
-            ("E'", "(xy)^b*E'", Ep * _m(gx=b, gy=b),
-             g3 * _m(t=1, u=1) + H1 * _m(gz=e3, w=1)),
-        ]
-    return tuple(ids)
+        last, p, q, single, pair = "E'", a - 3 * b, 0, "(2b)", "b"
+    s, r = 2 * b - q, b - q
+    return (
+        ("H1", "x^b", _m(gx=b), [(1, "g1", _m(gy=c, w=1)), (1, "g2", _m(gz=b, t=1))]),
+        ("H1", "y^b", _m(gy=b), [(1, "g1", _m(gz=b, u=1)), (1, "g2", _m(gx=c, w=1))]),
+        ("H1", "z^(a-b)", _m(gz=a - b),
+         [(1, "g3", _m(gx=c, gy=c, w=1)), (1, "g1", _m(gy=a - b, v=1)), (1, "f3", _m(gz=b, t=1))]),
+        ("H2", "x^b", _m(gx=b), [(1, "g1", _m(gz=c, w=1)), (1, "g3", _m(gy=b, t=1))]),
+        ("H2", "y^(a-2b)", _m(gy=c), [(1, "H1", _m(gz=c)), (-1, "f3", _m(t=1))]),
+        ("H2", "z^b", _m(gz=b), [(1, "g1", _m(gy=b, v=1)), (1, "g3", _m(gx=c, w=1))]),
+        ("H3", "x^(a-2b)", _m(gx=c), [(1, "H2", _m(gy=c)), (-1, "f1", _m(v=1))]),
+        ("H3", "y^b", _m(gy=b), [(1, "g2", _m(gz=c, w=1)), (1, "g3", _m(gx=b, u=1))]),
+        ("H3", "z^b", _m(gz=b), [(1, "g2", _m(gx=b, v=1)), (1, "g3", _m(gy=c, w=1))]),
+        (last, f"x^{single}", _m(gx=s), [(1, "g1", _m(gy=p, gz=p, w=2)), (1, "H3", _m(gy=q, gz=q, t=1))]),
+        (last, f"y^{single}", _m(gy=s), [(1, "g2", _m(gx=p, gz=p, w=2)), (1, "H2", _m(gx=q, gz=q, u=1))]),
+        (last, f"z^{single}", _m(gz=s), [(1, "g3", _m(gx=p, gy=p, w=2)), (1, "H1", _m(gx=q, gy=q, v=1))]),
+        (last, f"(xy)^{pair}", _m(gx=r, gy=r), [(1, "g3", _m(gz=q, t=1, u=1)), (1, "H1", _m(gz=p, w=1))]),
+        (last, f"(xz)^{pair}", _m(gx=r, gz=r), [(1, "g2", _m(gy=q, t=1, v=1)), (1, "H2", _m(gy=p, w=1))]),
+        (last, f"(yz)^{pair}", _m(gy=r, gz=r), [(1, "g1", _m(gx=q, u=1, v=1)), (1, "H3", _m(gx=p, w=1))]),
+    )
+
+
+def _expand(terms, oriented: dict[str, tuple[Monomial, Monomial]]) -> dict[Monomial, int]:
+    """sum of sign * (pos - neg) * monomial over `terms`, as a map from
+    monomial to nonzero coefficient."""
+    acc: dict[Monomial, int] = {}
+    for sign, label, mono in terms:
+        pos, neg = oriented[label]
+        for coeff, term in ((sign, pos * mono), (-sign, neg * mono)):
+            acc[term] = acc.get(term, 0) + coeff
+    return {term: coeff for term, coeff in acc.items() if coeff}
+
+
+def certificate_identities(a: int, b: int) -> tuple[tuple[str, str, dict[Monomial, int], dict[Monomial, int]], ...]:
+    """Every claimed colon generator paired with its exact identity in the
+    prefix ideal: (step, label, lhs, rhs) with lhs = generator * step, both
+    sides expanded by `_expand`; the identity holds iff lhs == rhs."""
+    oriented = _oriented(a, b)
+    return tuple(
+        (claim, f"{text}*{claim}", _expand([(1, claim, mult)], oriented), _expand(terms, oriented))
+        for claim, text, mult, terms in _certificate_table(a, b)
+    )
 
 
 def colon_claims(a: int, b: int) -> tuple[dict, ...]:
-    """The four colon steps of the construction: for each new generator,
-    named by its `ternary_gens` label, the labels of the prefix ideal it is
-    coloned against and the claimed colon ideal."""
-    _check_ab(a, b)
-    last_name = "E" if 3 * b >= a else "E'"
-    last_gens = (
-        [_m(gx=a - b), _m(gy=a - b), _m(gz=a - b),
-         _m(gx=a - 2 * b, gy=a - 2 * b), _m(gx=a - 2 * b, gz=a - 2 * b), _m(gy=a - 2 * b, gz=a - 2 * b)]
-        if 3 * b >= a
-        else [_m(gx=2 * b), _m(gy=2 * b), _m(gz=2 * b),
-              _m(gx=b, gy=b), _m(gx=b, gz=b), _m(gy=b, gz=b)]
-    )
-    return (
-        {"name": "H1", "prefix": ("f1", "f2", "f3", "g1", "g2", "g3"),
-         "colon": [_m(gx=b), _m(gy=b), _m(gz=a - b)]},
-        {"name": "H2", "prefix": ("f1", "f2", "f3", "g1", "g2", "g3", "H1"),
-         "colon": [_m(gx=b), _m(gy=a - 2 * b), _m(gz=b)]},
-        {"name": "H3", "prefix": ("f1", "f2", "f3", "g1", "g2", "g3", "H1", "H2"),
-         "colon": [_m(gx=a - 2 * b), _m(gy=b), _m(gz=b)]},
-        {"name": last_name, "prefix": ("f1", "f2", "f3", "g1", "g2", "g3", "H1", "H2", "H3"),
-         "colon": last_gens},
+    """The four colon steps of the construction: each generator after the
+    six syzygies, named by its `ternary_gens` label, with the labels before
+    it as the prefix ideal it is coloned against and the multipliers of its
+    `_certificate_table` rows as the claimed colon ideal."""
+    labels = [label for label, _ in ternary_gens(a, b).labelled()]
+    table = _certificate_table(a, b)
+    return tuple(
+        {"name": name, "prefix": tuple(labels[:i]), "colon": [mult for claim, _, mult, _ in table if claim == name]}
+        for i, name in enumerate(labels[6:], start=6)
     )
 
 
@@ -358,7 +342,7 @@ def verify_colon_claims(a: int, b: int) -> ColonClaimsReport:
     by_label = dict(gens.labelled())
     cert_ok_by_step: dict[str, bool] = {}
     for step, _, lhs, rhs in certificate_identities(a, b):
-        cert_ok_by_step[step] = cert_ok_by_step.get(step, True) and poly_identity_check(lhs, rhs)
+        cert_ok_by_step[step] = cert_ok_by_step.get(step, True) and lhs == rhs
     grid = np.array([(x, y, z) for x in range(a + 1) for y in range(a + 1 - x) for z in range(a + 1 - x - y)],
                     dtype=np.int64)  # the ground monomials of degree <= a, lexicographically
     reports = []
@@ -409,11 +393,8 @@ def ternary_generation_check(a: int, b: int) -> TernaryGenerationReport:
     gens = ternary_gens(a, b)
     moves = gens.move_set()
     report = generates_up_to(moves, 4, 3 * a)
-    redundant = []
-    for idx, (lbl, bin_) in enumerate(gens.labelled()):
-        if binomial_in_binomial_ideal(bin_, moves.without(idx)):
-            redundant.append(lbl)
-    return TernaryGenerationReport(a, b, report, tuple(redundant))
+    redundant = tuple(lbl for (lbl, _), r in zip(gens.labelled(), moves.redundant()) if r)
+    return TernaryGenerationReport(a, b, report, redundant)
 
 
 # -- exploratory lengths -----------------------------------------------------

@@ -185,6 +185,11 @@ class MoveSet:
     def without(self, index: int) -> "MoveSet":
         return MoveSet(self.spec, self.moves[:index] + self.moves[index + 1:])
 
+    def redundant(self) -> list[bool]:
+        """The removal probes: for each move, whether the other moves
+        generate it, decided by `binomial_in_binomial_ideal`."""
+        return [binomial_in_binomial_ideal(move, self.without(i)) for i, move in enumerate(self.moves)]
+
 
 # -- congruence walking -----------------------------------------------------
 

@@ -211,6 +211,21 @@ def test_usage_error_exit_2(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["red", "--a", "1,x", "--b", "1,1"],
+    ["red", "--a", "3,3", "--b", "1;1"],
+    ["red", "--a", "", "--b", "1,1"],
+])
+def test_a_malformed_red_list_names_the_expected_format(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert "expected comma-separated integers" in captured.err
+    assert "<lambda>" not in captured.err
+
+
 def test_invalid_parameters_exit_2(capsys):
     assert main(["binary-gens", "3", "5"]) == 2  # b > d
     assert main(["binary-gens", "3", "0"]) == 2

@@ -1,4 +1,4 @@
-"""Core arithmetic: monomials, binomials, polynomials, monomial ideals."""
+"""Core arithmetic: monomials, binomials, monomial ideals."""
 
 import itertools
 import random
@@ -13,12 +13,10 @@ from reeslab.core import (
     InfiniteColength,
     Monomial,
     MonomialIdeal,
-    Polynomial,
     ground_monomial,
     ideal,
     parse_binomial,
     parse_monomial,
-    poly_identity_check,
 )
 
 
@@ -209,41 +207,6 @@ def test_monomial_text_format():
     assert Monomial((1, 2), (0, 1, 0)).text() == "x*y^2*u"
     b = parse_binomial("y^11*t - x^11*v", 2, 3)
     assert b.text() == "y^11*t - x^11*v"
-
-
-def test_poly_identity_h1_colon_certificate():
-    # z^(a-b) H1 = (xy)^(a-2b) w g3 + y^(a-b) v g1 + z^b t f3 at a=5, b=2
-    a, b = 5, 2
-
-    def m3(gx=0, gy=0, gz=0, t=0, u=0, v=0, w=0):
-        return Monomial((gx, gy, gz), (t, u, v, w))
-
-    h1 = Polynomial([(1, m3(gx=a - 2 * b, gy=a - 2 * b, w=2)), (-1, m3(gz=2 * b, t=1, u=1))])
-    g1 = Polynomial([(1, m3(gx=a - b, w=1)), (-1, m3(gy=b, gz=b, t=1))])
-    g3 = Polynomial([(1, m3(gz=a - b, w=1)), (-1, m3(gx=b, gy=b, v=1))])
-    f3 = Polynomial([(1, m3(gy=a, v=1)), (-1, m3(gz=a, u=1))])
-    lhs = h1 * m3(gz=a - b)
-    rhs = g3 * m3(gx=a - 2 * b, gy=a - 2 * b, w=1) + g1 * m3(gy=a - b, v=1) + f3 * m3(gz=b, t=1)
-    assert poly_identity_check(lhs, rhs)
-
-    # y^(a-2b) H2 = z^(a-2b) H1 - t f3
-    h2 = Polynomial([(1, m3(gx=a - 2 * b, gz=a - 2 * b, w=2)), (-1, m3(gy=2 * b, t=1, v=1))])
-    lhs2 = h2 * m3(gy=a - 2 * b)
-    rhs2 = h1 * m3(gz=a - 2 * b) - f3 * m3(t=1)
-    assert poly_identity_check(lhs2, rhs2)
-
-    # reflexivity
-    assert poly_identity_check(lhs, lhs)
-    assert not poly_identity_check(lhs, rhs + g1)
-
-
-def test_polynomial_arithmetic():
-    x = Polynomial.from_monomial(m2(1, 0))
-    y = Polynomial.from_monomial(m2(0, 1))
-    assert (x + y) - y == x
-    assert (x - x).is_zero()
-    assert x * 0 == Polynomial([], ambient=(2, 0))
-    assert (x + y) * (x - y) == x * x - y * y
 
 
 def test_minimalization_is_eager_and_sorted():

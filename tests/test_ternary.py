@@ -8,8 +8,8 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from reeslab import ternary
-from reeslab.core import InputError, Monomial, Polynomial, parse_binomial, poly_identity_check
+from reeslab import cli, ternary
+from reeslab.core import InputError, Monomial, parse_binomial, parse_monomial
 from reeslab.ternary import (
     ColonClaimReport,
     ColonClaimsReport,
@@ -141,7 +141,39 @@ def test_delta_four_diagnostic():
 def test_certificates_all_pairs():
     for a, b in ALL_PAIRS:
         for step, label, lhs, rhs in certificate_identities(a, b):
-            assert poly_identity_check(lhs, rhs), (a, b, step, label)
+            assert lhs == rhs, (a, b, step, label)
+
+
+def test_certificate_expansion_of_z_times_h1():
+    # z^(a-b) H1 = (xy)^(a-2b) w g3 + y^(a-b) v g1 + z^b t f3 at (5, 2),
+    # both sides expanded by hand: H1 = x*y*w^2 - z^4*t*u and the inner
+    # terms x^3*y^3*v*w and y^5*z^2*t*v cancel on the right
+    identities = {label: (lhs, rhs) for _, label, lhs, rhs in certificate_identities(5, 2)}
+    expected = {parse_monomial("x*y*z^3*w^2", 3, 4): 1, parse_monomial("z^7*t*u", 3, 4): -1}
+    assert identities["z^(a-b)*H1"] == (expected, expected)
+
+
+def test_a_false_certificate_is_refused(monkeypatch, capsys):
+    # flip the sign of t*f3 in y^(a-2b) H2 = z^(a-2b) H1 - t f3: H2's
+    # certificate no longer holds, its claimed colon is unchanged, and the
+    # verdict fails
+    table = ternary._certificate_table
+
+    def flipped(a, b):
+        rows = list(table(a, b))
+        i = next(i for i, row in enumerate(rows) if row[:2] == ("H2", "y^(a-2b)"))
+        claim, text, mult, terms = rows[i]
+        rows[i] = (claim, text, mult, [(-sign if label == "f3" else sign, label, m) for sign, label, m in terms])
+        return tuple(rows)
+
+    claims = colon_claims(5, 2)
+    monkeypatch.setattr(ternary, "_certificate_table", flipped)
+    assert colon_claims(5, 2) == claims
+    report = verify_colon_claims(5, 2)
+    assert [c.certificates_ok for c in report.claims] == [True, False, True, True]
+    assert not report.ok
+    assert cli.main(["ternary", "5", "2", "--verify"]) == 1
+    capsys.readouterr()
 
 
 def test_colon_claims_small():
@@ -216,40 +248,72 @@ def test_reduction_number_is_two_for_all_pairs():
 
 
 def construction_polys(a, b):
-    """The ten generators as polynomials in the construction orientation,
-    typed out by hand: the reference for `ternary._oriented_polys`, which
-    derives them from `ternary_gens`."""
+    """The ten generators as (pos, neg) pairs, the polynomial pos - neg in
+    the construction orientation, typed out by hand: the reference for
+    `ternary._oriented`, which derives them from `ternary_gens`."""
     def m(gx=0, gy=0, gz=0, t=0, u=0, v=0, w=0):
         return Monomial((gx, gy, gz), (t, u, v, w))
 
-    def poly(pos, neg):
-        return Polynomial(((1, pos), (-1, neg)))
-
     e3 = 3 * b - a
     polys = {
-        "f1": poly(m(gx=a, u=1), m(gy=a, t=1)),
-        "f2": poly(m(gx=a, v=1), m(gz=a, t=1)),
-        "f3": poly(m(gy=a, v=1), m(gz=a, u=1)),
-        "g1": poly(m(gx=a - b, w=1), m(gy=b, gz=b, t=1)),
-        "g2": poly(m(gy=a - b, w=1), m(gx=b, gz=b, u=1)),
-        "g3": poly(m(gz=a - b, w=1), m(gx=b, gy=b, v=1)),
-        "H1": poly(m(gx=a - 2 * b, gy=a - 2 * b, w=2), m(gz=2 * b, t=1, u=1)),
-        "H2": poly(m(gx=a - 2 * b, gz=a - 2 * b, w=2), m(gy=2 * b, t=1, v=1)),
-        "H3": poly(m(gy=a - 2 * b, gz=a - 2 * b, w=2), m(gx=2 * b, u=1, v=1)),
+        "f1": (m(gx=a, u=1), m(gy=a, t=1)),
+        "f2": (m(gx=a, v=1), m(gz=a, t=1)),
+        "f3": (m(gy=a, v=1), m(gz=a, u=1)),
+        "g1": (m(gx=a - b, w=1), m(gy=b, gz=b, t=1)),
+        "g2": (m(gy=a - b, w=1), m(gx=b, gz=b, u=1)),
+        "g3": (m(gz=a - b, w=1), m(gx=b, gy=b, v=1)),
+        "H1": (m(gx=a - 2 * b, gy=a - 2 * b, w=2), m(gz=2 * b, t=1, u=1)),
+        "H2": (m(gx=a - 2 * b, gz=a - 2 * b, w=2), m(gy=2 * b, t=1, v=1)),
+        "H3": (m(gy=a - 2 * b, gz=a - 2 * b, w=2), m(gx=2 * b, u=1, v=1)),
     }
     if e3 >= 0:
-        polys["E"] = poly(m(w=3), m(gx=e3, gy=e3, gz=e3, t=1, u=1, v=1))
+        polys["E"] = (m(w=3), m(gx=e3, gy=e3, gz=e3, t=1, u=1, v=1))
     else:
-        polys["E'"] = poly(m(gx=-e3, gy=-e3, gz=-e3, w=3), m(t=1, u=1, v=1))
+        polys["E'"] = (m(gx=-e3, gy=-e3, gz=-e3, w=3), m(t=1, u=1, v=1))
     return polys
+
+
+PAIRS_TO_12 = [(a, b) for a in range(3, 13) for b in range(1, (a - 1) // 2 + 1)]
 
 
 def test_certificate_polynomials_are_the_generators_in_construction_orientation():
     # every pair with a <= 12: both regimes and the boundary a = 3b
-    pairs = [(a, b) for a in range(3, 13) for b in range(1, (a - 1) // 2 + 1)]
-    assert {ternary_gens(a, b).regime for a, b in pairs} == {"E", "E'"} and (6, 2) in pairs
-    for a, b in pairs:
-        assert ternary._oriented_polys(a, b) == construction_polys(a, b), (a, b)
+    assert {ternary_gens(a, b).regime for a, b in PAIRS_TO_12} == {"E", "E'"} and (6, 2) in PAIRS_TO_12
+    for a, b in PAIRS_TO_12:
+        assert ternary._oriented(a, b) == construction_polys(a, b), (a, b)
+
+
+def hand_written_colon_claims(a, b):
+    """The colon claims as they were typed out before `colon_claims` read
+    them off the certificate table: the reference for their names,
+    prefixes and generators, in order (`weakened_claims` drops generators
+    by position)."""
+    def m(gx=0, gy=0, gz=0):
+        return Monomial((gx, gy, gz), (0, 0, 0, 0))
+
+    last_name = "E" if 3 * b >= a else "E'"
+    last_gens = (
+        [m(gx=a - b), m(gy=a - b), m(gz=a - b),
+         m(gx=a - 2 * b, gy=a - 2 * b), m(gx=a - 2 * b, gz=a - 2 * b), m(gy=a - 2 * b, gz=a - 2 * b)]
+        if 3 * b >= a
+        else [m(gx=2 * b), m(gy=2 * b), m(gz=2 * b), m(gx=b, gy=b), m(gx=b, gz=b), m(gy=b, gz=b)]
+    )
+    return (
+        {"name": "H1", "prefix": ("f1", "f2", "f3", "g1", "g2", "g3"),
+         "colon": [m(gx=b), m(gy=b), m(gz=a - b)]},
+        {"name": "H2", "prefix": ("f1", "f2", "f3", "g1", "g2", "g3", "H1"),
+         "colon": [m(gx=b), m(gy=a - 2 * b), m(gz=b)]},
+        {"name": "H3", "prefix": ("f1", "f2", "f3", "g1", "g2", "g3", "H1", "H2"),
+         "colon": [m(gx=a - 2 * b), m(gy=b), m(gz=b)]},
+        {"name": last_name, "prefix": ("f1", "f2", "f3", "g1", "g2", "g3", "H1", "H2", "H3"),
+         "colon": last_gens},
+    )
+
+
+def test_colon_claims_are_read_off_the_certificate_table():
+    for a, b in PAIRS_TO_12:
+        assert colon_claims(a, b) == hand_written_colon_claims(a, b), (a, b)
+        assert len(ternary._certificate_table(a, b)) == 15
 
 
 def reference_colon_claims(a, b, claims):
@@ -259,7 +323,7 @@ def reference_colon_claims(a, b, claims):
     by_label = dict(gens.labelled())
     certs_ok = {}
     for step, _, lhs, rhs in certificate_identities(a, b):
-        certs_ok[step] = certs_ok.get(step, True) and poly_identity_check(lhs, rhs)
+        certs_ok[step] = certs_ok.get(step, True) and lhs == rhs
     reports = []
     for claim in claims:
         h = by_label[claim["name"]]

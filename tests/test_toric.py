@@ -106,6 +106,13 @@ def test_binomial_membership_f2_regression():
     assert binomial_in_binomial_ideal(pivot_y, f_and_g)
 
 
+def test_removal_probes_flag_a_redundant_move_and_nothing_else():
+    moves = sigma_set(7, 3).move_set()
+    assert moves.redundant() == [False] * len(moves)
+    extra = moves.moves[0].scale(parse_monomial("x", 2, 3))
+    assert MoveSet(moves.spec, moves.moves + (extra,)).redundant() == [False] * len(moves) + [True]
+
+
 def test_binomial_membership_rejects_non_kernel():
     moves = sigma_set(2, 1).move_set()
     junk = parse_binomial("x*v - y*u", 2, 3)
