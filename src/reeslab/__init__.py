@@ -14,7 +14,6 @@ from .core import (
 from .toric import (
     Fiber,
     MoveSet,
-    ReesMapSpec,
     binary_spec,
     binomial_in_binomial_ideal,
     binomials_in_binomial_ideal,

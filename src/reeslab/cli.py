@@ -276,7 +276,7 @@ def _binary_instance(d: int, b: int) -> dict:
     moves = sigma.move_set()
     gen = toric.generates_up_to(moves, *_sweep_bounds(d))
     profile = lengths.hm_profile(d, min(b, d - b))
-    red = reduction.is_monomial_reduction(AciSpec((d, d), (b, d - b)))
+    red = reduction.is_monomial_reduction(toric.binary_spec(d, b))
     ok = (
         gen.passed
         and len(sigma) == sigma.count_formula()
@@ -311,7 +311,7 @@ def cmd_sweep(args) -> Report:
                 gen = ternary.ternary_generation_check(a, b)
                 ternary_rows.append({
                     "a": a, "b": b,
-                    "regime": ternary.ternary_gens(a, b).regime,
+                    "regime": ternary.regime_of(a, b),
                     "red": reduction.red_uniform(3, a, b).red,
                     "verdict": "pass" if gen.passed else "fail",
                 })
@@ -416,8 +416,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "red" and not args.uniform and (args.a is None or args.b is None):
-        parser.error("red needs either --a and --b, or --uniform N A B")
+    if args.command == "red" and (args.a is not None) + (args.b is not None) != (0 if args.uniform else 2):
+        parser.error("red needs either --a and --b, or --uniform N A B, not both")
     if args.format == "csv" and not args.out:
         parser.error("--format csv writes only to a file: add --out PATH")
     start = time.monotonic()

@@ -9,13 +9,16 @@ The canonical term order is lexicographic with w > t > u > v > x > y > z.
 With three Rees variables (no w) this degenerates to t > u > v > x > y.
 Binomials are always stored with ``lead`` strictly greater than ``trail``
 in this order, so generators quoted elsewhere may appear sign-flipped.
+
+`AciSpec` is an almost complete intersection and, at once, its Rees map:
+every map the package builds is the Rees map of such an ideal, and every
+image is read off its `degree_matrix`, a monomial's by `AciSpec.images`.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from math import gcd
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -453,7 +456,8 @@ class MonomialIdeal:
 @dataclass(frozen=True)
 class AciSpec:
     """The almost complete intersection I = (x_1^{a_1}, ..., x_n^{a_n}, x^b)
-    with x^b = x_1^{b_1} ... x_n^{b_n}, and its pure-power subideal J."""
+    with x^b = x_1^{b_1} ... x_n^{b_n}, its pure-power subideal J, and its
+    Rees map t_j -> generator j * T, from (n, nrees) to (n, 1) monomials."""
 
     a: tuple[int, ...]
     b: tuple[int, ...]
@@ -485,6 +489,30 @@ class AciSpec:
     def generators(self) -> tuple[Monomial, ...]:
         """x_1^{a_1}, ..., x_n^{a_n}, x^b, in the order of the Rees variables."""
         return self.pure_powers + (self.mixed,)
+
+    @property
+    def nrees(self) -> int:
+        return self.n + 1
+
+    @cached_property
+    def degree_matrix(self) -> np.ndarray:
+        """Read-only (nrees, n) array: row j is generator j's exponents."""
+        matrix = np.vstack((np.diag(self.a), [self.b])).astype(np.int64)
+        matrix.flags.writeable = False
+        return matrix
+
+    def images(self, rows: np.ndarray) -> np.ndarray:
+        """The images of many monomials at once: rows of exponent vectors
+        (ground, then Rees) to rows of (image ground part, T-degree)."""
+        n = self.n
+        return np.column_stack((rows[:, :n] + rows[:, n:] @ self.degree_matrix, rows[:, n:].sum(axis=1)))
+
+    def image_of(self, m: Monomial) -> Monomial:
+        """The image of one monomial: its row of `images`."""
+        if m.ambient != (self.n, self.nrees):
+            raise ValueError(f"monomial ambient {m.ambient} does not match map {(self.n, self.nrees)}")
+        *ground, tau = self.images(np.array([m.ground + m.rees], dtype=np.int64))[0].tolist()
+        return Monomial(tuple(ground), (tau,))
 
     @cached_property
     def ideal(self) -> MonomialIdeal:

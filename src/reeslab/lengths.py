@@ -16,7 +16,8 @@ import itertools
 from dataclasses import dataclass
 from math import gcd
 
-from .core import AciSpec, InputError, MonomialIdeal, check_exponent_cap
+from .core import InputError, MonomialIdeal, check_exponent_cap
+from .toric import binary_spec
 
 
 class ColonShapeError(RuntimeError):
@@ -117,7 +118,7 @@ def st_oracle(d: int, b: int, ell: int) -> tuple[int, int]:
     """(s_l, t_l) by literal ideal arithmetic: build J I^(l-1), colon out
     x^(b l) y^((d-b) l), and read off the two pure powers."""
     _check_params(d, b, ell, top_power=ell)
-    spec = AciSpec((d, d), (b, d - b))
+    spec = binary_spec(d, b)
     power = next(itertools.islice(spec.powers(), ell - 1, None))
     return _pure_power_split(spec.colon(ell, power), d, b, ell)
 
@@ -168,7 +169,7 @@ def hm_profile(d: int, b: int) -> LengthProfile:
     syzygy indices checked to exist and satisfy l0' >= d - l0."""
     _check_params(d, b, top_power=d - 1)
     rows = []
-    for ell, colon in zip(range(1, d), AciSpec((d, d), (b, d - b)).colons()):
+    for ell, colon in zip(range(1, d), binary_spec(d, b).colons()):
         s, t = _pure_power_split(colon, d, b, ell)
         rows.append(LengthRow(ell, s, t))
     ell0 = next((r.ell for r in rows if r.s == 1 or r.t == 1), None)

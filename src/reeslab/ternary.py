@@ -36,7 +36,6 @@ from .binary import sylvester_det
 from .toric import (
     GenerationReport,
     MoveSet,
-    ReesMapSpec,
     binomial_in_binomial_ideal,  # noqa: F401  (perfbench's tracer test reads ternary.binomial_in_binomial_ideal)
     binomials_in_binomial_ideal,
     compositions,
@@ -49,9 +48,19 @@ def _m(gx=0, gy=0, gz=0, t=0, u=0, v=0, w=0) -> Monomial:
     return Monomial((gx, gy, gz), (t, u, v, w))
 
 
+def regime_of(a: int, b: int) -> str:
+    """The label of the cube relation: "E" when 3b >= a, "E'" when a > 3b."""
+    return "E" if 3 * b >= a else "E'"
+
+
+def _labels(a: int, b: int) -> tuple[str, ...]:
+    """The labels of the ten generators, in `TernaryGenSet.labelled` order."""
+    return ("f1", "f2", "f3", "g1", "g2", "g3", "H1", "H2", "H3", regime_of(a, b))
+
+
 @dataclass(frozen=True)
 class TernaryGenSet:
-    """The ten generators, with the regime flag for the cube relation."""
+    """The ten generators; the cube relation is E or E' by `regime_of`."""
 
     a: int
     b: int
@@ -65,15 +74,15 @@ class TernaryGenSet:
     h2: Binomial
     h3: Binomial
     implicit: Binomial
-    regime: str  # "E" when 3b >= a, "E'" when a > 3b
+
+    @property
+    def regime(self) -> str:
+        return regime_of(self.a, self.b)
 
     def labelled(self) -> tuple[tuple[str, Binomial], ...]:
-        return (
-            ("f1", self.f1), ("f2", self.f2), ("f3", self.f3),
-            ("g1", self.g1), ("g2", self.g2), ("g3", self.g3),
-            ("H1", self.h1), ("H2", self.h2), ("H3", self.h3),
-            (self.regime, self.implicit),
-        )
+        return tuple(zip(_labels(self.a, self.b), (
+            self.f1, self.f2, self.f3, self.g1, self.g2, self.g3, self.h1, self.h2, self.h3, self.implicit,
+        )))
 
     def all(self) -> tuple[Binomial, ...]:
         return tuple(b for _, b in self.labelled())
@@ -81,7 +90,7 @@ class TernaryGenSet:
     def syzygies(self) -> tuple[Binomial, ...]:
         return (self.f1, self.f2, self.f3, self.g1, self.g2, self.g3)
 
-    def spec(self) -> ReesMapSpec:
+    def spec(self) -> AciSpec:
         return ternary_spec(self.a, self.b)
 
     def move_set(self) -> MoveSet:
@@ -96,18 +105,12 @@ def _check_ab(a: int, b: int) -> None:
 
 def implicit_pivots(a: int, b: int) -> tuple[tuple[Monomial, Monomial], ...]:
     """The three regime-dependent pivots producing the cube relation from
-    (g1, H3), (g2, H2), (g3, H1) respectively."""
-    if 3 * b >= a:
-        return (
-            (_m(gx=a - b), _m(gy=a - 2 * b, gz=a - 2 * b)),
-            (_m(gy=a - b), _m(gx=a - 2 * b, gz=a - 2 * b)),
-            (_m(gz=a - b), _m(gx=a - 2 * b, gy=a - 2 * b)),
-        )
-    return (
-        (_m(gx=2 * b), _m(gy=b, gz=b)),
-        (_m(gy=2 * b), _m(gx=b, gz=b)),
-        (_m(gz=2 * b), _m(gx=b, gy=b)),
-    )
+    (g1, H3), (g2, H2), (g3, H1) respectively: (x^s, (yz)^r) and its
+    permutations, with s = 2b - q, r = b - q and q = max(3b - a, 0), so
+    (s, r) is (a - b, a - 2b) in regime E and (2b, b) in E'."""
+    q = max(3 * b - a, 0)
+    s, r = 2 * b - q, b - q
+    return ((_m(gx=s), _m(gy=r, gz=r)), (_m(gy=s), _m(gx=r, gz=r)), (_m(gz=s), _m(gx=r, gy=r)))
 
 
 def ternary_gens(a: int, b: int) -> TernaryGenSet:
@@ -124,8 +127,7 @@ def ternary_gens(a: int, b: int) -> TernaryGenSet:
     h2 = sylvester_det(g1, g3, (_m(gx=b), _m(gz=b)))
     h3 = sylvester_det(g2, g3, (_m(gy=b), _m(gz=b)))
     implicit = sylvester_det(g1, h3, implicit_pivots(a, b)[0])
-    regime = "E" if 3 * b >= a else "E'"
-    return TernaryGenSet(a, b, f1, f2, f3, g1, g2, g3, h1, h2, h3, implicit, regime)
+    return TernaryGenSet(a, b, f1, f2, f3, g1, g2, g3, h1, h2, h3, implicit)
 
 
 def implicit_three_ways(gens: TernaryGenSet) -> tuple[Binomial, Binomial, Binomial]:
@@ -185,16 +187,16 @@ def enumerate_kernel_binomials(a: int, b: int, delta_max: int = 3) -> tuple[Bino
 
 # -- colon claims ------------------------------------------------------------
 
-def _oriented(a: int, b: int) -> dict[str, tuple[Monomial, Monomial]]:
-    """The generators of `ternary_gens` as (pos, neg) pairs, by label, in
-    the construction orientation the certificate identities need (they are
-    sign-sensitive): the positive side is the one whose Rees exponents,
-    read w, v, u, t, are lexicographically larger.  The two sides of a
-    kernel binomial share an image, so equal Rees parts would make them
-    equal; no tie arises."""
+def _oriented(gens: TernaryGenSet) -> dict[str, tuple[Monomial, Monomial]]:
+    """The generators as (pos, neg) pairs, by label, in the construction
+    orientation the certificate identities need (they are sign-sensitive):
+    the positive side is the one whose Rees exponents, read w, v, u, t,
+    are lexicographically larger.  The two sides of a kernel binomial
+    share an image, so equal Rees parts would make them equal; no tie
+    arises."""
     return {
         label: tuple(sorted((bin_.lead, bin_.trail), key=lambda m: m.rees[::-1], reverse=True))
-        for label, bin_ in ternary_gens(a, b).labelled()
+        for label, bin_ in gens.labelled()
     }
 
 
@@ -209,11 +211,8 @@ def _certificate_table(a: int, b: int) -> tuple[tuple[str, str, Monomial, list[t
     claim, E (3b >= a) or E' (a > 3b), has one set of rows for both
     regimes: its single-variable multipliers have exponent s = 2b - q
     (a - b or 2b) and its paired ones r = b - q (a - 2b or b)."""
-    c = a - 2 * b
-    if 3 * b >= a:
-        last, p, q, single, pair = "E", 0, 3 * b - a, "(a-b)", "(a-2b)"
-    else:
-        last, p, q, single, pair = "E'", a - 3 * b, 0, "(2b)", "b"
+    c, p, q, last = a - 2 * b, max(a - 3 * b, 0), max(3 * b - a, 0), regime_of(a, b)
+    single, pair = ("(a-b)", "(a-2b)") if last == "E" else ("(2b)", "b")
     s, r = 2 * b - q, b - q
     return (
         ("H1", "x^b", _m(gx=b), [(1, "g1", _m(gy=c, w=1)), (1, "g2", _m(gz=b, t=1))]),
@@ -246,15 +245,20 @@ def _expand(terms, oriented: dict[str, tuple[Monomial, Monomial]]) -> dict[Monom
     return {term: coeff for term, coeff in acc.items() if coeff}
 
 
+def _identities(gens: TernaryGenSet) -> tuple[tuple[str, str, dict[Monomial, int], dict[Monomial, int]], ...]:
+    """`certificate_identities` read on a generator set already built."""
+    oriented = _oriented(gens)
+    return tuple(
+        (claim, f"{text}*{claim}", _expand([(1, claim, mult)], oriented), _expand(terms, oriented))
+        for claim, text, mult, terms in _certificate_table(gens.a, gens.b)
+    )
+
+
 def certificate_identities(a: int, b: int) -> tuple[tuple[str, str, dict[Monomial, int], dict[Monomial, int]], ...]:
     """Every claimed colon generator paired with its exact identity in the
     prefix ideal: (step, label, lhs, rhs) with lhs = generator * step, both
     sides expanded by `_expand`; the identity holds iff lhs == rhs."""
-    oriented = _oriented(a, b)
-    return tuple(
-        (claim, f"{text}*{claim}", _expand([(1, claim, mult)], oriented), _expand(terms, oriented))
-        for claim, text, mult, terms in _certificate_table(a, b)
-    )
+    return _identities(ternary_gens(a, b))
 
 
 def colon_claims(a: int, b: int) -> tuple[dict, ...]:
@@ -262,7 +266,7 @@ def colon_claims(a: int, b: int) -> tuple[dict, ...]:
     six syzygies, named by its `ternary_gens` label, with the labels before
     it as the prefix ideal it is coloned against and the multipliers of its
     `_certificate_table` rows as the claimed colon ideal."""
-    labels = [label for label, _ in ternary_gens(a, b).labelled()]
+    labels = _labels(a, b)
     table = _certificate_table(a, b)
     return tuple(
         {"name": name, "prefix": tuple(labels[:i]), "colon": [mult for claim, _, mult, _ in table if claim == name]}
@@ -341,7 +345,7 @@ def verify_colon_claims(a: int, b: int) -> ColonClaimsReport:
     spec = gens.spec()
     by_label = dict(gens.labelled())
     cert_ok_by_step: dict[str, bool] = {}
-    for step, _, lhs, rhs in certificate_identities(a, b):
+    for step, _, lhs, rhs in _identities(gens):
         cert_ok_by_step[step] = cert_ok_by_step.get(step, True) and lhs == rhs
     grid = np.array([(x, y, z) for x in range(a + 1) for y in range(a + 1 - x) for z in range(a + 1 - x - y)],
                     dtype=np.int64)  # the ground monomials of degree <= a, lexicographically
@@ -413,7 +417,7 @@ def ternary_length_profile(a: int, b: int) -> tuple[TernaryLengthRow, ...]:
     _check_ab(a, b)
     check_exponent_cap(3 * a * a, "power exponent l * a =")
     rows = []
-    for ell, colon in zip(range(1, 3 * a + 1), AciSpec((a,) * 3, (b,) * 3).colons()):
+    for ell, colon in zip(range(1, 3 * a + 1), ternary_spec(a, b).colons()):
         lam = 0 if colon.is_unit_ideal() else colon.colength()
         if lam == 0:
             break

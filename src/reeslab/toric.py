@@ -1,6 +1,7 @@
-"""Gröbner-free oracles for Rees-type toric ideals.
+"""Gröbner-free oracles for the Rees ideals of almost complete intersections.
 
-Everything here reduces to one primitive: the fiber of a monomial map.
+Everything here reduces to one primitive: the fiber of the Rees map of an
+ideal, read off its `core.AciSpec`; there are no general monomial maps.
 Two source monomials are congruent modulo a set of binomial "moves" when a
 chain of one-step rewrites q*lead <-> q*trail connects them; a binomial
 lies in the ideal generated by the moves iff its two monomials are
@@ -8,8 +9,10 @@ congruent, and a move set generates the whole kernel iff every fiber is
 connected.  Fibers here are finite because the map is bigraded and every
 ideal generator has positive degree.
 
-`MoveSet` alone checks that moves lie in the kernel, all at once, and
-keeps them as the array that the kernel and the walk read.  It also
+`_check_kernel` is the one kernel-membership check, naming the first pair
+off the kernel: `MoveSet` runs it on its moves (`binomial_in_binomial_ideal`
+builds a one-move `MoveSet`), `binomials_in_binomial_ideal` on its rows.
+A `MoveSet` keeps its moves as the array the kernel and the walk read, and
 carries the map: every sweep and membership reads `moves.spec`, so no
 caller can pair moves with a map they were not checked against.
 
@@ -37,6 +40,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -51,60 +55,14 @@ class KernelMismatch(ValueError):
     """A binomial whose two monomials have different images."""
 
 
-@dataclass(frozen=True)
-class ReesMapSpec:
-    """The monomial map t_j -> a_j * T whose kernel is the Rees ideal.
-
-    ``gens`` are the ground monomials a_1..a_m; source monomials live in
-    (nground, m), images in (nground, 1) with the single Rees slot holding
-    the T-degree.
-    """
-
-    nground: int
-    gens: tuple[Monomial, ...]
-
-    def __post_init__(self):
-        for g in self.gens:
-            if not g.is_ground() or len(g.ground) != self.nground:
-                raise ValueError(f"generator {g} is not a ground monomial in {self.nground} variables")
-            if g.ground_degree() == 0:
-                raise ValueError("unit generator not allowed")
-
-    @property
-    def nrees(self) -> int:
-        return len(self.gens)
-
-    def image_of(self, m: Monomial) -> Monomial:
-        if m.ambient != (self.nground, self.nrees):
-            raise ValueError(f"monomial ambient {m.ambient} does not match map {(self.nground, self.nrees)}")
-        ground = list(m.ground)
-        for j, beta in enumerate(m.rees):
-            if beta:
-                for i, e in enumerate(self.gens[j].ground):
-                    ground[i] += beta * e
-        return Monomial(tuple(ground), (sum(m.rees),))
-
-    def images(self, rows: np.ndarray) -> np.ndarray:
-        """`image_of` of many monomials at once: rows of exponent vectors
-        (ground, then Rees) to rows of (image ground part, T-degree)."""
-        n = self.nground
-        return np.column_stack((rows[:, :n] + rows[:, n:] @ self.degree_matrix(), rows[:, n:].sum(axis=1)))
-
-    def in_kernel(self, b: Binomial) -> bool:
-        return self.image_of(b.lead) == self.image_of(b.trail)
-
-    def degree_matrix(self) -> np.ndarray:
-        return np.array([g.ground for g in self.gens], dtype=np.int64).reshape(self.nrees, self.nground)
+def binary_spec(d: int, b: int) -> AciSpec:
+    """I = (x^d, y^d, x^b y^(d-b)), whose Rees variables are t, u, v."""
+    return AciSpec((d, d), (b, d - b))
 
 
-def binary_spec(d: int, b: int) -> ReesMapSpec:
-    """Map for I = (x^d, y^d, x^b y^(d-b)) with Rees variables t, u, v."""
-    return ReesMapSpec(2, AciSpec((d, d), (b, d - b)).generators)
-
-
-def ternary_spec(a: int, b: int) -> ReesMapSpec:
-    """Map for I = (x^a, y^a, z^a, (xyz)^b) with Rees variables t, u, v, w."""
-    return ReesMapSpec(3, AciSpec((a,) * 3, (b,) * 3).generators)
+def ternary_spec(a: int, b: int) -> AciSpec:
+    """I = (x^a, y^a, z^a, (xyz)^b), whose Rees variables are t, u, v, w."""
+    return AciSpec((a,) * 3, (b,) * 3)
 
 
 @dataclass(frozen=True)
@@ -141,14 +99,14 @@ def compositions(total: int, parts: int):
         c[-1] = rest
 
 
-def _image_level(spec: ReesMapSpec, image: Monomial) -> _Level:
+def _image_level(spec: AciSpec, image: Monomial) -> _Level:
     """The one-image level of `_fibers_of`: the complete fiber of `image`."""
-    if image.ambient != (spec.nground, 1):
-        raise ValueError(f"image ambient {image.ambient}, expected {(spec.nground, 1)}")
+    if image.ambient != (spec.n, 1):
+        raise ValueError(f"image ambient {image.ambient}, expected {(spec.n, 1)}")
     return _fibers_of(spec, image.rees[0], np.array([image.ground], dtype=np.int64))
 
 
-def fiber_enumerate(spec: ReesMapSpec, image: Monomial) -> Fiber:
+def fiber_enumerate(spec: AciSpec, image: Monomial) -> Fiber:
     """Complete fiber of `image`, its members sorted by `Monomial.sort_key`."""
     level = _image_level(spec, image)
     members = [Monomial(tuple(g), tuple(r)) for g, r in zip(level.ground.tolist(), level.rees.tolist())]
@@ -161,19 +119,17 @@ class MoveSet:
     """Binomials in the kernel of a fixed Rees map, validated at build;
     `array` holds them as a `_move_array`."""
 
-    spec: ReesMapSpec
+    spec: AciSpec
     moves: tuple[Binomial, ...]
     array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        ambient = (self.spec.nground, self.spec.nrees)
+        ambient = (self.spec.n, self.spec.nrees)
         for mv in self.moves:
             if mv.ambient != ambient:
                 raise ValueError(f"move {mv} has ambient {mv.ambient}, expected {ambient}")
         array = _move_array(self.moves, sum(ambient))
-        off = (self.spec.images(array[:, 0]) != self.spec.images(array[:, 1])).any(axis=1)
-        if off.any():
-            raise KernelMismatch(f"{self.moves[int(np.argmax(off))]} is not in the kernel of the map")
+        _check_kernel(self.spec, array[:, 0], array[:, 1])
         object.__setattr__(self, "array", array)
 
     def __iter__(self):
@@ -240,11 +196,23 @@ def _congruence_class(start: Vec, movevecs: Sequence[tuple[Vec, Vec]]) -> Iterat
         frontier = nxt
 
 
+def _check_kernel(spec: AciSpec, leads: np.ndarray, trails: np.ndarray) -> np.ndarray:
+    """The images of `leads` (rows of exponents, ground then Rees); the
+    first lead whose trail has another image raises KernelMismatch."""
+    images = spec.images(leads)
+    off = (images != spec.images(trails)).any(axis=1)
+    if off.any():
+        i = int(np.argmax(off))
+        b = Binomial(_mono(tuple(leads[i].tolist()), spec.n), _mono(tuple(trails[i].tolist()), spec.n))
+        raise KernelMismatch(f"{b} is not in the kernel of the map: its two sides have different images")
+    return images
+
+
 def binomial_in_binomial_ideal(b: Binomial, gens: MoveSet) -> bool:
-    """Membership of a pure difference in the binomial ideal of `gens`:
-    walk the congruence from b.lead and look for b.trail."""
-    if not gens.spec.in_kernel(b):
-        raise KernelMismatch(f"{b} is not a kernel element; images differ")
+    """Membership of a pure difference in the binomial ideal of `gens`,
+    checked first as a move of their map: walk the congruence from b.lead
+    and look for b.trail."""
+    MoveSet(gens.spec, (b,))
     return _vec(b.trail) in _congruence_class(_vec(b.lead), _move_vecs(gens.array))
 
 
@@ -304,9 +272,9 @@ class _Level:
     are in increasing (T-degree, image) order.  The T-degree of a fiber is
     the Rees degree of any of its members."""
 
-    images: np.ndarray  # (fibers, nground) ground part of each fiber's image
+    images: np.ndarray  # (fibers, n) ground part of each fiber's image
     fiber: np.ndarray   # (members,) fiber id of each member
-    ground: np.ndarray  # (members, nground)
+    ground: np.ndarray  # (members, n)
     rees: np.ndarray    # (members, nrees)
 
     def __len__(self):
@@ -405,7 +373,7 @@ def connected_under_moves(fiber: Fiber, moves: MoveSet) -> tuple[tuple[Monomial,
     if len(vecs) != len(index) or set(vecs) != index.keys():
         raise ValueError(f"the members given for {fiber.image} are not its complete fiber")
     labels = _fiber_components(level, moves.array)
-    n = moves.spec.nground
+    n = moves.spec.n
     return tuple(tuple(_mono(v, n) for v in g) for g in _groups(vecs, [labels[index[v]] for v in vecs]))
 
 
@@ -449,13 +417,13 @@ def _level_of(comps: np.ndarray, G: np.ndarray, images: np.ndarray, keep: Callab
     return _Level(images, fiber, images[fiber] - G[col], comps[col])
 
 
-def _compositions_at(spec: ReesMapSpec, tau: int) -> tuple[np.ndarray, np.ndarray]:
+def _compositions_at(spec: AciSpec, tau: int) -> tuple[np.ndarray, np.ndarray]:
     """The compositions of tau as rows, and G: their Rees monomials' image ground vectors."""
     comps = np.array(list(compositions(tau, spec.nrees)), dtype=np.int64).reshape(-1, spec.nrees)
-    return comps, comps @ spec.degree_matrix()
+    return comps, comps @ spec.degree_matrix
 
 
-def _fibers_of(spec: ReesMapSpec, tau: int, images: np.ndarray) -> _Level:
+def _fibers_of(spec: AciSpec, tau: int, images: np.ndarray) -> _Level:
     """The level of the complete fibers of T-degree tau whose image ground
     parts are the rows of `images` (distinct, in increasing order): the
     layout and member order of `_reduced_fibers_at`, without its filters."""
@@ -517,15 +485,9 @@ def binomials_in_binomial_ideal(leads: np.ndarray, trails: np.ndarray, moves: Mo
     call per `_stacks` stack, and each lead and trail is found in its stack
     by its `_Level.key`.
     """
-    spec = moves.spec
-    n = spec.nground
+    spec, n = moves.spec, moves.spec.n
     leads, trails = np.asarray(leads, dtype=np.int64), np.asarray(trails, dtype=np.int64)
-    images = spec.images(leads)
-    differ = (images != spec.images(trails)).any(axis=1)
-    if differ.any():
-        i = int(np.argmax(differ))
-        b = Binomial(_mono(tuple(leads[i].tolist()), n), _mono(tuple(trails[i].tolist()), n))
-        raise KernelMismatch(f"{b} is not a kernel element; images differ")
+    images = _check_kernel(spec, leads, trails)
     fiber = np.empty(len(leads), dtype=np.int64)  # fiber id of each row in all the levels stacked
     grounds = []
     for tau in sorted(set(images[:, n].tolist())):
@@ -555,11 +517,11 @@ def _require_coprime(moves: Sequence[Binomial]) -> None:
             raise ValueError(f"sweep requires coprime moves, got {mv}")
 
 
-def _reduced_fibers_at(spec: ReesMapSpec, tau: int, ground_bound: int) -> _Level:
+def _reduced_fibers_at(spec: AciSpec, tau: int, ground_bound: int) -> _Level:
     """The level of every reduced fiber of T-degree tau with at least two
     members whose smallest member has ground degree within bound.
 
-    A reduced fiber's image is the coordinatewise max of at most nground
+    A reduced fiber's image is the coordinatewise max of at most n
     member image vectors, so candidates are exactly the maxes of small
     subsets of composition images.  For each ground variable some member
     of a candidate fiber lacks it, so members never share a ground
@@ -571,7 +533,7 @@ def _reduced_fibers_at(spec: ReesMapSpec, tau: int, ground_bound: int) -> _Level
     """
     comps, G = _compositions_at(spec, tau)
     k = len(comps)
-    size = min(spec.nground, k)
+    size = min(spec.n, k)
     idx = np.fromiter(
         itertools.chain.from_iterable(itertools.combinations_with_replacement(range(k), size)), dtype=np.int64
     ).reshape(-1, size)
@@ -621,7 +583,7 @@ def generates_up_to(moves: MoveSet, t_bound: int, ground_bound: int) -> Generati
     """
     _require_coprime(list(moves))
     spec = moves.spec
-    n = spec.nground
+    n = spec.n
     checked = 0
     for stack in _stacks(_reduced_fibers_at(spec, tau, ground_bound) for tau in range(t_bound + 1)):
         labels = _fiber_components(stack, moves.array)
@@ -637,7 +599,7 @@ def generates_up_to(moves: MoveSet, t_bound: int, ground_bound: int) -> Generati
 
 
 def bruteforce_min_gens(
-    spec: ReesMapSpec,
+    spec: AciSpec,
     t_bound: int,
     ground_bound: int,
     tie_break_seed: int | None = None,
@@ -657,12 +619,8 @@ def bruteforce_min_gens(
     degree, T-degree), then image.  `tie_break_seed` shuffles the fibers
     inside each group, which must not change the counts.
     """
-    rng = None
-    if tie_break_seed is not None:
-        import random
-
-        rng = random.Random(tie_break_seed)
-    n = spec.nground
+    rng = None if tie_break_seed is None else random.Random(tie_break_seed)
+    n = spec.n
     width = n + spec.nrees
     found: list[tuple[tuple[int, int], Binomial]] = []
     # a spanning binomial joins two members of one fiber: a kernel move

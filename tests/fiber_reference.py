@@ -1,5 +1,9 @@
 """Reference routes for the tests of the fiber kernels.
 
+`reference_image` is the image of a monomial under the Rees map of an
+`AciSpec` as the literal product x^g * prod_j generator_j^(beta_j) in
+`Monomial` arithmetic, the reference for `AciSpec.images`.
+
 `reference_fiber` is the body `toric.fiber_enumerate` had before it became
 the one-image case of the array builder `toric._fibers_of`; the tests of
 the builder and of the sweep's fiber enumeration compare against it.
@@ -27,8 +31,8 @@ from reeslab.core import Binomial, Monomial
 from reeslab.toric import (
     FiberFailure,
     GenerationReport,
-    KernelMismatch,
     MoveSet,
+    _check_kernel,
     _distinct_rows,
     _fiber_components,
     _fibers_of,
@@ -41,18 +45,28 @@ from reeslab.toric import (
 )
 
 
+def reference_image(spec, m):
+    """The image of m = x^g * t^beta: the product x^g * prod_j
+    generator_j^(beta_j), and T^|beta|."""
+    ground = Monomial(m.ground)
+    for gen, beta in zip(spec.generators, m.rees, strict=True):
+        ground = ground * gen.power(beta)
+    return Monomial(ground.ground, (m.rees_degree(),))
+
+
 def reference_fiber(spec, image):
     """Members of the fiber of `image`, sorted by `Monomial.sort_key`: for
     each composition of the T-degree over the Rees variables, the ground
     remainder, when it is non-negative."""
-    if image.ambient != (spec.nground, 1):
-        raise ValueError(f"image ambient {image.ambient}, expected {(spec.nground, 1)}")
+    if image.ambient != (spec.n, 1):
+        raise ValueError(f"image ambient {image.ambient}, expected {(spec.n, 1)}")
     members = []
+    gens = spec.generators
     for beta in compositions(image.rees[0], spec.nrees):
         ground = list(image.ground)
         for j, bj in enumerate(beta):
             if bj:
-                for i, e in enumerate(spec.gens[j].ground):
+                for i, e in enumerate(gens[j].ground):
                     ground[i] -= bj * e
         if all(g >= 0 for g in ground):
             members.append(Monomial(tuple(ground), beta))
@@ -63,9 +77,9 @@ def reference_fiber(spec, image):
 def reference_reduced_fibers(spec, tau, ground_bound):
     """`_reduced_fibers_at` with the whole member matrix of a level built at once."""
     comps = np.array(list(compositions(tau, spec.nrees)), dtype=np.int64).reshape(-1, spec.nrees)
-    G = comps @ spec.degree_matrix()  # image ground vector of each pure Rees monomial
+    G = comps @ spec.degree_matrix  # image ground vector of each pure Rees monomial
     k = len(comps)
-    size = min(spec.nground, k)
+    size = min(spec.n, k)
     idx = np.fromiter(
         itertools.chain.from_iterable(itertools.combinations_with_replacement(range(k), size)), dtype=np.int64
     ).reshape(-1, size)
@@ -74,14 +88,14 @@ def reference_reduced_fibers(spec, tau, ground_bound):
         cand = np.maximum(cand, G[idx[:, col]])
     # distinct candidates in increasing order, through one mixed-radix code
     radix = int(G.max(initial=0)) + 1
-    code = cand @ radix ** np.arange(spec.nground - 1, -1, -1, dtype=np.int64)
+    code = cand @ radix ** np.arange(spec.n - 1, -1, -1, dtype=np.int64)
     code.sort()
     code = code[np.diff(code, prepend=-1) != 0]
-    cand = np.empty((len(code), spec.nground), dtype=np.int64)
-    for i in range(spec.nground - 1, -1, -1):
+    cand = np.empty((len(code), spec.n), dtype=np.int64)
+    for i in range(spec.n - 1, -1, -1):
         code, cand[:, i] = np.divmod(code, radix)
     member = np.ones((len(cand), k), dtype=bool)
-    for i in range(spec.nground):
+    for i in range(spec.n):
         member &= cand[:, i, None] >= G[None, :, i]
     reduced = (member @ (comps == 0)).all(axis=1)  # each t_j is missing from some member
     keep = reduced & (member.sum(axis=1) >= 2)
@@ -106,7 +120,7 @@ def reference_min_gens(spec, t_bound, ground_bound, tie_break_seed=None):
     """`bruteforce_min_gens` with one labelling per (T-degree, image ground
     degree) group, under every move found before the group."""
     rng = None if tie_break_seed is None else random.Random(tie_break_seed)
-    n = spec.nground
+    n = spec.n
     width = n + spec.nrees
     found = []
     movearr = _move_array((), width)
@@ -144,7 +158,7 @@ def reference_generates_up_to(moves, t_bound, ground_bound):
             f = split[0]
             parts = level.components(f, labels)
             image = Monomial(tuple(level.images[f].tolist()), (tau,))
-            failure = FiberFailure(image, tuple(tuple(_mono(v, spec.nground) for v in g) for g in parts))
+            failure = FiberFailure(image, tuple(tuple(_mono(v, spec.n) for v in g) for g in parts))
             return GenerationReport(t_bound, ground_bound, checked + f + 1, failure)
         checked += len(level.images)
     return GenerationReport(t_bound, ground_bound, checked)
@@ -153,14 +167,9 @@ def reference_generates_up_to(moves, t_bound, ground_bound):
 def reference_binomials_in_binomial_ideal(leads, trails, moves):
     """`binomials_in_binomial_ideal` with one labelling per T-degree level."""
     spec = moves.spec
-    n = spec.nground
+    n = spec.n
     leads, trails = np.asarray(leads, dtype=np.int64), np.asarray(trails, dtype=np.int64)
-    images = spec.images(leads)
-    differ = (images != spec.images(trails)).any(axis=1)
-    if differ.any():
-        i = int(np.argmax(differ))
-        b = Binomial(_mono(tuple(leads[i].tolist()), n), _mono(tuple(trails[i].tolist()), n))
-        raise KernelMismatch(f"{b} is not a kernel element; images differ")
+    images = _check_kernel(spec, leads, trails)
     out = np.zeros(len(leads), dtype=bool)
     for tau in sorted(set(images[:, n].tolist())):
         rows = np.flatnonzero(images[:, n] == tau)

@@ -6,8 +6,6 @@ from math import gcd
 import pytest
 
 from reeslab.binary import (
-    EuclidData,
-    IntegralityError,
     SylvesterError,
     euclid_sequence,
     make_generator,

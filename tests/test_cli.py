@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fiber_reference import reference_fiber
-from reeslab import binary, cli, toric
+from reeslab import binary, cli, ternary, toric
 from reeslab.binary import IntegralityError, SylvesterError
 from reeslab.cli import Report, main
 from reeslab.core import EXPONENT_CAP, Binomial, Monomial, parse_binomial
@@ -224,6 +224,41 @@ def test_a_malformed_red_list_names_the_expected_format(capsys, argv):
     assert captured.out == ""
     assert "expected comma-separated integers" in captured.err
     assert "<lambda>" not in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["red", "--uniform", "3", "7", "2", "--a", "1,2", "--b", "1,1"],
+    ["red", "--uniform", "3", "7", "2", "--a", "1,2"],
+    ["red", "--uniform", "3", "7", "2", "--b", "1,1"],
+    ["red", "--a", "3,5"],
+])
+def test_red_takes_one_form_of_input(capsys, argv):
+    # --uniform with --a or --b is refused, not run with the lists dropped
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert "--a and --b, or --uniform N A B, not both" in captured.err
+
+
+def test_ternary_builds_its_generators_once_per_check(capsys, monkeypatch):
+    # ternary --verify: the report, the colon claims (certificates
+    # included) and the generation sweep; a sweep row: its generation sweep
+    calls = []
+
+    def counting(a, b):
+        calls.append((a, b))
+        return build(a, b)
+
+    build = ternary.ternary_gens
+    monkeypatch.setattr(ternary, "ternary_gens", counting)
+    assert main(["ternary", "8", "3", "--verify"]) == 0
+    assert calls == [(8, 3)] * 3
+    calls.clear()
+    assert main(["sweep", "--binary-max-d", "1", "--ternary-max-a", "3"]) == 0
+    assert calls == [(3, 1)]
+    capsys.readouterr()
 
 
 def test_invalid_parameters_exit_2(capsys):

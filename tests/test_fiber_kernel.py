@@ -30,18 +30,18 @@ from fiber_reference import (
     reference_binomials_in_binomial_ideal,
     reference_fiber,
     reference_generates_up_to,
+    reference_image,
     reference_min_gens,
     reference_reduced_fibers,
 )
 from reeslab import toric
 
 from reeslab.binary import sigma_set
-from reeslab.core import Binomial, Monomial
+from reeslab.core import AciSpec, Binomial, Monomial
 from reeslab.ternary import colon_claims, ternary_gens
 from reeslab.toric import (
     Fiber,
     MoveSet,
-    ReesMapSpec,
     KernelMismatch,
     _fiber_components,
     _fibers_of,
@@ -106,7 +106,7 @@ def reference_sweep(moves, t_bound, g):
             spec.image_of(Monomial(ground, beta))
             for beta in compositions(tau, spec.nrees)
             for total in range(g + 1)
-            for ground in compositions(total, spec.nground)
+            for ground in compositions(total, spec.n)
         }
         for image in sorted(images, key=lambda im: im.ground):
             members = reference_fiber(spec, image)
@@ -122,8 +122,8 @@ def reference_sweep(moves, t_bound, g):
 def coprime_kernel_move(spec, beta1, beta2):
     """The coprime kernel binomial joining two pure Rees monomials of one
     T-degree after padding both with ground to a common image."""
-    img1 = spec.image_of(Monomial((0,) * spec.nground, beta1)).ground
-    img2 = spec.image_of(Monomial((0,) * spec.nground, beta2)).ground
+    img1 = spec.image_of(Monomial((0,) * spec.n, beta1)).ground
+    img2 = spec.image_of(Monomial((0,) * spec.n, beta2)).ground
     top = tuple(max(p, q) for p, q in zip(img1, img2))
     lead = Monomial(tuple(t - p for t, p in zip(top, img1)), beta1)
     trail = Monomial(tuple(t - q for t, q in zip(top, img2)), beta2)
@@ -139,16 +139,17 @@ def _drop_some(draw, moves):
 
 @st.composite
 def random_cases(draw):
-    # a random map, and the coprime kernel moves between the pure Rees
-    # monomials of T-degree <= 1 or <= 2
+    # a random ACI map in 2 or 3 variables, its exponents drawn one by one
+    # (in 3 variables one mixed exponent may be zero, and then its pure
+    # power may be linear), and the coprime kernel moves between the pure
+    # Rees monomials of T-degree <= 1 or <= 2
     n = draw(st.sampled_from([2, 3]))
-    m = draw(st.integers(3, 4))
-    exps = st.tuples(*[st.integers(0, 2)] * n).filter(lambda e: sum(e) > 0)
-    gens = draw(st.lists(exps, min_size=m, max_size=m, unique=True))
-    spec = ReesMapSpec(n, tuple(Monomial(e) for e in gens))
+    zero = draw(st.sampled_from([None, *range(n)])) if n == 3 else None
+    a = tuple(draw(st.integers(1 if i == zero else 2, 3)) for i in range(n))
+    spec = AciSpec(a, tuple(0 if i == zero else draw(st.integers(1, ai - 1)) for i, ai in enumerate(a)))
     moves = []
     for tau in range(1, draw(st.integers(1, 2)) + 1):
-        comps = list(compositions(tau, m))
+        comps = list(compositions(tau, spec.nrees))
         for i, beta1 in enumerate(comps):
             for beta2 in comps[i + 1:]:
                 mv = coprime_kernel_move(spec, beta1, beta2)
@@ -201,7 +202,7 @@ def test_connected_under_moves_matches_bfs(case, rng):
     spec = moves.spec
     for tau in range(1, t_bound + 1):
         for beta in compositions(tau, spec.nrees):
-            image = spec.image_of(Monomial((1,) * spec.nground, beta))
+            image = spec.image_of(Monomial((1,) * spec.n, beta))
             members = list(reference_fiber(spec, image))
             rng.shuffle(members)
             fiber = Fiber(image, tuple(members))
@@ -242,7 +243,7 @@ def split_move_cases(draw):
         grounds = sorted({
             spec.image_of(Monomial(ground, beta)).ground
             for beta in compositions(tau, spec.nrees)
-            for ground in compositions(draw(st.integers(0, g)), spec.nground)
+            for ground in compositions(draw(st.integers(0, g)), spec.n)
         })
         level = _fibers_of(spec, tau, np.array(grounds, dtype=np.int64))
     k = draw(st.integers(0, len(moves)))
@@ -303,12 +304,12 @@ def test_reduced_fibers_match_the_dense_reference_ternary(a, b):
 
 
 def test_move_sets_refuse_the_first_move_off_the_kernel():
-    spec = ReesMapSpec(2, (Monomial((2, 0)), Monomial((0, 2)), Monomial((1, 1))))
+    spec = AciSpec((2, 2), (1, 1))
     kernel = Binomial(Monomial((0, 0), (1, 1, 0)), Monomial((0, 0), (0, 0, 2)))  # t*u - v^2
     first = Binomial(Monomial((0, 0), (1, 1, 0)), Monomial((1, 0), (0, 0, 2)))  # t*u - x*v^2
     second = Binomial(Monomial((1, 0), (0, 0, 0)), Monomial((0, 1), (0, 0, 0)))  # x - y
     for moves, named in (((kernel, first, second), first), ((second, kernel, first), second)):
-        with pytest.raises(KernelMismatch, match=re.escape(f"{named} is not in the kernel")):
+        with pytest.raises(KernelMismatch, match=re.escape(f"{named} is not in the kernel of the map: ")):
             MoveSet(spec, moves)
     with pytest.raises(ValueError, match="ambient"):
         MoveSet(spec, (Binomial(Monomial((0, 0, 0), (1, 0)), Monomial((0, 0, 0), (0, 1))),))
@@ -344,12 +345,33 @@ def specs(draw):
 @SETTINGS
 @given(specs(), st.data())
 def test_images_are_image_of_row_by_row(spec, data):
-    width = spec.nground + spec.nrees
+    # both against the literal product of the generators
+    width = spec.n + spec.nrees
     rows = data.draw(st.lists(st.lists(st.integers(0, 50), min_size=width, max_size=width), max_size=20))
     got = spec.images(np.array(rows, dtype=np.int64).reshape(-1, width))
-    assert got.dtype == np.int64 and got.shape == (len(rows), spec.nground + 1)
-    images = [spec.image_of(Monomial(tuple(r[:spec.nground]), tuple(r[spec.nground:]))) for r in rows]
-    assert got.tolist() == [list(im.ground + im.rees) for im in images]
+    assert got.dtype == np.int64 and got.shape == (len(rows), spec.n + 1)
+    monos = [Monomial(tuple(r[:spec.n]), tuple(r[spec.n:])) for r in rows]
+    expected = [reference_image(spec, m) for m in monos]
+    assert got.tolist() == [list(im.ground + im.rees) for im in expected]
+    assert [spec.image_of(m) for m in monos] == expected
+
+
+def test_every_kernel_check_names_the_pair_in_one_message():
+    # MoveSet, the walk and the batched membership refuse t*u - x*v^2 alike
+    spec = AciSpec((2, 2), (1, 1))
+    off = Binomial(Monomial((0, 0), (1, 1, 0)), Monomial((1, 0), (0, 0, 2)))
+    moves = MoveSet(spec, (Binomial(Monomial((0, 0), (1, 1, 0)), Monomial((0, 0), (0, 0, 2))),))
+    messages = []
+    for check in (
+        lambda: MoveSet(spec, (off,)),
+        lambda: binomial_in_binomial_ideal(off, moves),
+        lambda: binomials_in_binomial_ideal(_vecs([off.lead]), _vecs([off.trail]), moves),
+        lambda: binomials_in_binomial_ideal(_vecs([off.trail]), _vecs([off.lead]), moves),
+    ):
+        with pytest.raises(KernelMismatch) as exc:
+            check()
+        messages.append(str(exc.value))
+    assert messages == [f"{off} is not in the kernel of the map: its two sides have different images"] * 4
 
 
 @st.composite
@@ -359,7 +381,7 @@ def images(draw):
     moves, _, g = draw(cases)
     spec = moves.spec
     tau = draw(st.integers(0, 3))
-    ground = draw(st.tuples(*[st.integers(0, 2 * g)] * spec.nground))
+    ground = draw(st.tuples(*[st.integers(0, 2 * g)] * spec.n))
     return spec, Monomial(ground, (tau,))
 
 
@@ -381,7 +403,7 @@ def test_fibers_of_is_the_level_of_its_images(case, tau, cells):
     grounds = sorted({
         spec.image_of(Monomial(ground, beta)).ground
         for beta in compositions(tau, spec.nrees)
-        for ground in compositions(g, spec.nground)
+        for ground in compositions(g, spec.n)
     })
     saved, toric._MASK_CELLS = toric._MASK_CELLS, cells
     try:
@@ -415,7 +437,7 @@ def membership_cases(draw):
     pairs = []
     for _ in range(draw(st.integers(1, 8))):
         beta = draw(st.sampled_from(list(compositions(draw(st.integers(1, 3)), spec.nrees))))
-        ground = draw(st.tuples(*[st.integers(0, g)] * spec.nground))
+        ground = draw(st.tuples(*[st.integers(0, g)] * spec.n))
         members = reference_fiber(spec, spec.image_of(Monomial(ground, beta)))
         pairs.append((draw(st.sampled_from(members)), draw(st.sampled_from(members))))
     return moves, pairs
@@ -463,7 +485,7 @@ def test_batched_membership_refuses_pairs_off_the_kernel(monkeypatch):
     monkeypatch.setattr(toric, "_fibers_of", unreachable)
     monkeypatch.setattr(toric, "_fiber_components", unreachable)
     moves = sigma_set(3, 1).move_set()
-    width = moves.spec.nground + moves.spec.nrees
+    width = moves.spec.n + moves.spec.nrees
     lead = Monomial((0, 0), (1, 0, 0))
     for budget in BUDGETS:
         monkeypatch.setattr(toric, "_STACK_MEMBERS", budget)

@@ -6,7 +6,6 @@ import pytest
 
 from reeslab.core import InputError
 from reeslab.lengths import (
-    ColonShapeError,
     formula_minima,
     hm_profile,
     st_formula,

@@ -5,7 +5,6 @@ import pytest
 from reeslab.core import EXPONENT_CAP, InputError
 from reeslab.reduction import (
     AciSpec,
-    ReductionInconsistency,
     is_monomial_reduction,
     red_search_general,
     red_uniform,

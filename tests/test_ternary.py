@@ -280,7 +280,7 @@ def test_certificate_polynomials_are_the_generators_in_construction_orientation(
     # every pair with a <= 12: both regimes and the boundary a = 3b
     assert {ternary_gens(a, b).regime for a, b in PAIRS_TO_12} == {"E", "E'"} and (6, 2) in PAIRS_TO_12
     for a, b in PAIRS_TO_12:
-        assert ternary._oriented(a, b) == construction_polys(a, b), (a, b)
+        assert ternary._oriented(ternary_gens(a, b)) == construction_polys(a, b), (a, b)
 
 
 def hand_written_colon_claims(a, b):

@@ -14,7 +14,6 @@ from reeslab.toric import (
     Fiber,
     KernelMismatch,
     MoveSet,
-    ReesMapSpec,
     binary_spec,
     binomial_in_binomial_ideal,
     _reduced_fibers_at,
@@ -30,7 +29,7 @@ from reeslab.toric import (
 
 def simple_spec():
     # I = (x^2, y^2, xy)
-    return ReesMapSpec(2, (Monomial((2, 0)), Monomial((0, 2)), Monomial((1, 1))))
+    return AciSpec((2, 2), (1, 1))
 
 
 def test_image_of():
@@ -297,7 +296,7 @@ def test_reduced_fibers_match_fiber_enumerate(monkeypatch, cells):
     # the member mask is built in.
     monkeypatch.setattr(toric, "_MASK_CELLS", cells)
     for spec, t_max, g in _reduced_fiber_cases():
-        n = spec.nground
+        n = spec.n
         for tau in range(t_max + 1):
             level = _reduced_fibers_at(spec, tau, g)
             assert len(level) == len(level.fiber) == len(level.ground) == len(level.rees)
