@@ -46,15 +46,9 @@ class EuclidData:
         return len(self.quotients)
 
     def dk(self, k: int) -> int:
-        if k == -1:
-            return self.d
-        if k == 0:
-            return self.b
-        if 1 <= k <= len(self.remainders):
-            return self.remainders[k - 1]
-        if k == self.steps:
-            return 0
-        raise IndexError(f"d_{k} undefined")
+        if not -1 <= k <= self.steps:
+            raise IndexError(f"d_{k} undefined")
+        return (self.d, self.b, *self.remainders, 0)[k + 1]
 
     def ck(self, k: int) -> int:
         if not 1 <= k <= self.steps:
@@ -185,18 +179,18 @@ class SigmaEntry:
 
 @dataclass(frozen=True)
 class SigmaSet:
-    """The complete generator set of the binary Rees ideal, with provenance."""
+    """The complete generator set of the binary Rees ideal, with provenance;
+    `moves` holds the binomials of `entries` as a `MoveSet`, checked when
+    `sigma_set` built it."""
 
     d: int
     b: int
     euclid: EuclidData
     entries: tuple[SigmaEntry, ...]
+    moves: MoveSet
 
     def binomials(self) -> tuple[Binomial, ...]:
-        return tuple(e.binomial for e in self.entries)
-
-    def move_set(self) -> MoveSet:
-        return MoveSet(binary_spec(self.d, self.b), self.binomials())
+        return self.moves.moves
 
     def count_formula(self) -> int:
         return 1 + sum(self.euclid.quotients)
@@ -249,7 +243,8 @@ def sigma_set(d: int, b: int) -> SigmaSet:
             origin = "implicit" if (j == ed.steps and i == cj) else "sylvester"
             entries.append(SigmaEntry(det, origin, j, i, preds, piv))
         cycle_last.append(len(entries) - 1)
-    sigma = SigmaSet(d, b, ed, tuple(entries))
+    moves = MoveSet(binary_spec(d, b), tuple(e.binomial for e in entries))
+    sigma = SigmaSet(d, b, ed, tuple(entries), moves)
     assert len(sigma) == sigma.count_formula()
     return sigma
 
@@ -260,7 +255,7 @@ def telescopic_subideal(d: int, b: int, k: int) -> MoveSet:
     if not 0 <= k <= sigma.euclid.steps:
         raise IndexError(f"cycle index {k} outside [0, {sigma.euclid.steps}]")
     count = 1 + sum(sigma.euclid.quotients[:k])
-    return MoveSet(binary_spec(d, b), sigma.binomials()[:count])
+    return MoveSet(sigma.moves.spec, sigma.binomials()[:count])
 
 
 @dataclass(frozen=True)

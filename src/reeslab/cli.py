@@ -38,28 +38,12 @@ class Report:
     verdict: str  # "pass" | "fail" | "report"
     schema: str = SCHEMA
 
-    def to_json_dict(self) -> dict:
-        return {
-            "schema": self.schema,
-            "command": self.command,
-            "params": self.params,
-            "results": self.results,
-            "verdict": self.verdict,
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2)
+        return json.dumps(vars(self), sort_keys=True, indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "Report":
-        data = json.loads(text)
-        return cls(
-            command=data["command"],
-            params=data["params"],
-            results=data["results"],
-            verdict=data["verdict"],
-            schema=data["schema"],
-        )
+        return cls(**json.loads(text))
 
     def to_text(self) -> str:
         out = [f"# {self.command}"]
@@ -130,7 +114,6 @@ def cmd_binary_gens(args) -> Report:
         verdict = "pass" if kernel_ok and len(gens) == sigma.count_formula() else "fail"
         return Report("binary-gens", params, results, verdict)
     sigma = binary.sigma_set(d, b)
-    sigma.move_set()  # validates kernel membership of every generator
     results["euclid"] = {
         "quotients": list(sigma.euclid.quotients),
         "remainders": list(sigma.euclid.remainders),
@@ -146,7 +129,7 @@ def cmd_binary_gens(args) -> Report:
 def cmd_binary_verify(args) -> Report:
     d, b = args.d, args.b
     sigma = binary.sigma_set(d, b)
-    moves = sigma.move_set()
+    moves = sigma.moves
     dropped = None
     if args.drop is not None:
         if not 0 <= args.drop < len(moves):
@@ -246,9 +229,9 @@ def cmd_ternary(args) -> Report:
         colon = ternary.verify_colon_claims(a, b)
         gen_rep = ternary.ternary_generation_check(a, b)
         enum = ternary.enumerate_kernel_binomials(a, b)
-        expected = {gens.h1, gens.h2, gens.h3, gens.implicit}
+        expected = {gens[label] for label in ("H1", "H2", "H3", gens.regime)}
         in_l = [bi for bi in enum if bi not in expected]
-        l_moves = toric.MoveSet(gens.spec(), gens.syzygies())
+        l_moves = gens.before("H1")
         enum_ok = all(toric.binomial_in_binomial_ideal(bi, l_moves) for bi in in_l) and expected <= set(enum)
         results["colon_claims"] = [
             {"name": c.name, "certificates": c.certificates_ok, "superset": c.superset_ok,
@@ -273,8 +256,7 @@ CSV_COLUMNS = ["d", "b", "count", "hmSum", "e1", "ell0", "ell0prime", "verdict"]
 
 def _binary_instance(d: int, b: int) -> dict:
     sigma = binary.sigma_set(d, b)
-    moves = sigma.move_set()
-    gen = toric.generates_up_to(moves, *_sweep_bounds(d))
+    gen = toric.generates_up_to(sigma.moves, *_sweep_bounds(d))
     profile = lengths.hm_profile(d, min(b, d - b))
     red = reduction.is_monomial_reduction(toric.binary_spec(d, b))
     ok = (

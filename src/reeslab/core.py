@@ -475,20 +475,19 @@ class AciSpec:
     def n(self) -> int:
         return len(self.a)
 
+    @cached_property
+    def generators(self) -> tuple[Monomial, ...]:
+        """x_1^{a_1}, ..., x_n^{a_n}, x^b, in the order of the Rees
+        variables: the rows of `degree_matrix`."""
+        return tuple(ground_monomial(row) for row in self.degree_matrix.tolist())
+
     @property
     def pure_powers(self) -> tuple[Monomial, ...]:
-        return tuple(
-            ground_monomial(tuple(ai if j == i else 0 for j in range(self.n))) for i, ai in enumerate(self.a)
-        )
+        return self.generators[:-1]
 
     @property
     def mixed(self) -> Monomial:
-        return ground_monomial(self.b)
-
-    @property
-    def generators(self) -> tuple[Monomial, ...]:
-        """x_1^{a_1}, ..., x_n^{a_n}, x^b, in the order of the Rees variables."""
-        return self.pure_powers + (self.mixed,)
+        return self.generators[-1]
 
     @property
     def nrees(self) -> int:

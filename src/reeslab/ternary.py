@@ -9,12 +9,15 @@ memberships for the claimed colon generators, and a bounded-degree scan
 showing nothing smaller multiplies in.  The memberships of both checks are
 decided by fiber components.
 
-`ternary_gens` is the one source of the generators: the generation sweep,
-the memberships and the certificate identities all read its binomials, and
-colon claims name their generator by its label.  `_certificate_table` is
-the one source of the colon claims: each claimed colon generator is
-written once there, with its identity, and `colon_claims` reads the claims
-off it.
+`ternary_gens` is the one source of the generators.  It builds the ten
+binomials into one `MoveSet`, so their kernel membership is checked when
+the set is built, and every reader (the report, the generation sweep, the
+memberships and the certificate identities) names a generator by its
+label: `gens["H1"]`, or `gens.before("H1")` for the generators listed
+before it.  `toric.ternary_spec` alone refuses a <= 2b.
+`_certificate_table` is the one source of the colon claims: each claimed
+colon generator is written once there, with its identity, and
+`colon_claims` reads the claims off it.
 """
 from __future__ import annotations
 
@@ -25,9 +28,7 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from .core import (
-    AciSpec,
     Binomial,
-    InputError,
     Monomial,
     check_exponent_cap,
     divisibility_mask,
@@ -54,69 +55,63 @@ def regime_of(a: int, b: int) -> str:
 
 
 def _labels(a: int, b: int) -> tuple[str, ...]:
-    """The labels of the ten generators, in `TernaryGenSet.labelled` order."""
+    """The labels of the ten generators, in `ternary_gens` order."""
     return ("f1", "f2", "f3", "g1", "g2", "g3", "H1", "H2", "H3", regime_of(a, b))
 
 
 @dataclass(frozen=True)
 class TernaryGenSet:
-    """The ten generators; the cube relation is E or E' by `regime_of`."""
+    """The ten generators as one `MoveSet`, checked when built, in `_labels`
+    order; `gens["H1"]` reads one by label.  The cube relation is E or E'
+    by `regime_of`; the label of the other regime raises KeyError."""
 
     a: int
     b: int
-    f1: Binomial
-    f2: Binomial
-    f3: Binomial
-    g1: Binomial
-    g2: Binomial
-    g3: Binomial
-    h1: Binomial
-    h2: Binomial
-    h3: Binomial
-    implicit: Binomial
+    moves: MoveSet
 
     @property
     def regime(self) -> str:
         return regime_of(self.a, self.b)
 
+    def index(self, label: str) -> int:
+        labels = _labels(self.a, self.b)
+        if label not in labels:
+            raise KeyError(label)
+        return labels.index(label)
+
+    def __getitem__(self, label: str) -> Binomial:
+        return self.moves.moves[self.index(label)]
+
     def labelled(self) -> tuple[tuple[str, Binomial], ...]:
-        return tuple(zip(_labels(self.a, self.b), (
-            self.f1, self.f2, self.f3, self.g1, self.g2, self.g3, self.h1, self.h2, self.h3, self.implicit,
-        )))
+        return tuple(zip(_labels(self.a, self.b), self.moves))
 
-    def all(self) -> tuple[Binomial, ...]:
-        return tuple(b for _, b in self.labelled())
-
-    def syzygies(self) -> tuple[Binomial, ...]:
-        return (self.f1, self.f2, self.f3, self.g1, self.g2, self.g3)
-
-    def spec(self) -> AciSpec:
-        return ternary_spec(self.a, self.b)
-
-    def move_set(self) -> MoveSet:
-        return MoveSet(self.spec(), self.all())
+    def before(self, label: str) -> MoveSet:
+        """The generators listed before `label`: the prefix ideal of its
+        colon claim, or (L), the six syzygies, before "H1"."""
+        return MoveSet(self.moves.spec, self.moves.moves[:self.index(label)])
 
 
-def _check_ab(a: int, b: int) -> None:
-    if not (a > 2 * b >= 2):
-        raise InputError(f"need a > 2b >= 2, got ({a}, {b})")
-    check_exponent_cap(a)
+def _cube_exponents(a: int, b: int) -> tuple[int, int, int]:
+    """(q, s, r) with q = max(3b - a, 0), s = 2b - q and r = b - q: the
+    exponents of the cube relation's pivots and claimed colon generators,
+    (s, r) = (a - b, a - 2b) in regime E and (2b, b) in E'."""
+    q = max(3 * b - a, 0)
+    return q, 2 * b - q, b - q
 
 
 def implicit_pivots(a: int, b: int) -> tuple[tuple[Monomial, Monomial], ...]:
     """The three regime-dependent pivots producing the cube relation from
     (g1, H3), (g2, H2), (g3, H1) respectively: (x^s, (yz)^r) and its
-    permutations, with s = 2b - q, r = b - q and q = max(3b - a, 0), so
-    (s, r) is (a - b, a - 2b) in regime E and (2b, b) in E'."""
-    q = max(3 * b - a, 0)
-    s, r = 2 * b - q, b - q
+    permutations, with s and r from `_cube_exponents`."""
+    _, s, r = _cube_exponents(a, b)
     return ((_m(gx=s), _m(gy=r, gz=r)), (_m(gy=s), _m(gx=r, gz=r)), (_m(gz=s), _m(gx=r, gy=r)))
 
 
 def ternary_gens(a: int, b: int) -> TernaryGenSet:
-    """Build the full generator set; the H's and the cube relation are
-    produced by sylvester_det on the pivots from the construction."""
-    _check_ab(a, b)
+    """Build the full generator set, checked against `ternary_spec(a, b)`
+    (which refuses a <= 2b); the H's and the cube relation are produced by
+    sylvester_det on the pivots from the construction."""
+    spec = ternary_spec(a, b)
     f1 = Binomial(_m(gx=a, u=1), _m(gy=a, t=1))
     f2 = Binomial(_m(gx=a, v=1), _m(gz=a, t=1))
     f3 = Binomial(_m(gy=a, v=1), _m(gz=a, u=1))
@@ -127,7 +122,7 @@ def ternary_gens(a: int, b: int) -> TernaryGenSet:
     h2 = sylvester_det(g1, g3, (_m(gx=b), _m(gz=b)))
     h3 = sylvester_det(g2, g3, (_m(gy=b), _m(gz=b)))
     implicit = sylvester_det(g1, h3, implicit_pivots(a, b)[0])
-    return TernaryGenSet(a, b, f1, f2, f3, g1, g2, g3, h1, h2, h3, implicit)
+    return TernaryGenSet(a, b, MoveSet(spec, (f1, f2, f3, g1, g2, g3, h1, h2, h3, implicit)))
 
 
 def implicit_three_ways(gens: TernaryGenSet) -> tuple[Binomial, Binomial, Binomial]:
@@ -135,9 +130,9 @@ def implicit_three_ways(gens: TernaryGenSet) -> tuple[Binomial, Binomial, Binomi
     three must coincide."""
     p1, p2, p3 = implicit_pivots(gens.a, gens.b)
     return (
-        sylvester_det(gens.g1, gens.h3, p1),
-        sylvester_det(gens.g2, gens.h2, p2),
-        sylvester_det(gens.g3, gens.h1, p3),
+        sylvester_det(gens["g1"], gens["H3"], p1),
+        sylvester_det(gens["g2"], gens["H2"], p2),
+        sylvester_det(gens["g3"], gens["H1"], p3),
     )
 
 
@@ -164,7 +159,7 @@ def enumerate_kernel_binomials(a: int, b: int, delta_max: int = 3) -> tuple[Bino
     equations: with alpha the (t, u, v) degrees, each coordinate forces
     beta from alpha_c * a - delta * b.  Building their `MoveSet` checks
     that every one lies in the kernel."""
-    _check_ab(a, b)
+    spec = ternary_spec(a, b)
     out = []
     for delta in range(1, delta_max + 1):
         for alpha in compositions(delta, 3):
@@ -182,7 +177,7 @@ def enumerate_kernel_binomials(a: int, b: int, delta_max: int = 3) -> tuple[Bino
             trail = Monomial(tuple(other), alpha + (0,))
             out.append(Binomial(lead, trail))
     out.sort(key=lambda bb: (bb.lead.rees[3] + bb.trail.rees[3], bb.lead.sort_key()))
-    return MoveSet(ternary_spec(a, b), tuple(out)).moves
+    return MoveSet(spec, tuple(out)).moves
 
 
 # -- colon claims ------------------------------------------------------------
@@ -207,13 +202,13 @@ def _certificate_table(a: int, b: int) -> tuple[tuple[str, str, Monomial, list[t
     only place a claimed colon monomial is written; `colon_claims` reads
     each claim's generators off its rows, in row order.
 
-    With c = a - 2b, p = max(a - 3b, 0) and q = max(3b - a, 0), the last
-    claim, E (3b >= a) or E' (a > 3b), has one set of rows for both
-    regimes: its single-variable multipliers have exponent s = 2b - q
-    (a - b or 2b) and its paired ones r = b - q (a - 2b or b)."""
-    c, p, q, last = a - 2 * b, max(a - 3 * b, 0), max(3 * b - a, 0), regime_of(a, b)
+    With c = a - 2b, p = max(a - 3b, 0) and q, s, r from `_cube_exponents`,
+    the last claim, E (3b >= a) or E' (a > 3b), has one set of rows for
+    both regimes: its single-variable multipliers have exponent s (a - b
+    or 2b) and its paired ones r (a - 2b or b)."""
+    c, p, last = a - 2 * b, max(a - 3 * b, 0), regime_of(a, b)
+    q, s, r = _cube_exponents(a, b)
     single, pair = ("(a-b)", "(a-2b)") if last == "E" else ("(2b)", "b")
-    s, r = 2 * b - q, b - q
     return (
         ("H1", "x^b", _m(gx=b), [(1, "g1", _m(gy=c, w=1)), (1, "g2", _m(gz=b, t=1))]),
         ("H1", "y^b", _m(gy=b), [(1, "g1", _m(gz=b, u=1)), (1, "g2", _m(gx=c, w=1))]),
@@ -342,8 +337,6 @@ def verify_colon_claims(a: int, b: int) -> ColonClaimsReport:
     multipliers tested, by total degree and then lexicographically, so
     that `subset_violations` lists every violation in that order."""
     gens = ternary_gens(a, b)
-    spec = gens.spec()
-    by_label = dict(gens.labelled())
     cert_ok_by_step: dict[str, bool] = {}
     for step, _, lhs, rhs in _identities(gens):
         cert_ok_by_step[step] = cert_ok_by_step.get(step, True) and lhs == rhs
@@ -351,8 +344,8 @@ def verify_colon_claims(a: int, b: int) -> ColonClaimsReport:
                     dtype=np.int64)  # the ground monomials of degree <= a, lexicographically
     reports = []
     for claim in colon_claims(a, b):
-        lead, trail = MoveSet(spec, (by_label[claim["name"]],)).array[0]
-        prefix = MoveSet(spec, tuple(by_label[p] for p in claim["prefix"]))
+        lead, trail = gens.moves.array[gens.index(claim["name"])]
+        prefix = gens.before(claim["name"])
         colon = np.array([g.ground + g.rees for g in claim["colon"]], dtype=np.int64).reshape(-1, 7)
         if colon[:, 3:].any():
             raise ValueError(f"claimed colon generator of {claim['name']} has a Rees part; "
@@ -395,9 +388,8 @@ def ternary_generation_check(a: int, b: int) -> TernaryGenerationReport:
     per-generator removal probes.  A removable generator is reported, not
     asserted away."""
     gens = ternary_gens(a, b)
-    moves = gens.move_set()
-    report = generates_up_to(moves, 4, 3 * a)
-    redundant = tuple(lbl for (lbl, _), r in zip(gens.labelled(), moves.redundant()) if r)
+    report = generates_up_to(gens.moves, 4, 3 * a)
+    redundant = tuple(lbl for (lbl, _), r in zip(gens.labelled(), gens.moves.redundant()) if r)
     return TernaryGenerationReport(a, b, report, redundant)
 
 
@@ -414,10 +406,10 @@ def ternary_length_profile(a: int, b: int) -> tuple[TernaryLengthRow, ...]:
     l <= 3a, until the first zero (J is a reduction when 3b >= a, so the
     tail then vanishes).  No closed form is asserted here.  J I^(3a-1)
     has pure powers of exponent 3a * a, so a >= 578 is refused."""
-    _check_ab(a, b)
+    spec = ternary_spec(a, b)
     check_exponent_cap(3 * a * a, "power exponent l * a =")
     rows = []
-    for ell, colon in zip(range(1, 3 * a + 1), ternary_spec(a, b).colons()):
+    for ell, colon in zip(range(1, 3 * a + 1), spec.colons()):
         lam = 0 if colon.is_unit_ideal() else colon.colength()
         if lam == 0:
             break

@@ -61,7 +61,10 @@ def binary_spec(d: int, b: int) -> AciSpec:
 
 
 def ternary_spec(a: int, b: int) -> AciSpec:
-    """I = (x^a, y^a, z^a, (xyz)^b), whose Rees variables are t, u, v, w."""
+    """I = (x^a, y^a, z^a, (xyz)^b), whose Rees variables are t, u, v, w;
+    the one place the ternary family's rule a > 2b >= 2 is enforced."""
+    if not (a > 2 * b >= 2):
+        raise InputError(f"need a > 2b >= 2, got ({a}, {b})")
     return AciSpec((a,) * 3, (b,) * 3)
 
 

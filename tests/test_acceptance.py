@@ -29,7 +29,6 @@ from reeslab.ternary import (
     verify_colon_claims,
 )
 from reeslab.toric import (
-    MoveSet,
     binary_spec,
     binomial_in_binomial_ideal,
     bruteforce_min_gens,
@@ -85,7 +84,7 @@ def test_criterion_02_generation_and_minimality():
     pairs = coprime_pairs(12)
     for d, b in pairs:
         sigma = sigma_set(d, b)
-        moves = sigma.move_set()
+        moves = sigma.moves
         rep = generates_up_to(moves, d + 1, 3 * d)
         assert rep.passed, (d, b)
         # dropping any entry disconnects its own fiber: the sweep fails at
@@ -95,7 +94,7 @@ def test_criterion_02_generation_and_minimality():
     # literal first-failure confirmation on the small instances
     for d, b in coprime_pairs(6):
         sigma = sigma_set(d, b)
-        moves = sigma.move_set()
+        moves = sigma.moves
         for i, e in enumerate(sigma.entries):
             rep = generates_up_to(moves.without(i), d + 1, 3 * d)
             assert not rep.passed
@@ -228,9 +227,9 @@ def test_criterion_08_ternary():
         gen_rep = ternary_generation_check(a, b)
         assert gen_rep.passed, (a, b)
         found = set(enumerate_kernel_binomials(a, b, 3))
-        headline = {gens.h1, gens.h2, gens.h3, gens.implicit}
+        headline = {gens[label] for label in ("H1", "H2", "H3", gens.regime)}
         assert headline <= found, (a, b)
-        l_moves = MoveSet(gens.spec(), gens.syzygies())
+        l_moves = gens.before("H1")
         for bi in found - headline:
             assert binomial_in_binomial_ideal(bi, l_moves), (a, b, str(bi))
         elapsed = time.monotonic() - start

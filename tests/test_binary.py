@@ -62,6 +62,17 @@ def test_euclid_rejects_bad_input():
         euclid_sequence(EXPONENT_CAP + 1, 3)
 
 
+def test_euclid_indices_are_refused_just_outside_each_range():
+    ed = euclid_sequence(14, 3)  # steps 3: d_{-1..3}, c_{1..3}, e_{-1..3}
+    assert [ed.dk(k) for k in range(-1, 4)] == [14, 3, 2, 1, 0]
+    assert [ed.ck(k) for k in range(1, 4)] == [4, 1, 2]
+    assert [ed.ek(k) for k in range(-1, 4)] == [0, 1, 4, 5, 14]
+    for read, first in ((ed.dk, -1), (ed.ck, 1), (ed.ek, -1)):
+        for k in (first - 1, ed.steps + 1):
+            with pytest.raises(IndexError):
+                read(k)
+
+
 def test_pk_qk_values():
     ed = euclid_sequence(14, 3)
     assert pk_qk(ed, 1, 1) == 1  # O = 14 - 3 + 3*1 = 14

@@ -177,6 +177,17 @@ def test_json_round_trip(capsys):
     assert report.to_json() + "\n" == out
 
 
+def test_report_json_holds_the_report_fields():
+    report = Report("lengths", {"d": 7, "b": 3}, {"rows": []}, "pass")
+    data = json.loads(report.to_json())
+    assert list(data) == ["command", "params", "results", "schema", "verdict"]
+    assert Report.from_json(report.to_json()) == report
+    del data["schema"]  # an absent schema takes the default
+    assert Report.from_json(json.dumps(data)).schema == cli.SCHEMA
+    with pytest.raises(TypeError):  # a key that is no field is refused
+        Report.from_json(json.dumps({**data, "extra": 1}))
+
+
 def test_sweep_csv(tmp_path, capsys):
     out_path = tmp_path / "sweep.csv"
     code, _, _ = run_cli(capsys, "sweep", "--binary-max-d", "5", "--out", str(out_path), "--format", "csv")
@@ -259,6 +270,56 @@ def test_ternary_builds_its_generators_once_per_check(capsys, monkeypatch):
     assert main(["sweep", "--binary-max-d", "1", "--ternary-max-a", "3"]) == 0
     assert calls == [(3, 1)]
     capsys.readouterr()
+
+
+def _count_kernel_checks(monkeypatch) -> list:
+    calls = []
+    check = toric._check_kernel
+
+    def spy(spec, leads, trails):
+        calls.append(len(leads))
+        return check(spec, leads, trails)
+
+    monkeypatch.setattr(toric, "_check_kernel", spy)
+    return calls
+
+
+@pytest.mark.parametrize("argv, checks", [
+    (["ternary", "8", "3"], 1),  # the generator set, when it is built
+    (["binary-gens", "11", "5"], 1),  # Sigma, when it is built
+    (["binary-verify", "11", "5"], 17),  # Sigma, then two per removal probe
+])
+def test_kernel_checks_per_command(capsys, monkeypatch, argv, checks):
+    calls = _count_kernel_checks(monkeypatch)
+    assert main(argv) == 0
+    assert len(calls) == checks
+    capsys.readouterr()
+
+
+def test_ternary_verify_checks_the_kernel_at_most_36_times(capsys, monkeypatch):
+    calls = _count_kernel_checks(monkeypatch)
+    assert main(["ternary", "8", "3", "--verify"]) == 0
+    assert 0 < len(calls) <= 36
+    capsys.readouterr()
+
+
+def test_an_off_kernel_generator_fails_even_the_plain_ternary_report(capsys, monkeypatch):
+    # the cube relation times x is off the kernel; the set is checked when
+    # it is built, so the report without --verify is an internal error
+    sylvester_det = ternary.sylvester_det
+    cube_pivot = ternary.implicit_pivots(5, 2)[0]
+
+    def skewed(f, g, pivot):
+        det = sylvester_det(f, g, pivot)
+        if pivot != cube_pivot:
+            return det
+        return Binomial(det.lead * Monomial((1, 0, 0), (0, 0, 0, 0)), det.trail)
+
+    monkeypatch.setattr(ternary, "sylvester_det", skewed)
+    code, out, err = run_cli(capsys, "ternary", "5", "2")
+    assert code == 3
+    assert out == ""
+    assert "KernelMismatch" in err
 
 
 def test_invalid_parameters_exit_2(capsys):

@@ -162,14 +162,14 @@ def random_cases(draw):
 def sigma_cases(draw):
     d = draw(st.integers(2, 6))
     b = draw(st.sampled_from([b for b in range(1, d) if gcd(d, b) == 1]))
-    return _drop_some(draw, sigma_set(d, b).move_set()), 3, 2 * d
+    return _drop_some(draw, sigma_set(d, b).moves), 3, 2 * d
 
 
 @st.composite
 def ternary_cases(draw):
     a = draw(st.integers(3, 5))
     b = draw(st.integers(1, (a - 1) // 2))
-    return _drop_some(draw, ternary_gens(a, b).move_set()), 2, a
+    return _drop_some(draw, ternary_gens(a, b).moves), 2, a
 
 
 cases = st.one_of(random_cases(), sigma_cases(), ternary_cases())
@@ -318,7 +318,7 @@ def test_move_sets_refuse_the_first_move_off_the_kernel():
 
 
 def test_connected_under_moves_refuses_members_that_are_not_the_complete_fiber():
-    moves = sigma_set(2, 1).move_set()  # x^2, y^2, x*y -> t, u, v
+    moves = sigma_set(2, 1).moves  # x^2, y^2, x*y -> t, u, v
     image = Monomial((2, 2), (1,))
     members = reference_fiber(moves.spec, image)  # y^2*t, x^2*u and x*y*v
     assert len(members) == 3
@@ -422,7 +422,7 @@ def test_fibers_of_is_the_level_of_its_images(case, tau, cells):
 def _sigma_2_1_non_reduced_pair():
     # image x^3*y at T-degree 1 for (x^2, y^2, xy): the fiber {x*y*t, x^2*v}
     # shares x, so it is x times the fiber of x^2*y
-    moves = sigma_set(2, 1).move_set()
+    moves = sigma_set(2, 1).moves
     members = reference_fiber(moves.spec, Monomial((3, 1), (1,)))
     assert len(members) == 2 and not members[0].gcd(members[1]).is_unit()
     return moves, [members]
@@ -484,7 +484,7 @@ def test_batched_membership_refuses_pairs_off_the_kernel(monkeypatch):
 
     monkeypatch.setattr(toric, "_fibers_of", unreachable)
     monkeypatch.setattr(toric, "_fiber_components", unreachable)
-    moves = sigma_set(3, 1).move_set()
+    moves = sigma_set(3, 1).moves
     width = moves.spec.n + moves.spec.nrees
     lead = Monomial((0, 0), (1, 0, 0))
     for budget in BUDGETS:
@@ -501,7 +501,7 @@ def test_stacked_sweep_matches_the_per_level_reference(d, monkeypatch):
     for b in range(1, d):
         if gcd(d, b) != 1:
             continue
-        moves = sigma_set(d, b).move_set()
+        moves = sigma_set(d, b).moves
         for drop in [None, *range(len(moves))]:
             sub = moves if drop is None else moves.without(drop)
             expected = reference_generates_up_to(sub, d + 1, 3 * d)
@@ -517,11 +517,10 @@ def multiplier_cases(draw):
     a = draw(st.integers(3, 6))
     b = draw(st.integers(1, (a - 1) // 2))
     gens = ternary_gens(a, b)
-    by_label = dict(gens.labelled())
     claim = draw(st.sampled_from(colon_claims(a, b)))
-    prefix = MoveSet(gens.spec(), tuple(by_label[p] for p in claim["prefix"]))
+    prefix = gens.before(claim["name"])
     rows = draw(st.lists(st.lists(st.integers(0, 2), min_size=7, max_size=7), max_size=40))
-    return prefix, by_label[claim["name"]], np.array(rows, dtype=np.int64).reshape(-1, 7), draw(st.sampled_from(BUDGETS))
+    return prefix, gens[claim["name"]], np.array(rows, dtype=np.int64).reshape(-1, 7), draw(st.sampled_from(BUDGETS))
 
 
 @SETTINGS

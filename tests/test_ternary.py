@@ -25,7 +25,6 @@ from reeslab.ternary import (
 )
 from reeslab.toric import (
     KernelMismatch,
-    MoveSet,
     binomial_in_binomial_ideal,
     bruteforce_min_gens,
     compositions,
@@ -44,32 +43,61 @@ PAIRS_TO_8 = ALL_PAIRS + [(8, 1), (8, 2), (8, 3)]
 
 def test_gens_closed_forms_5_2():
     g = ternary_gens(5, 2)
-    assert g.h1 == pb3("x*y*w^2 - z^4*t*u")
-    assert g.h2 == pb3("x*z*w^2 - y^4*t*v")
-    assert g.h3 == pb3("y*z*w^2 - x^4*u*v")
-    assert g.implicit == pb3("w^3 - x*y*z*t*u*v")
+    assert g["H1"] == pb3("x*y*w^2 - z^4*t*u")
+    assert g["H2"] == pb3("x*z*w^2 - y^4*t*v")
+    assert g["H3"] == pb3("y*z*w^2 - x^4*u*v")
+    assert g["E"] == pb3("w^3 - x*y*z*t*u*v")
     assert g.regime == "E"
-    assert g.g1 == pb3("x^3*w - y^2*z^2*t")
-    assert g.f1 == pb3("x^5*u - y^5*t")
+    assert g["g1"] == pb3("x^3*w - y^2*z^2*t")
+    assert g["f1"] == pb3("x^5*u - y^5*t")
 
 
 def test_gens_eprime_regime():
     g = ternary_gens(7, 2)
-    assert g.implicit == pb3("x*y*z*w^3 - t*u*v")
+    assert g["E'"] == pb3("x*y*z*w^3 - t*u*v")
     assert g.regime == "E'"
 
 
 def test_boundary_a_equals_3b():
     g = ternary_gens(6, 2)
-    assert g.implicit == pb3("w^3 - t*u*v")
+    assert g["E"] == pb3("w^3 - t*u*v")
     assert g.regime == "E"
     # the a > 3b formula degenerates to the same binomial at a = 3b
-    assert all(x == g.implicit for x in implicit_three_ways(g))
+    assert all(x == g["E"] for x in implicit_three_ways(g))
 
 
 def test_gens_rejects_gate():
     with pytest.raises(InputError):
         ternary_gens(4, 2)
+
+
+def test_ternary_spec_owns_the_family_rule():
+    for a, b in [(4, 2), (2, 1), (5, 0), (3, 2)]:
+        with pytest.raises(InputError, match=r"need a > 2b >= 2"):
+            ternary_spec(a, b)
+    assert ternary_spec(5, 2).a == (5, 5, 5)
+
+
+@pytest.mark.parametrize("a, b", [(5, 2), (6, 2), (7, 2)])
+def test_generators_are_read_by_label(a, b):
+    g = ternary_gens(a, b)
+    labels = ternary._labels(a, b)
+    assert [g[label] for label in labels] == list(g.moves) == [bi for _, bi in g.labelled()]
+    assert [g.index(label) for label in labels] == list(range(10))
+    other = "E'" if g.regime == "E" else "E"
+    for label in (other, "h1", "implicit", "H4"):
+        with pytest.raises(KeyError):
+            g[label]
+    with pytest.raises(KeyError):
+        g.before(other)
+
+
+def test_the_prefix_of_a_label_is_the_generators_before_it():
+    g = ternary_gens(5, 2)
+    assert g.before("H1").moves == tuple(g[label] for label in ("f1", "f2", "f3", "g1", "g2", "g3"))
+    assert g.before("E").moves == g.moves.moves[:9]
+    assert g.before("f1").moves == ()
+    assert g.before("H2").spec == ternary_spec(5, 2)
 
 
 def test_implicit_three_ways_agree():
@@ -81,20 +109,20 @@ def test_implicit_three_ways_agree():
 def test_all_gens_in_kernel():
     for a, b in ALL_PAIRS:
         g = ternary_gens(a, b)
-        spec = g.spec()
-        for bi in g.all():
+        spec = ternary_spec(a, b)
+        for bi in g.moves:
             assert spec.image_of(bi.lead) == spec.image_of(bi.trail)
 
 
 def test_classify_type():
     g = ternary_gens(5, 2)
-    assert classify_type(g.implicit) == 1  # w^3 alone on the w-side
-    assert classify_type(g.h1) == 3
-    assert classify_type(g.g1) == 2
-    assert classify_type(g.f1) is None  # no w: an L-element, not conforming
-    assert classify_type(ternary_gens(7, 2).implicit) == 4
+    assert classify_type(g["E"]) == 1  # w^3 alone on the w-side
+    assert classify_type(g["H1"]) == 3
+    assert classify_type(g["g1"]) == 2
+    assert classify_type(g["f1"]) is None  # no w: an L-element, not conforming
+    assert classify_type(ternary_gens(7, 2)["E'"]) == 4
     # common factor disqualifies
-    scaled = g.h1.scale(Monomial((1, 0, 0), (0, 0, 0, 0)))
+    scaled = g["H1"].scale(Monomial((1, 0, 0), (0, 0, 0, 0)))
     assert classify_type(scaled) is None
 
 
@@ -102,10 +130,11 @@ def test_enumeration_recovers_generators():
     for a, b in [(5, 2), (7, 2), (4, 1)]:
         g = ternary_gens(a, b)
         found = set(enumerate_kernel_binomials(a, b))
-        assert {g.g1, g.g2, g.g3, g.h1, g.h2, g.h3, g.implicit} <= found
+        headline = {g[label] for label in ("H1", "H2", "H3", g.regime)}
+        assert {g["g1"], g["g2"], g["g3"]} | headline <= found
         # everything else found is already in (L)
-        l_moves = MoveSet(g.spec(), g.syzygies())
-        extras = found - {g.h1, g.h2, g.h3, g.implicit}
+        l_moves = g.before("H1")
+        extras = found - headline
         for bi in extras:
             assert binomial_in_binomial_ideal(bi, l_moves), (a, b, str(bi))
 
@@ -123,15 +152,14 @@ def test_enumeration_types_at_5_2():
     for bi in enumerate_kernel_binomials(5, 2):
         by_type.setdefault(classify_type(bi), []).append(bi)
     g = ternary_gens(5, 2)
-    assert set(by_type[3]) == {g.h1, g.h2, g.h3}
-    assert by_type[1] == [g.implicit]
+    assert set(by_type[3]) == {g["H1"], g["H2"], g["H3"]}
+    assert by_type[1] == [g["E"]]
 
 
 def test_delta_four_diagnostic():
     # every new binomial at w-degree 4 reduces into the delta <= 3 set
     for a, b in [(5, 2), (7, 2), (6, 2), (4, 1)]:
-        g = ternary_gens(a, b)
-        moves = g.move_set()
+        moves = ternary_gens(a, b).moves
         three = set(enumerate_kernel_binomials(a, b, 3))
         four = set(enumerate_kernel_binomials(a, b, 4)) - three
         for bi in four:
@@ -189,12 +217,12 @@ def test_colon_claims_small():
 def test_colon_h1_subset_witness():
     # z^2 is outside (x^2, y^2, z^3) and z^2 H1 stays outside (L) at (5, 2)
     g = ternary_gens(5, 2)
-    l_moves = MoveSet(g.spec(), g.syzygies())
+    l_moves = g.before("H1")
     z2 = Monomial((0, 0, 2), (0, 0, 0, 0))
-    assert not binomial_in_binomial_ideal(g.h1.scale(z2), l_moves)
+    assert not binomial_in_binomial_ideal(g["H1"].scale(z2), l_moves)
     # while the claimed generator z^{a-b} = z^3 multiplies in
     z3 = Monomial((0, 0, 3), (0, 0, 0, 0))
-    assert binomial_in_binomial_ideal(g.h1.scale(z3), l_moves)
+    assert binomial_in_binomial_ideal(g["H1"].scale(z3), l_moves)
 
 
 def test_generation_check_with_removals():
@@ -320,14 +348,13 @@ def reference_colon_claims(a, b, claims):
     """The colon checks with one congruence walk per multiplier: the route
     `verify_colon_claims` took before its memberships were batched."""
     gens = ternary_gens(a, b)
-    by_label = dict(gens.labelled())
     certs_ok = {}
     for step, _, lhs, rhs in certificate_identities(a, b):
         certs_ok[step] = certs_ok.get(step, True) and lhs == rhs
     reports = []
     for claim in claims:
-        h = by_label[claim["name"]]
-        prefix = MoveSet(gens.spec(), tuple(by_label[p] for p in claim["prefix"]))
+        h = gens[claim["name"]]
+        prefix = gens.before(claim["name"])
         superset_ok = all(binomial_in_binomial_ideal(h.scale(m), prefix) for m in claim["colon"])
         violations, checked = [], 0
         for total in range(a + 1):
@@ -413,14 +440,14 @@ def test_passing_claims_test_only_the_degree_a_multipliers(monkeypatch, a, b, bl
     monkeypatch.setattr(ternary, "binomials_in_binomial_ideal", spy)
     assert verify_colon_claims(a, b).ok
     assert all(len(leads) <= ternary._BLOCK_ROWS for _, leads in calls)
-    by_label = dict(ternary_gens(a, b).labelled())
+    gens = ternary_gens(a, b)
     claims = colon_claims(a, b)
     per_claim = [[leads for _, leads in group] for _, group in groupby(calls, key=lambda call: id(call[0]))]
     assert len(per_claim) == len(claims)
     if block_rows is None:
         assert all(len(leads) == 1 for leads in per_claim)
     for claim, leads in zip(claims, per_claim):
-        h = by_label[claim["name"]]
+        h = gens[claim["name"]]
         rows = [tuple(r) for r in (np.concatenate(leads) - np.array(h.lead.ground + h.lead.rees)).tolist()]
         top = [
             split for split in compositions(a, 7)
@@ -488,7 +515,7 @@ def test_bruteforce_census_matches_the_ten_generators(a, b):
     # (image ground degree, T-degree) bidegrees as the construction
     spec = ternary_spec(a, b)
     found = bruteforce_min_gens(spec, 4, 3 * a)
-    gens = ternary_gens(a, b).all()
+    gens = ternary_gens(a, b).moves.moves
     assert len(found) == len(gens) == 10
     assert _bidegrees(spec, found) == _bidegrees(spec, gens)
 

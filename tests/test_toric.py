@@ -63,7 +63,7 @@ def test_fiber_of_implicit_equation_14_3():
 
 def test_connected_under_moves():
     spec = binary_spec(2, 1)
-    sigma = sigma_set(2, 1).move_set()
+    sigma = sigma_set(2, 1).moves
     fib = fiber_enumerate(spec, Monomial((2, 2), (2,)))
     assert len(fib.members) == 2
     comps = connected_under_moves(fib, sigma)
@@ -80,7 +80,7 @@ def test_connected_under_moves():
 def test_binomial_membership_minimal_generator_excluded():
     # E = v^2 - tu is a minimal generator, so not in (F, G), d=2, b=1
     sigma = sigma_set(2, 1)
-    moves = sigma.move_set()
+    moves = sigma.moves
     f_and_g = MoveSet(moves.spec, moves.moves[:2])
     e = sigma.implicit_equation()
     assert not binomial_in_binomial_ideal(e, f_and_g)
@@ -94,7 +94,7 @@ def test_binomial_membership_f2_regression():
     # pivot multiples x^b F_2, y^b F_2 land in (F, G) but F_2 does not.
     # Frozen from the congruence oracle.
     sigma = sigma_set(7, 3)
-    moves = sigma.move_set()
+    moves = sigma.moves
     f_and_g = MoveSet(moves.spec, (sigma.entries[0].binomial, sigma.entries[1].binomial))
     f2 = parse_binomial("x*v^2 - y*t*u", 2, 3)
     assert f2 == sigma.entries[2].binomial
@@ -106,14 +106,14 @@ def test_binomial_membership_f2_regression():
 
 
 def test_removal_probes_flag_a_redundant_move_and_nothing_else():
-    moves = sigma_set(7, 3).move_set()
+    moves = sigma_set(7, 3).moves
     assert moves.redundant() == [False] * len(moves)
     extra = moves.moves[0].scale(parse_monomial("x", 2, 3))
     assert MoveSet(moves.spec, moves.moves + (extra,)).redundant() == [False] * len(moves) + [True]
 
 
 def test_binomial_membership_rejects_non_kernel():
-    moves = sigma_set(2, 1).move_set()
+    moves = sigma_set(2, 1).moves
     junk = parse_binomial("x*v - y*u", 2, 3)
     with pytest.raises(KernelMismatch):
         binomial_in_binomial_ideal(junk, moves)
@@ -152,7 +152,7 @@ def test_mixed_ideal_cap():
 
 def test_generates_up_to_sigma_14_3():
     sigma = sigma_set(14, 3)
-    moves = sigma.move_set()
+    moves = sigma.moves
     report = generates_up_to(moves, 15, 42)
     assert report.passed
 
@@ -161,7 +161,7 @@ def test_a_sweep_reads_the_map_of_its_move_set():
     # the moves of Sigma(7, 3) generate within these bounds under their own
     # map; under the map of (11, 5) they are not kernel moves, and the only
     # way to pair them with it, a MoveSet, refuses them
-    moves = sigma_set(7, 3).move_set()
+    moves = sigma_set(7, 3).moves
     report = generates_up_to(moves, 8, 21)
     assert report.passed and report.fibers_checked == 729
     with pytest.raises(KernelMismatch):
@@ -170,7 +170,7 @@ def test_a_sweep_reads_the_map_of_its_move_set():
 
 def test_generates_failure_lands_at_removed_bidegree():
     sigma = sigma_set(14, 3)
-    moves = sigma.move_set()
+    moves = sigma.moves
     dropped = moves.without(len(moves) - 1)  # drop t^3 u^11 - v^14
     report = generates_up_to(dropped, 15, 42)
     assert not report.passed
@@ -180,7 +180,7 @@ def test_generates_failure_lands_at_removed_bidegree():
 
 def test_kernel_invariant_of_movesets():
     for d, b in [(2, 1), (7, 3), (12, 5)]:
-        moves = sigma_set(d, b).move_set()
+        moves = sigma_set(d, b).moves
         for mv in moves:
             assert moves.spec.image_of(mv.lead) == moves.spec.image_of(mv.trail)
 
@@ -196,7 +196,7 @@ def test_oracle_consistency_on_random_kernel_binomials():
     # generates_up_to passing forces membership of any in-bounds kernel binomial
     rng = random.Random(5)
     sigma = sigma_set(7, 3)
-    moves = sigma.move_set()
+    moves = sigma.moves
     spec = moves.spec
     assert generates_up_to(moves, 8, 21).passed
     for _ in range(25):
