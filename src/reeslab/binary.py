@@ -255,7 +255,7 @@ def telescopic_subideal(d: int, b: int, k: int) -> MoveSet:
     if not 0 <= k <= sigma.euclid.steps:
         raise IndexError(f"cycle index {k} outside [0, {sigma.euclid.steps}]")
     count = 1 + sum(sigma.euclid.quotients[:k])
-    return MoveSet(sigma.moves.spec, sigma.binomials()[:count])
+    return sigma.moves.prefix(count)
 
 
 @dataclass(frozen=True)

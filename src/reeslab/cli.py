@@ -226,8 +226,8 @@ def cmd_ternary(args) -> Report:
     }
     ok = True
     if args.verify:
-        colon = ternary.verify_colon_claims(a, b)
-        gen_rep = ternary.ternary_generation_check(a, b)
+        colon = ternary.verify_colon_claims(a, b, gens)
+        gen_rep = ternary.ternary_generation_check(a, b, gens)
         enum = ternary.enumerate_kernel_binomials(a, b)
         expected = {gens[label] for label in ("H1", "H2", "H3", gens.regime)}
         in_l = [bi for bi in enum if bi not in expected]

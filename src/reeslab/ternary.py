@@ -88,7 +88,7 @@ class TernaryGenSet:
     def before(self, label: str) -> MoveSet:
         """The generators listed before `label`: the prefix ideal of its
         colon claim, or (L), the six syzygies, before "H1"."""
-        return MoveSet(self.moves.spec, self.moves.moves[:self.index(label)])
+        return self.moves.prefix(self.index(label))
 
 
 def _cube_exponents(a: int, b: int) -> tuple[int, int, int]:
@@ -123,6 +123,15 @@ def ternary_gens(a: int, b: int) -> TernaryGenSet:
     h3 = sylvester_det(g2, g3, (_m(gy=b), _m(gz=b)))
     implicit = sylvester_det(g1, h3, implicit_pivots(a, b)[0])
     return TernaryGenSet(a, b, MoveSet(spec, (f1, f2, f3, g1, g2, g3, h1, h2, h3, implicit)))
+
+
+def _gens_of(a: int, b: int, gens: Optional[TernaryGenSet]) -> TernaryGenSet:
+    """`gens`, which must be the set of (a, b), or `ternary_gens(a, b)`."""
+    if gens is None:
+        return ternary_gens(a, b)
+    if (gens.a, gens.b) != (a, b):
+        raise ValueError(f"the generators of ({gens.a}, {gens.b}) given for ({a}, {b})")
+    return gens
 
 
 def implicit_three_ways(gens: TernaryGenSet) -> tuple[Binomial, Binomial, Binomial]:
@@ -318,7 +327,7 @@ def _multiplier_blocks(head: np.ndarray, ground: np.ndarray, degrees: Sequence[i
         yield np.concatenate(pending)
 
 
-def verify_colon_claims(a: int, b: int) -> ColonClaimsReport:
+def verify_colon_claims(a: int, b: int, gens: Optional[TernaryGenSet] = None) -> ColonClaimsReport:
     """Check every colon claim: exact certificates, oracle membership of
     each claimed generator, and the bounded-degree converse (monomials of
     total degree <= a outside the claimed colon never multiply H into the
@@ -335,8 +344,11 @@ def verify_colon_claims(a: int, b: int) -> ColonClaimsReport:
     m * t^(a - deg m), which multiplies H into the prefix whenever m does.
     Only when a degree-a multiplier is a member are all outside
     multipliers tested, by total degree and then lexicographically, so
-    that `subset_violations` lists every violation in that order."""
-    gens = ternary_gens(a, b)
+    that `subset_violations` lists every violation in that order.
+
+    `gens`, when given, is the caller's `ternary_gens(a, b)`, so its
+    checked set is read instead of built again."""
+    gens = _gens_of(a, b, gens)
     cert_ok_by_step: dict[str, bool] = {}
     for step, _, lhs, rhs in _identities(gens):
         cert_ok_by_step[step] = cert_ok_by_step.get(step, True) and lhs == rhs
@@ -382,12 +394,12 @@ class TernaryGenerationReport:
         return self.generation.passed
 
 
-def ternary_generation_check(a: int, b: int) -> TernaryGenerationReport:
+def ternary_generation_check(a: int, b: int, gens: Optional[TernaryGenSet] = None) -> TernaryGenerationReport:
     """Full fiber sweep (T-degree <= 4, one beyond the w-degree 3 of the
     cube relation, and ground degree <= 3a) for the ten generators plus
     per-generator removal probes.  A removable generator is reported, not
-    asserted away."""
-    gens = ternary_gens(a, b)
+    asserted away.  `gens` is as in `verify_colon_claims`."""
+    gens = _gens_of(a, b, gens)
     report = generates_up_to(gens.moves, 4, 3 * a)
     redundant = tuple(lbl for (lbl, _), r in zip(gens.labelled(), gens.moves.redundant()) if r)
     return TernaryGenerationReport(a, b, report, redundant)

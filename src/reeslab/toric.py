@@ -12,9 +12,11 @@ ideal generator has positive degree.
 `_check_kernel` is the one kernel-membership check, naming the first pair
 off the kernel: `MoveSet` runs it on its moves (`binomial_in_binomial_ideal`
 builds a one-move `MoveSet`), `binomials_in_binomial_ideal` on its rows.
-A `MoveSet` keeps its moves as the array the kernel and the walk read, and
-carries the map: every sweep and membership reads `moves.spec`, so no
-caller can pair moves with a map they were not checked against.
+The subsets `MoveSet.without` and `MoveSet.prefix` take rows of the checked
+array, so no move set is checked twice.  A `MoveSet` keeps its moves as
+the array the kernel and the walk read, and carries the map: every sweep
+and membership reads `moves.spec`, so no caller can pair moves with a map
+they were not checked against.
 
 The full-sweep operations only check *reduced* fibers (those whose members
 share no common variable).  Multiplying a fiber by a variable is a
@@ -29,12 +31,23 @@ of consecutive levels, under kernel moves in one numpy pass.
 `generates_up_to` and `binomials_in_binomial_ideal` (which decides many
 memberships at once on the complete fibers that `_fibers_of` builds) label
 `_stacks` of levels, each labelled once it holds `_STACK_MEMBERS` members;
-a level that large is labelled alone.  `bruteforce_min_gens` and
-`connected_under_moves` go through the same kernel one level at a time.
-The kernel can also start from the labels of an earlier call, so
-`bruteforce_min_gens` labels each level once and then applies only the
-moves it adds.  The tuple walk `_neighbors` answers single membership
-questions; the kernel answers batches.
+a level that large is labelled alone.  `connected_under_moves` goes through
+the same kernel one fiber at a time.  The kernel can also start from the
+labels of an earlier call, so `bruteforce_min_gens` labels each stack once
+and then applies only the moves it adds.  The tuple walk `_neighbors`
+answers single membership questions; the kernel answers batches.
+
+Both sweeps label only the fibers of a stack that `_undecided` leaves.
+Moves generate the kernel iff every fiber is connected (Diaconis and
+Sturmfels, Ann. Statist. 1998).  A fiber b whose squarefree divisor
+complex Delta_b is connected is connected whenever every smaller fiber
+b - deg(x_v), x_v a vertex of Delta_b, is (Miller and Sturmfels,
+Combinatorial Commutative Algebra, GTM 227, ch. 9).  The gate keeps a
+fiber when Delta_b is disconnected or some smaller fiber lies beyond the
+ground bound.  Every other fiber is connected once the fibers before it
+in (T-degree, image) order are, so the verdict, the first failure and
+`fibers_checked` are those of labelling every fiber.  Under the full
+Sigma set the fibers kept are exactly the generators' degrees.
 """
 from __future__ import annotations
 
@@ -141,8 +154,24 @@ class MoveSet:
     def __len__(self):
         return len(self.moves)
 
+    def _rows(self, keep: Sequence[int]) -> "MoveSet":
+        """The moves at the indices `keep`, in that order, with their rows of
+        the checked `array`: a subset of checked moves needs no new check."""
+        sub = object.__new__(MoveSet)
+        object.__setattr__(sub, "spec", self.spec)
+        object.__setattr__(sub, "moves", tuple(self.moves[i] for i in keep))
+        object.__setattr__(sub, "array", self.array[list(keep)])
+        return sub
+
+    def prefix(self, stop: int) -> "MoveSet":
+        """The first `stop` moves."""
+        return self._rows(range(stop))
+
     def without(self, index: int) -> "MoveSet":
-        return MoveSet(self.spec, self.moves[:index] + self.moves[index + 1:])
+        """The moves but the one at `index`; IndexError outside 0..len - 1."""
+        if not 0 <= index < len(self):
+            raise IndexError(f"move index {index} outside 0..{len(self) - 1}")
+        return self._rows([i for i in range(len(self)) if i != index])
 
     def redundant(self) -> list[bool]:
         """The removal probes: for each move, whether the other moves
@@ -297,6 +326,12 @@ class _Level:
         `_fiber_components`) splits into two or more components."""
         first = np.searchsorted(self.fiber, self.fiber)  # first member of each member's fiber
         return sorted(set(self.fiber[labels != first].tolist()))
+
+    def select(self, keep: np.ndarray) -> "_Level":
+        """The level of the fibers where `keep` (one bool per fiber) holds,
+        renumbered in order."""
+        rows = keep[self.fiber]
+        return _Level(self.images[keep], (np.cumsum(keep) - 1)[self.fiber[rows]], self.ground[rows], self.rees[rows])
 
     def components(self, f: int, labels: np.ndarray) -> list[list[Vec]]:
         """The member vectors of fiber f grouped by label, as `_groups`."""
@@ -557,6 +592,41 @@ def _reduced_fibers_at(spec: AciSpec, tau: int, ground_bound: int) -> _Level:
     return _level_of(comps, G, _distinct_rows(cand)[0], keep)
 
 
+def _undecided(level: _Level, ground_bound: int) -> np.ndarray:
+    """Which fibers of a level of reduced fibers (one bool per fiber) the
+    squarefree divisor complex leaves to the kernel.
+
+    The complex Delta_b of fiber b has the variables dividing some member
+    as vertices, and {v, w} as an edge when some member is divisible by
+    x_v x_w.  When it is connected and every smaller fiber b - deg(x_v)
+    of a vertex v is connected, so is b: two members divisible by one x_v
+    are x_v times two members of b - deg(x_v), and the edges chain any two
+    members.  The members of b - deg(x_v) are those of b divisible by x_v,
+    divided by it, so it is inside the ground bound when one of those has
+    ground degree <= ground_bound, or <= ground_bound + 1 when x_v is a
+    ground variable; it then lies, up to a common factor, among the sweep's
+    reduced fibers before b in (T-degree, image) order.  A fiber is thus
+    left undecided when its complex is disconnected or some vertex's
+    smaller fiber lies beyond the bound.  Each set of variables is an
+    int32 bitmask, ground variables first, so at most 31 variables.
+    """
+    n = level.ground.shape[1]
+    masks = sum((column > 0).astype(np.int32) << v for v, column in enumerate([*level.ground.T, *level.rees.T]))
+    starts = np.searchsorted(level.fiber, np.arange(len(level.images)))
+    vertices = np.bitwise_or.reduceat(masks, starts)
+    # the vertices whose smaller fiber some member puts inside the bound
+    degree = sum(level.ground.T)
+    inside = np.where(degree <= ground_bound, -1, np.where(degree == ground_bound + 1, (1 << n) - 1, 0))
+    beyond = (vertices & ~np.bitwise_or.reduceat(masks & inside, starts)) != 0
+    # grow the first member's vertices along the members that meet them
+    reach = masks[starts]
+    while True:
+        grown = np.bitwise_or.reduceat(np.where(masks & reach[level.fiber], masks, 0), starts)
+        if np.array_equal(grown, reach):
+            return beyond | (reach != vertices)
+        reach = grown
+
+
 @dataclass(frozen=True)
 class FiberFailure:
     image: Monomial
@@ -569,6 +639,7 @@ class GenerationReport:
     ground_bound: int
     fibers_checked: int
     first_failure: Optional[FiberFailure] = None
+    fibers_labelled: int = field(default=0, compare=False)  # of fibers_checked, those left to the kernel
 
     @property
     def passed(self) -> bool:
@@ -578,27 +649,34 @@ class GenerationReport:
 def generates_up_to(moves: MoveSet, t_bound: int, ground_bound: int) -> GenerationReport:
     """Pass iff every fiber of the map `moves.spec` with T-degree <= t_bound
     and source ground degree <= ground_bound is connected under `moves`.
-    The reduced fibers decide it; their T-degree levels are labelled a
+    The reduced fibers decide it; their T-degree levels are taken a
     `_stacks` stack at a time, and the failure reported is the first
     disconnected one in increasing (T-degree, image) order, so it is
     deterministic.  `fibers_checked` counts the reduced fibers up to and
-    including that one.
+    including that one.  Of each stack only the fibers `_undecided` leaves
+    are labelled: each other fiber is connected when every fiber before it
+    is, so the first disconnected fiber is among those labelled.
+    `fibers_labelled` counts them, up to and including the failure.
     """
     _require_coprime(list(moves))
     spec = moves.spec
     n = spec.n
-    checked = 0
+    checked = labelled = 0
     for stack in _stacks(_reduced_fibers_at(spec, tau, ground_bound) for tau in range(t_bound + 1)):
-        labels = _fiber_components(stack, moves.array)
-        split = stack.split_fibers(labels)
+        undecided = _undecided(stack, ground_bound)
+        sub = stack.select(undecided)
+        labels = _fiber_components(sub, moves.array)
+        split = sub.split_fibers(labels)
         if split:
             f = split[0]
-            parts = stack.components(f, labels)
-            image = Monomial(tuple(stack.images[f].tolist()), (sum(parts[0][0][n:]),))
+            parts = sub.components(f, labels)
+            image = Monomial(tuple(sub.images[f].tolist()), (sum(parts[0][0][n:]),))
             failure = FiberFailure(image, tuple(tuple(_mono(v, n) for v in g) for g in parts))
-            return GenerationReport(t_bound, ground_bound, checked + f + 1, failure)
+            return GenerationReport(t_bound, ground_bound, checked + int(np.flatnonzero(undecided)[f]) + 1, failure,
+                                    labelled + f + 1)
         checked += len(stack.images)
-    return GenerationReport(t_bound, ground_bound, checked)
+        labelled += len(sub.images)
+    return GenerationReport(t_bound, ground_bound, checked, None, labelled)
 
 
 def bruteforce_min_gens(
@@ -612,11 +690,12 @@ def bruteforce_min_gens(
     Reduced fibers are processed in an order refining divisibility of
     images: by T-degree, then by ground degree of the image.  Whenever a
     fiber is disconnected under the moves found so far, spanning-tree
-    binomials are added.  Within one T-degree a move acts only through a
-    pure ground multiplier, so moves found among the fibers of one image
-    degree reach only fibers of higher degree: each level is labelled once
-    under the moves of lower T-degree, and after each (T-degree, ground
-    degree) group that adds moves, only those are applied to the level's
+    binomials are added.  Only the fibers `_undecided` leaves can be: each
+    other fiber's smaller fibers come in earlier groups, already connected.
+    They are gated and labelled a `_stacks` stack at a time, under the
+    moves found before the stack.  A move found at one (T-degree, ground
+    degree) reaches only fibers of higher ground or T-degree, so after
+    each such group that adds moves, only those are applied to the stack's
     labels.  The number added per bidegree is canonical even though the
     chosen binomials are not.  The moves are listed by (image ground
     degree, T-degree), then image.  `tie_break_seed` shuffles the fibers
@@ -628,18 +707,19 @@ def bruteforce_min_gens(
     found: list[tuple[tuple[int, int], Binomial]] = []
     # a spanning binomial joins two members of one fiber: a kernel move
     movearr = _move_array((), width)
-    for tau in range(t_bound + 1):
-        level = _reduced_fibers_at(spec, tau, ground_bound)
-        degrees = level.images.sum(axis=1)
-        labels = _fiber_components(level, movearr)
-        split = level.split_fibers(labels)
-        for degree in sorted(set(degrees.tolist())):
-            group = [f for f in split if degrees[f] == degree]
+    for stack in _stacks(_reduced_fibers_at(spec, tau, ground_bound) for tau in range(t_bound + 1)):
+        sub = stack.select(_undecided(stack, ground_bound))
+        firsts = sub.rees[np.searchsorted(sub.fiber, np.arange(len(sub.images)))]
+        groups = list(zip(firsts.sum(axis=1).tolist(), sub.images.sum(axis=1).tolist()))
+        labels = _fiber_components(sub, movearr)
+        split = sub.split_fibers(labels)
+        for tau, degree in sorted(set(groups)):
+            group = [f for f in split if groups[f] == (tau, degree)]
             if rng is not None:
                 rng.shuffle(group)
             added = []
             for f in group:
-                reps = sorted(min(g) for g in level.components(f, labels))
+                reps = sorted(min(g) for g in sub.components(f, labels))
                 base = _mono(reps[0], n)
                 for rep in reps[1:]:
                     bin_ = Binomial(base, _mono(rep, n))
@@ -650,7 +730,7 @@ def bruteforce_min_gens(
                 found += [((degree, tau), b) for b in added]
                 new = _move_array(added, width)
                 movearr = np.concatenate((movearr, new))
-                labels = _fiber_components(level, new, labels)
-                split = level.split_fibers(labels)
+                labels = _fiber_components(sub, new, labels)
+                split = sub.split_fibers(labels)
     found.sort(key=lambda entry: entry[0])
     return MoveSet(spec, tuple(b for _, b in found))

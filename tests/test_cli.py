@@ -254,8 +254,9 @@ def test_red_takes_one_form_of_input(capsys, argv):
 
 
 def test_ternary_builds_its_generators_once_per_check(capsys, monkeypatch):
-    # ternary --verify: the report, the colon claims (certificates
-    # included) and the generation sweep; a sweep row: its generation sweep
+    # ternary --verify: once, for the report, which hands the set to the
+    # colon claims (certificates included) and the generation sweep; a
+    # sweep row: its generation sweep
     calls = []
 
     def counting(a, b):
@@ -265,7 +266,7 @@ def test_ternary_builds_its_generators_once_per_check(capsys, monkeypatch):
     build = ternary.ternary_gens
     monkeypatch.setattr(ternary, "ternary_gens", counting)
     assert main(["ternary", "8", "3", "--verify"]) == 0
-    assert calls == [(8, 3)] * 3
+    assert calls == [(8, 3)]
     calls.clear()
     assert main(["sweep", "--binary-max-d", "1", "--ternary-max-a", "3"]) == 0
     assert calls == [(3, 1)]
@@ -287,7 +288,7 @@ def _count_kernel_checks(monkeypatch) -> list:
 @pytest.mark.parametrize("argv, checks", [
     (["ternary", "8", "3"], 1),  # the generator set, when it is built
     (["binary-gens", "11", "5"], 1),  # Sigma, when it is built
-    (["binary-verify", "11", "5"], 17),  # Sigma, then two per removal probe
+    (["binary-verify", "11", "5"], 9),  # Sigma, then the probed move of each removal probe
 ])
 def test_kernel_checks_per_command(capsys, monkeypatch, argv, checks):
     calls = _count_kernel_checks(monkeypatch)
@@ -300,6 +301,17 @@ def test_ternary_verify_checks_the_kernel_at_most_36_times(capsys, monkeypatch):
     calls = _count_kernel_checks(monkeypatch)
     assert main(["ternary", "8", "3", "--verify"]) == 0
     assert 0 < len(calls) <= 36
+    capsys.readouterr()
+
+
+def test_ternary_verify_checks_each_move_set_once(capsys, monkeypatch):
+    # the ten generators once; the colon claims' four batches of rows; the
+    # probed move of each of the ten removal probes; the enumerated
+    # binomials as one set, then each as the move of its membership walk
+    calls = _count_kernel_checks(monkeypatch)
+    assert main(["ternary", "8", "3", "--verify"]) == 0
+    assert len(calls) == 19
+    assert calls[0] == 10 and calls[5:15] == [1] * 10 and calls[15:] == [7, 1, 1, 1]
     capsys.readouterr()
 
 

@@ -16,7 +16,10 @@ dense matrix it replaced is its reference
 their per-level loops are the references
 (`fiber_reference.reference_generates_up_to` and
 `reference_binomials_in_binomial_ideal`), compared under several stack
-budgets.
+budgets.  Both sweeps label only the fibers that the divisor-complex gate
+`_undecided` leaves; its reference is `reference_undecided` below, and the
+full labelling of every fiber stays the reference of the sweeps, also
+under ground bounds tight enough that the gate's bound condition binds.
 """
 import re
 from math import gcd
@@ -41,6 +44,7 @@ from reeslab.core import AciSpec, Binomial, Monomial
 from reeslab.ternary import colon_claims, ternary_gens
 from reeslab.toric import (
     Fiber,
+    GenerationReport,
     MoveSet,
     KernelMismatch,
     _fiber_components,
@@ -49,6 +53,7 @@ from reeslab.toric import (
     _reduced_fibers_at,
     _stack,
     _stacks,
+    _undecided,
     binary_spec,
     binomial_in_binomial_ideal,
     binomials_in_binomial_ideal,
@@ -228,6 +233,109 @@ def test_generates_up_to_matches_reference_sweep(case):
         failure = report.first_failure
         assert failure.image == image
         assert {frozenset(m.ground + m.rees for m in p) for p in failure.components} == parts
+
+
+def reference_complex(members):
+    """The components of the squarefree divisor complex of the fiber of
+    `members`, found by merging the supports of the members, and for each
+    vertex x_v the smallest ground degree in its smaller fiber: the members
+    divisible by x_v, divided by it."""
+    n = len(members[0].ground)
+    supports = [{v for v, e in enumerate(m.ground + m.rees) if e} for m in members]
+    parts = []
+    for support in supports:
+        meet = [p for p in parts if p & support]
+        parts = [p for p in parts if not p & support] + [set(support).union(*meet)]
+    smallest = {v: min(m.ground_degree() - (v < n) for m, sup in zip(members, supports) if v in sup)
+                for v in set().union(*supports)}
+    return parts, smallest
+
+
+def reference_undecided(members, ground_bound):
+    """Whether the complex leaves the fiber undecided: it is disconnected,
+    or some vertex's smaller fiber lies beyond the ground bound."""
+    parts, smallest = reference_complex(members)
+    return len(parts) > 1 or max(smallest.values()) > ground_bound
+
+
+@st.composite
+def tight_random_cases(draw):
+    """The moves of `random_cases` under tight bounds: T-degree <= 1..3 and
+    ground degree <= 0..3, where many smaller fibers lie beyond the bound."""
+    moves, _, _ = draw(random_cases())
+    return moves, draw(st.integers(1, 3)), draw(st.integers(0, 3))
+
+
+@SETTINGS
+@given(st.one_of(cases, tight_random_cases()))
+def test_undecided_fibers_match_the_reference_gate(case):
+    moves, t_bound, g = case
+    spec = moves.spec
+    for tau in range(t_bound + 1):
+        level = _reduced_fibers_at(spec, tau, g)
+        got = _undecided(level, g)
+        assert got.dtype == bool and got.shape == (len(level.images),)
+        expected = [reference_undecided(reference_fiber(spec, Monomial(tuple(image), (tau,))), g)
+                    for image in level.images.tolist()]
+        assert got.tolist() == expected
+
+
+@SETTINGS
+@given(tight_random_cases(), st.sampled_from([None, 0, 1]))
+def test_gated_sweeps_match_the_full_labelling_under_tight_bounds(case, seed):
+    # under a tight bound a spanning binomial may share a variable, whose
+    # smaller fiber lies beyond the bound: the brute force then refuses,
+    # exactly when the reference adds such a binomial
+    moves, t_bound, g = case
+    assert generates_up_to(moves, t_bound, g) == reference_generates_up_to(moves, t_bound, g)
+    expected = reference_min_gens(moves.spec, t_bound, g, tie_break_seed=seed).moves
+    if all(mv.is_coprime() for mv in expected):
+        assert bruteforce_min_gens(moves.spec, t_bound, g, tie_break_seed=seed).moves == expected
+    else:
+        with pytest.raises(RuntimeError, match="non-coprime spanning binomial"):
+            bruteforce_min_gens(moves.spec, t_bound, g, tie_break_seed=seed)
+
+
+@pytest.mark.parametrize("d", range(2, 13))
+def test_the_fibers_labelled_are_the_generators_images(d):
+    # under the full Sigma set only the generators' fibers are left to the
+    # kernel: each has a disconnected complex, every other fiber is decided
+    for b in range(1, d):
+        if gcd(d, b) != 1:
+            continue
+        moves = sigma_set(d, b).moves
+        spec = moves.spec
+        report = generates_up_to(moves, d + 1, 3 * d)
+        assert report.passed and report.fibers_labelled == len(moves)
+        labelled = []
+        for tau in range(d + 2):
+            level = _reduced_fibers_at(spec, tau, 3 * d)
+            labelled += [Monomial(tuple(image), (tau,)) for image in level.images[_undecided(level, 3 * d)].tolist()]
+        assert sorted(labelled) == sorted(spec.image_of(mv.lead) for mv in moves), b
+
+
+def test_fibers_labelled_stay_out_of_the_report_equality():
+    report = generates_up_to(sigma_set(7, 3).moves, 8, 21)
+    assert report.fibers_labelled == 6
+    assert report == GenerationReport(8, 21, report.fibers_checked)
+
+
+def test_a_connected_complex_is_labelled_when_a_smaller_fiber_lies_beyond_the_bound():
+    # ternary (5, 2), ground bound 15: the fiber of x^7 y^10 z^10 T^2 has a
+    # connected complex and its smallest member, x^3 y^6 z^6 w^2, is within
+    # the bound; but its members divisible by v have ground degree 16 or
+    # more, so the fiber b - deg(v) is not checked and b is labelled
+    spec = ternary_spec(5, 2)
+    members = reference_fiber(spec, Monomial((7, 10, 10), (2,)))
+    parts, smallest = reference_complex(members)
+    assert len(parts) == 1
+    assert min(m.ground_degree() for m in members) == 15
+    assert smallest[5] == 16  # v, the third Rees variable
+    level = _reduced_fibers_at(spec, 2, 15)
+    assert _undecided(level, 15)[level.images.tolist().index([7, 10, 10])]
+    # ground bound 16 lets every smaller fiber in, and then it is decided
+    level = _reduced_fibers_at(spec, 2, 16)
+    assert not _undecided(level, 16)[level.images.tolist().index([7, 10, 10])]
 
 
 @st.composite

@@ -100,6 +100,22 @@ def test_the_prefix_of_a_label_is_the_generators_before_it():
     assert g.before("H2").spec == ternary_spec(5, 2)
 
 
+def test_checks_read_the_generators_they_are_given(monkeypatch):
+    # the CLI hands its one checked set to both checks: the reports are
+    # those of a set built anew, and a set of other parameters is refused
+    gens = ternary_gens(5, 2)
+    expected = (verify_colon_claims(5, 2), ternary_generation_check(5, 2))
+
+    def unreachable(a, b):
+        raise AssertionError("the generators were built again")
+
+    monkeypatch.setattr(ternary, "ternary_gens", unreachable)
+    assert (verify_colon_claims(5, 2, gens), ternary_generation_check(5, 2, gens)) == expected
+    for check in (verify_colon_claims, ternary_generation_check):
+        with pytest.raises(ValueError, match=r"the generators of \(5, 2\) given for \(7, 2\)"):
+            check(7, 2, gens)
+
+
 def test_implicit_three_ways_agree():
     for a, b in ALL_PAIRS:
         ways = set(implicit_three_ways(ternary_gens(a, b)))

@@ -112,6 +112,33 @@ def test_removal_probes_flag_a_redundant_move_and_nothing_else():
     assert MoveSet(moves.spec, moves.moves + (extra,)).redundant() == [False] * len(moves) + [True]
 
 
+def test_subsets_of_a_move_set_are_its_checked_rows(monkeypatch):
+    # without(i) and prefix(k) read rows of the checked array and check
+    # nothing again; they equal the move sets built and checked anew
+    moves = sigma_set(5, 2).moves
+    assert len(moves) == 5
+
+    def unreachable(*args):
+        raise AssertionError("a subset was checked again")
+
+    monkeypatch.setattr(toric, "_check_kernel", unreachable)
+    subsets = [(moves.without(i), [j for j in range(5) if j != i]) for i in range(5)]
+    subsets += [(moves.prefix(k), list(range(k))) for k in range(6)]
+    monkeypatch.undo()
+    for sub, rows in subsets:
+        assert sub == MoveSet(moves.spec, tuple(moves.moves[j] for j in rows))
+        assert sub.array.tolist() == moves.array[rows].tolist()
+        assert sub.array.shape[1:] == moves.array.shape[1:]
+
+
+@pytest.mark.parametrize("index", [-1, -5, 5, 99])
+def test_without_refuses_an_index_outside_the_moves(index):
+    # a negative index once counted from the end and kept duplicates, and
+    # one past the end returned every move
+    with pytest.raises(IndexError, match=f"move index {index} outside 0..4"):
+        sigma_set(5, 2).moves.without(index)
+
+
 def test_binomial_membership_rejects_non_kernel():
     moves = sigma_set(2, 1).moves
     junk = parse_binomial("x*v - y*u", 2, 3)
