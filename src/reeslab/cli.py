@@ -226,8 +226,8 @@ def cmd_ternary(args) -> Report:
     }
     ok = True
     if args.verify:
-        colon = ternary.verify_colon_claims(a, b, gens)
-        gen_rep = ternary.ternary_generation_check(a, b, gens)
+        colon = ternary.verify_colon_claims(gens)
+        gen_rep = ternary.ternary_generation_check(gens)
         enum = ternary.enumerate_kernel_binomials(a, b)
         expected = {gens[label] for label in ("H1", "H2", "H3", gens.regime)}
         in_l = [bi for bi in enum if bi not in expected]
@@ -290,7 +290,7 @@ def cmd_sweep(args) -> Report:
     if args.ternary_max_a:
         for a in range(3, args.ternary_max_a + 1):
             for b in range(1, (a - 1) // 2 + 1):
-                gen = ternary.ternary_generation_check(a, b)
+                gen = ternary.ternary_generation_check(ternary.ternary_gens(a, b))
                 ternary_rows.append({
                     "a": a, "b": b,
                     "regime": ternary.regime_of(a, b),

@@ -125,15 +125,6 @@ def ternary_gens(a: int, b: int) -> TernaryGenSet:
     return TernaryGenSet(a, b, MoveSet(spec, (f1, f2, f3, g1, g2, g3, h1, h2, h3, implicit)))
 
 
-def _gens_of(a: int, b: int, gens: Optional[TernaryGenSet]) -> TernaryGenSet:
-    """`gens`, which must be the set of (a, b), or `ternary_gens(a, b)`."""
-    if gens is None:
-        return ternary_gens(a, b)
-    if (gens.a, gens.b) != (a, b):
-        raise ValueError(f"the generators of ({gens.a}, {gens.b}) given for ({a}, {b})")
-    return gens
-
-
 def implicit_three_ways(gens: TernaryGenSet) -> tuple[Binomial, Binomial, Binomial]:
     """The cube relation from each of the three pair/pivot choices; all
     three must coincide."""
@@ -249,20 +240,15 @@ def _expand(terms, oriented: dict[str, tuple[Monomial, Monomial]]) -> dict[Monom
     return {term: coeff for term, coeff in acc.items() if coeff}
 
 
-def _identities(gens: TernaryGenSet) -> tuple[tuple[str, str, dict[Monomial, int], dict[Monomial, int]], ...]:
-    """`certificate_identities` read on a generator set already built."""
+def certificate_identities(gens: TernaryGenSet) -> tuple[tuple[str, str, dict[Monomial, int], dict[Monomial, int]], ...]:
+    """Every claimed colon generator paired with its exact identity in the
+    prefix ideal: (step, label, lhs, rhs) with lhs = generator * step, both
+    sides expanded by `_expand`; the identity holds iff lhs == rhs."""
     oriented = _oriented(gens)
     return tuple(
         (claim, f"{text}*{claim}", _expand([(1, claim, mult)], oriented), _expand(terms, oriented))
         for claim, text, mult, terms in _certificate_table(gens.a, gens.b)
     )
-
-
-def certificate_identities(a: int, b: int) -> tuple[tuple[str, str, dict[Monomial, int], dict[Monomial, int]], ...]:
-    """Every claimed colon generator paired with its exact identity in the
-    prefix ideal: (step, label, lhs, rhs) with lhs = generator * step, both
-    sides expanded by `_expand`; the identity holds iff lhs == rhs."""
-    return _identities(ternary_gens(a, b))
 
 
 def colon_claims(a: int, b: int) -> tuple[dict, ...]:
@@ -327,7 +313,7 @@ def _multiplier_blocks(head: np.ndarray, ground: np.ndarray, degrees: Sequence[i
         yield np.concatenate(pending)
 
 
-def verify_colon_claims(a: int, b: int, gens: Optional[TernaryGenSet] = None) -> ColonClaimsReport:
+def verify_colon_claims(gens: TernaryGenSet) -> ColonClaimsReport:
     """Check every colon claim: exact certificates, oracle membership of
     each claimed generator, and the bounded-degree converse (monomials of
     total degree <= a outside the claimed colon never multiply H into the
@@ -344,13 +330,10 @@ def verify_colon_claims(a: int, b: int, gens: Optional[TernaryGenSet] = None) ->
     m * t^(a - deg m), which multiplies H into the prefix whenever m does.
     Only when a degree-a multiplier is a member are all outside
     multipliers tested, by total degree and then lexicographically, so
-    that `subset_violations` lists every violation in that order.
-
-    `gens`, when given, is the caller's `ternary_gens(a, b)`, so its
-    checked set is read instead of built again."""
-    gens = _gens_of(a, b, gens)
+    that `subset_violations` lists every violation in that order."""
+    a, b = gens.a, gens.b
     cert_ok_by_step: dict[str, bool] = {}
-    for step, _, lhs, rhs in _identities(gens):
+    for step, _, lhs, rhs in certificate_identities(gens):
         cert_ok_by_step[step] = cert_ok_by_step.get(step, True) and lhs == rhs
     grid = np.array([(x, y, z) for x in range(a + 1) for y in range(a + 1 - x) for z in range(a + 1 - x - y)],
                     dtype=np.int64)  # the ground monomials of degree <= a, lexicographically
@@ -394,15 +377,14 @@ class TernaryGenerationReport:
         return self.generation.passed
 
 
-def ternary_generation_check(a: int, b: int, gens: Optional[TernaryGenSet] = None) -> TernaryGenerationReport:
+def ternary_generation_check(gens: TernaryGenSet) -> TernaryGenerationReport:
     """Full fiber sweep (T-degree <= 4, one beyond the w-degree 3 of the
     cube relation, and ground degree <= 3a) for the ten generators plus
     per-generator removal probes.  A removable generator is reported, not
-    asserted away.  `gens` is as in `verify_colon_claims`."""
-    gens = _gens_of(a, b, gens)
-    report = generates_up_to(gens.moves, 4, 3 * a)
+    asserted away."""
+    report = generates_up_to(gens.moves, 4, 3 * gens.a)
     redundant = tuple(lbl for (lbl, _), r in zip(gens.labelled(), gens.moves.redundant()) if r)
-    return TernaryGenerationReport(a, b, report, redundant)
+    return TernaryGenerationReport(gens.a, gens.b, report, redundant)
 
 
 # -- exploratory lengths -----------------------------------------------------

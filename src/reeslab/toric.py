@@ -32,10 +32,10 @@ of consecutive levels, under kernel moves in one numpy pass.
 memberships at once on the complete fibers that `_fibers_of` builds) label
 `_stacks` of levels, each labelled once it holds `_STACK_MEMBERS` members;
 a level that large is labelled alone.  `connected_under_moves` goes through
-the same kernel one fiber at a time.  The kernel can also start from the
-labels of an earlier call, so `bruteforce_min_gens` labels each stack once
-and then applies only the moves it adds.  The tuple walk `_neighbors`
-answers single membership questions; the kernel answers batches.
+the same kernel one fiber at a time, and `bruteforce_min_gens` one
+(T-degree, image ground degree) group at a time.  The tuple walk
+`_neighbors` answers single membership questions; the kernel answers
+batches.
 
 Both sweeps label only the fibers of a stack that `_undecided` leaves.
 Moves generate the kernel iff every fiber is connected (Diaconis and
@@ -334,30 +334,33 @@ class _Level:
         return _Level(self.images[keep], (np.cumsum(keep) - 1)[self.fiber[rows]], self.ground[rows], self.rees[rows])
 
     def components(self, f: int, labels: np.ndarray) -> list[list[Vec]]:
-        """The member vectors of fiber f grouped by label, as `_groups`."""
+        """The member vectors of fiber f grouped by label, each group in
+        member order, the groups ordered by their first members."""
         rows = slice(*np.searchsorted(self.fiber, [f, f + 1]))
-        vecs = np.hstack((self.ground[rows], self.rees[rows])).tolist()
-        return _groups([tuple(v) for v in vecs], labels[rows])
+        groups: dict[int, list[Vec]] = {}
+        for v, label in zip(np.hstack((self.ground[rows], self.rees[rows])).tolist(), labels[rows].tolist()):
+            groups.setdefault(label, []).append(tuple(v))
+        return sorted(groups.values(), key=lambda g: g[0])
 
 
-def _fiber_components(level: _Level, moves: np.ndarray, labels: Optional[np.ndarray] = None) -> np.ndarray:
+def _fiber_components(level: _Level, moves: np.ndarray) -> np.ndarray:
     """Component label of every member of `level` under `moves` (a
     `_move_array`): the index of the first member of its component.
 
     Precondition: kernel moves (as in `MoveSet`) on complete fibers.  A
     move then keeps a member's image, so its target is found by key alone.
 
-    `labels`, when given, are this function's labels of the level under
-    some other moves A; the result is then the labelling under A and
-    `moves` together, found from the edges of `moves` alone.
-
     Members are found by their `_Level.key`, so a move is one feasibility
     mask plus one key shift, matched with `searchsorted`.  The trail ->
     lead direction of a move only retraces the edges of its lead -> trail
     direction, so one direction lists every edge the move gives.  Labels
     are then hooked along the edges and shortcut by pointer jumping until
-    every edge joins equal labels.
+    every edge joins equal labels.  A level with no members returns at
+    once.
     """
+    labels = np.arange(len(level))
+    if not len(labels):
+        return labels
     nrees = level.rees.shape[1]
     keys = level.key(level.fiber, level.rees)
     shifts = level.key(0, moves[:, 1, -nrees:] - moves[:, 0, -nrees:])
@@ -373,7 +376,6 @@ def _fiber_components(level: _Level, moves: np.ndarray, labels: Optional[np.ndar
         hit = keys[dst] == target
         if hit.any():
             edges.append((src[hit].astype(np.int32), dst[hit].astype(np.int32)))
-    labels = np.arange(len(keys)) if labels is None else labels.copy()
     while True:
         settled = True
         for src, dst in edges:
@@ -391,28 +393,14 @@ def _fiber_components(level: _Level, moves: np.ndarray, labels: Optional[np.ndar
             labels = jumped
 
 
-def _groups(vecs: Sequence[Vec], labels: Sequence[int]) -> list[list[Vec]]:
-    """Members grouped by label, each group in the given order, groups
-    ordered by their first member."""
-    groups: dict[int, list[Vec]] = {}
-    for v, lab in zip(vecs, labels):
-        groups.setdefault(int(lab), []).append(v)
-    return sorted(groups.values(), key=lambda g: g[0])
-
-
-def connected_under_moves(fiber: Fiber, moves: MoveSet) -> tuple[tuple[Monomial, ...], ...]:
-    """Partition of the fiber into congruence components, each in the
-    fiber's member order, ordered by their first members.  The members
-    must be the complete fiber of the image, in any order (else
-    ValueError), which the kernel needs."""
-    level = _image_level(moves.spec, fiber.image)
-    index = {tuple(v): i for i, v in enumerate(np.hstack((level.ground, level.rees)).tolist())}
-    vecs = [_vec(m) for m in fiber.members]
-    if len(vecs) != len(index) or set(vecs) != index.keys():
-        raise ValueError(f"the members given for {fiber.image} are not its complete fiber")
-    labels = _fiber_components(level, moves.array)
-    n = moves.spec.n
-    return tuple(tuple(_mono(v, n) for v in g) for g in _groups(vecs, [labels[index[v]] for v in vecs]))
+def connected_under_moves(image: Monomial, moves: MoveSet) -> tuple[tuple[Monomial, ...], ...]:
+    """The complete fiber of `image` partitioned into congruence
+    components, in `_Level.components` order: each component's members by
+    Rees exponents in `compositions` order, the components by their first
+    members' exponent vectors (ground, then Rees).  An empty fiber gives ()."""
+    level = _image_level(moves.spec, image)
+    parts = level.components(0, _fiber_components(level, moves.array))
+    return tuple(tuple(_mono(v, moves.spec.n) for v in g) for g in parts)
 
 
 def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -692,14 +680,18 @@ def bruteforce_min_gens(
     fiber is disconnected under the moves found so far, spanning-tree
     binomials are added.  Only the fibers `_undecided` leaves can be: each
     other fiber's smaller fibers come in earlier groups, already connected.
-    They are gated and labelled a `_stacks` stack at a time, under the
-    moves found before the stack.  A move found at one (T-degree, ground
-    degree) reaches only fibers of higher ground or T-degree, so after
-    each such group that adds moves, only those are applied to the stack's
-    labels.  The number added per bidegree is canonical even though the
+    They are gated a `_stacks` stack at a time, and each (T-degree, image
+    ground degree) group of them is labelled once, under every move found
+    before the group: a move found in a group cannot join two fibers of
+    it.  The number added per bidegree is canonical even though the
     chosen binomials are not.  The moves are listed by (image ground
     degree, T-degree), then image.  `tie_break_seed` shuffles the fibers
     inside each group, which must not change the counts.
+
+    Two components whose first members share a variable x_v both meet the
+    smaller fiber b - deg(x_v); inside the ground bound an earlier group
+    would have connected it, so a non-coprime spanning binomial means it
+    lies beyond the bound, and RuntimeError says so.
     """
     rng = None if tie_break_seed is None else random.Random(tie_break_seed)
     n = spec.n
@@ -710,27 +702,25 @@ def bruteforce_min_gens(
     for stack in _stacks(_reduced_fibers_at(spec, tau, ground_bound) for tau in range(t_bound + 1)):
         sub = stack.select(_undecided(stack, ground_bound))
         firsts = sub.rees[np.searchsorted(sub.fiber, np.arange(len(sub.images)))]
-        groups = list(zip(firsts.sum(axis=1).tolist(), sub.images.sum(axis=1).tolist()))
-        labels = _fiber_components(sub, movearr)
-        split = sub.split_fibers(labels)
-        for tau, degree in sorted(set(groups)):
-            group = [f for f in split if groups[f] == (tau, degree)]
+        groups = np.stack((firsts.sum(axis=1), sub.images.sum(axis=1)), axis=1)
+        for tau, degree in sorted(set(map(tuple, groups.tolist()))):
+            group = sub.select((groups == (tau, degree)).all(axis=1))
+            labels = _fiber_components(group, movearr)
+            split = group.split_fibers(labels)
             if rng is not None:
-                rng.shuffle(group)
+                rng.shuffle(split)
             added = []
-            for f in group:
-                reps = sorted(min(g) for g in sub.components(f, labels))
+            for f in split:
+                reps = sorted(min(g) for g in group.components(f, labels))
                 base = _mono(reps[0], n)
                 for rep in reps[1:]:
                     bin_ = Binomial(base, _mono(rep, n))
                     if not bin_.is_coprime():
-                        raise RuntimeError(f"non-coprime spanning binomial {bin_}; fiber order violated")
+                        raise RuntimeError(f"non-coprime spanning binomial {bin_}: the fiber it spans, divided by "
+                                           f"a shared variable, lies beyond the ground bound {ground_bound}")
                     added.append(bin_)
             if added:
                 found += [((degree, tau), b) for b in added]
-                new = _move_array(added, width)
-                movearr = np.concatenate((movearr, new))
-                labels = _fiber_components(sub, new, labels)
-                split = sub.split_fibers(labels)
+                movearr = np.concatenate((movearr, _move_array(added, width)))
     found.sort(key=lambda entry: entry[0])
     return MoveSet(spec, tuple(b for _, b in found))

@@ -13,9 +13,11 @@ before it built its member mask a bounded block at a time through the
 builder shared with `_fibers_of`: one dense (candidates x compositions)
 matrix per level.
 
-`reference_min_gens` is the loop `toric.bruteforce_min_gens` had before it
-labelled each T-degree level once: it labels every (T-degree, image ground
-degree) group of reduced fibers with its own `_fiber_components` call.
+`reference_min_gens` is `toric.bruteforce_min_gens` without the
+divisor-complex gate: it labels every (T-degree, image ground degree)
+group of reduced fibers with its own `_fiber_components` call, under every
+move found before the group, where the brute force labels only the
+fibers of the group that `toric._undecided` leaves.
 
 `reference_generates_up_to` and `reference_binomials_in_binomial_ideal` are
 the loops `toric.generates_up_to` and `toric.binomials_in_binomial_ideal`

@@ -217,14 +217,14 @@ def test_criterion_08_ternary():
         expected = _expected_ternary(a, b)
         for lbl, bi in gens.labelled():
             assert bi == expected[lbl], (a, b, lbl)
-        for step, label, lhs, rhs in certificate_identities(a, b):
+        for step, label, lhs, rhs in certificate_identities(gens):
             assert lhs == rhs, (a, b, step, label)
-        colon = verify_colon_claims(a, b)
+        colon = verify_colon_claims(gens)
         for claim in colon.claims:
             assert claim.certificates_ok, (a, b, claim.name)
             assert claim.superset_ok, (a, b, claim.name)
             assert claim.subset_ok, (a, b, claim.name, claim.subset_violations)
-        gen_rep = ternary_generation_check(a, b)
+        gen_rep = ternary_generation_check(gens)
         assert gen_rep.passed, (a, b)
         found = set(enumerate_kernel_binomials(a, b, 3))
         headline = {gens[label] for label in ("H1", "H2", "H3", gens.regime)}

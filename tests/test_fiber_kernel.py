@@ -6,9 +6,10 @@ congruence walk `binomial_in_binomial_ideal`.  The kernel under test
 labels whole T-degree levels at once (`_reduced_fibers_at` or `_fibers_of`
 plus `_fiber_components`), and serves `generates_up_to`,
 `connected_under_moves`, `fiber_enumerate`, `bruteforce_min_gens` and
-`binomials_in_binomial_ideal`.  `bruteforce_min_gens` labels each level
-once and then applies only the moves it adds; the per-group loop it
-replaced is its reference (`fiber_reference.reference_min_gens`).
+`binomials_in_binomial_ideal`.  `bruteforce_min_gens` labels each
+(T-degree, image ground degree) group of the fibers the gate leaves; the
+same rule over every fiber is its reference
+(`fiber_reference.reference_min_gens`).
 `_reduced_fibers_at` builds its member mask a bounded block at a time; the
 dense matrix it replaced is its reference
 (`fiber_reference.reference_reduced_fibers`).  `generates_up_to` and
@@ -43,7 +44,6 @@ from reeslab.binary import sigma_set
 from reeslab.core import AciSpec, Binomial, Monomial
 from reeslab.ternary import colon_claims, ternary_gens
 from reeslab.toric import (
-    Fiber,
     GenerationReport,
     MoveSet,
     KernelMismatch,
@@ -200,25 +200,24 @@ def test_level_labels_match_bfs_per_fiber(case):
 
 
 @SETTINGS
-@given(cases, st.randoms(use_true_random=False))
-def test_connected_under_moves_matches_bfs(case, rng):
-    # whole fibers, reduced or not, their members in any order
+@given(cases)
+def test_connected_under_moves_matches_bfs(case):
+    # whole fibers, reduced or not, and empty ones: the BFS partition of
+    # the complete fiber, each part by Rees exponents, the parts by their
+    # first members' exponent vectors
     moves, t_bound, g = case
     spec = moves.spec
     for tau in range(1, t_bound + 1):
         for beta in compositions(tau, spec.nrees):
             image = spec.image_of(Monomial((1,) * spec.n, beta))
-            members = list(reference_fiber(spec, image))
-            rng.shuffle(members)
-            fiber = Fiber(image, tuple(members))
-            parts = connected_under_moves(fiber, moves)
+            members = reference_fiber(spec, image)
+            parts = connected_under_moves(image, moves)
             firsts = [p[0].ground + p[0].rees for p in parts]
             assert firsts == sorted(firsts)
-            for p in parts:
-                positions = [fiber.members.index(m) for m in p]
-                assert positions == sorted(positions)
-            assert {frozenset(m.ground + m.rees for m in p) for p in parts} == bfs_partition(fiber.members, moves)
-            assert sorted(m for p in parts for m in p) == sorted(fiber.members)
+            assert all([m.rees for m in p] == sorted(m.rees for m in p) for p in parts)
+            assert {frozenset(m.ground + m.rees for m in p) for p in parts} == bfs_partition(members, moves)
+            assert sorted(m for p in parts for m in p) == sorted(members)
+        assert connected_under_moves(Monomial((0,) * spec.n, (tau,)), moves) == ()
 
 
 @SETTINGS
@@ -280,20 +279,25 @@ def test_undecided_fibers_match_the_reference_gate(case):
         assert got.tolist() == expected
 
 
+def assert_min_gens_match_the_reference(spec, t_bound, g, seed):
+    """The brute force gives the reference's moves, or refuses exactly
+    when the reference adds a binomial with a shared variable."""
+    expected = reference_min_gens(spec, t_bound, g, tie_break_seed=seed).moves
+    if all(mv.is_coprime() for mv in expected):
+        assert bruteforce_min_gens(spec, t_bound, g, tie_break_seed=seed).moves == expected
+    else:
+        with pytest.raises(RuntimeError, match="non-coprime spanning binomial"):
+            bruteforce_min_gens(spec, t_bound, g, tie_break_seed=seed)
+
+
 @SETTINGS
 @given(tight_random_cases(), st.sampled_from([None, 0, 1]))
 def test_gated_sweeps_match_the_full_labelling_under_tight_bounds(case, seed):
     # under a tight bound a spanning binomial may share a variable, whose
-    # smaller fiber lies beyond the bound: the brute force then refuses,
-    # exactly when the reference adds such a binomial
+    # smaller fiber lies beyond the bound
     moves, t_bound, g = case
     assert generates_up_to(moves, t_bound, g) == reference_generates_up_to(moves, t_bound, g)
-    expected = reference_min_gens(moves.spec, t_bound, g, tie_break_seed=seed).moves
-    if all(mv.is_coprime() for mv in expected):
-        assert bruteforce_min_gens(moves.spec, t_bound, g, tie_break_seed=seed).moves == expected
-    else:
-        with pytest.raises(RuntimeError, match="non-coprime spanning binomial"):
-            bruteforce_min_gens(moves.spec, t_bound, g, tie_break_seed=seed)
+    assert_min_gens_match_the_reference(moves.spec, t_bound, g, seed)
 
 
 @pytest.mark.parametrize("d", range(2, 13))
@@ -338,35 +342,51 @@ def test_a_connected_complex_is_labelled_when_a_smaller_fiber_lies_beyond_the_bo
     assert not _undecided(level, 16)[level.images.tolist().index([7, 10, 10])]
 
 
-@st.composite
-def split_move_cases(draw):
-    """A level from `_reduced_fibers_at` or `_fibers_of`, and the moves of
-    a case split into a prefix A and the rest B."""
-    moves, t_bound, g = draw(cases)
-    spec = moves.spec
-    tau = draw(st.integers(1, t_bound))
-    if draw(st.booleans()):
-        level = _reduced_fibers_at(spec, tau, g)
-    else:
-        grounds = sorted({
-            spec.image_of(Monomial(ground, beta)).ground
-            for beta in compositions(tau, spec.nrees)
-            for ground in compositions(draw(st.integers(0, g)), spec.n)
-        })
-        level = _fibers_of(spec, tau, np.array(grounds, dtype=np.int64))
-    k = draw(st.integers(0, len(moves)))
-    return level, moves.array[:k], moves.array[k:]
-
-
 @SETTINGS
-@given(split_move_cases())
-def test_labels_under_more_moves_start_from_the_labels_under_fewer(case):
-    level, a, b = case
-    start = _fiber_components(level, a)
-    kept = start.copy()
-    got = _fiber_components(level, b, start)
-    assert got.tolist() == _fiber_components(level, np.concatenate((a, b))).tolist()
-    assert start.tolist() == kept.tolist()  # the start labels are not written
+@given(cases, st.sampled_from([None, 0, 1]))
+def test_bruteforce_min_gens_matches_the_reference_on_every_case(case, seed):
+    # random maps, Sigma sets and ternary sets alike, under their bounds
+    moves, t_bound, g = case
+    assert_min_gens_match_the_reference(moves.spec, t_bound, g, seed)
+
+
+def test_a_non_coprime_spanning_binomial_names_the_ground_bound():
+    # (x^3, y^3, z^3, x*y*z^2) under ground bound 2: the fiber of
+    # z^4*t*u and y^3*z*t*v, divided by their common z*t, has members of
+    # ground degree 3 only, so it was never checked; bound 3 lets it in
+    spec = AciSpec((3, 3, 3), (1, 1, 2))
+    with pytest.raises(RuntimeError, match=re.escape(
+            "non-coprime spanning binomial z^4*t*u - y^3*z*t*v: the fiber it spans, divided by a shared variable, "
+            "lies beyond the ground bound 2")):
+        bruteforce_min_gens(spec, 2, 2)
+    assert len(bruteforce_min_gens(spec, 2, 3)) == 8
+
+
+def test_bruteforce_labels_each_group_of_undecided_fibers_once(monkeypatch):
+    # binary (11, 5): the eight generators' fibers, two members each, one
+    # (T-degree, image ground degree) group each
+    calls = []
+    label = toric._fiber_components
+
+    def spy(level, moves):
+        calls.append(len(level))
+        return label(level, moves)
+
+    monkeypatch.setattr(toric, "_fiber_components", spy)
+    assert len(bruteforce_min_gens(binary_spec(11, 5), 12, 33)) == 8
+    assert calls == [2] * 8
+
+
+def test_a_level_without_members_is_labelled_at_once(monkeypatch):
+    # the gate often leaves no fiber of a stack; such a level is not keyed
+    level = _reduced_fibers_at(binary_spec(11, 5), 3, 33)
+    empty = level.select(np.zeros(len(level.images), dtype=bool))
+
+    def unreachable(*args):
+        raise AssertionError("an empty level was keyed")
+
+    monkeypatch.setattr(_Level, "key", unreachable)
+    assert _fiber_components(empty, sigma_set(11, 5).moves.array).tolist() == []
 
 
 @pytest.mark.parametrize("d", range(2, 13))
@@ -425,19 +445,16 @@ def test_move_sets_refuse_the_first_move_off_the_kernel():
     assert MoveSet(spec, (kernel,)).array.tolist() == [rows]
 
 
-def test_connected_under_moves_refuses_members_that_are_not_the_complete_fiber():
+def test_connected_under_moves_reads_the_complete_fiber_of_its_image():
     moves = sigma_set(2, 1).moves  # x^2, y^2, x*y -> t, u, v
     image = Monomial((2, 2), (1,))
     members = reference_fiber(moves.spec, image)  # y^2*t, x^2*u and x*y*v
     assert len(members) == 3
-    assert len(connected_under_moves(Fiber(image, members[::-1]), moves)) == 1
-    other = reference_fiber(moves.spec, Monomial((3, 1), (1,)))[0]
-    for wrong in (members[:2], members + members[:1], members[:2] + (other,), members + (other,), ()):
-        with pytest.raises(ValueError, match="complete fiber"):
-            connected_under_moves(Fiber(image, wrong), moves)
+    [part] = connected_under_moves(image, moves)
+    assert sorted(part) == sorted(members)
     with pytest.raises(ValueError, match="ambient"):
-        connected_under_moves(Fiber(Monomial((2, 2), (1, 0)), members), moves)
-    assert connected_under_moves(Fiber(Monomial((1, 1), (2,)), ()), moves) == ()
+        connected_under_moves(Monomial((2, 2), (1, 0)), moves)
+    assert connected_under_moves(Monomial((1, 1), (2,)), moves) == ()
 
 
 @st.composite

@@ -101,19 +101,17 @@ def test_the_prefix_of_a_label_is_the_generators_before_it():
 
 
 def test_checks_read_the_generators_they_are_given(monkeypatch):
-    # the CLI hands its one checked set to both checks: the reports are
-    # those of a set built anew, and a set of other parameters is refused
+    # the CLI hands its one checked set to every check: the reports are
+    # those of a set built anew, and no check builds the set again
     gens = ternary_gens(5, 2)
-    expected = (verify_colon_claims(5, 2), ternary_generation_check(5, 2))
+    checks = (verify_colon_claims, ternary_generation_check, certificate_identities)
+    expected = [check(ternary_gens(5, 2)) for check in checks]
 
     def unreachable(a, b):
         raise AssertionError("the generators were built again")
 
     monkeypatch.setattr(ternary, "ternary_gens", unreachable)
-    assert (verify_colon_claims(5, 2, gens), ternary_generation_check(5, 2, gens)) == expected
-    for check in (verify_colon_claims, ternary_generation_check):
-        with pytest.raises(ValueError, match=r"the generators of \(5, 2\) given for \(7, 2\)"):
-            check(7, 2, gens)
+    assert [check(gens) for check in checks] == expected
 
 
 def test_implicit_three_ways_agree():
@@ -184,7 +182,7 @@ def test_delta_four_diagnostic():
 
 def test_certificates_all_pairs():
     for a, b in ALL_PAIRS:
-        for step, label, lhs, rhs in certificate_identities(a, b):
+        for step, label, lhs, rhs in certificate_identities(ternary_gens(a, b)):
             assert lhs == rhs, (a, b, step, label)
 
 
@@ -192,7 +190,7 @@ def test_certificate_expansion_of_z_times_h1():
     # z^(a-b) H1 = (xy)^(a-2b) w g3 + y^(a-b) v g1 + z^b t f3 at (5, 2),
     # both sides expanded by hand: H1 = x*y*w^2 - z^4*t*u and the inner
     # terms x^3*y^3*v*w and y^5*z^2*t*v cancel on the right
-    identities = {label: (lhs, rhs) for _, label, lhs, rhs in certificate_identities(5, 2)}
+    identities = {label: (lhs, rhs) for _, label, lhs, rhs in certificate_identities(ternary_gens(5, 2))}
     expected = {parse_monomial("x*y*z^3*w^2", 3, 4): 1, parse_monomial("z^7*t*u", 3, 4): -1}
     assert identities["z^(a-b)*H1"] == (expected, expected)
 
@@ -213,7 +211,7 @@ def test_a_false_certificate_is_refused(monkeypatch, capsys):
     claims = colon_claims(5, 2)
     monkeypatch.setattr(ternary, "_certificate_table", flipped)
     assert colon_claims(5, 2) == claims
-    report = verify_colon_claims(5, 2)
+    report = verify_colon_claims(ternary_gens(5, 2))
     assert [c.certificates_ok for c in report.claims] == [True, False, True, True]
     assert not report.ok
     assert cli.main(["ternary", "5", "2", "--verify"]) == 1
@@ -221,7 +219,7 @@ def test_a_false_certificate_is_refused(monkeypatch, capsys):
 
 
 def test_colon_claims_small():
-    rep = verify_colon_claims(5, 2)
+    rep = verify_colon_claims(ternary_gens(5, 2))
     assert rep.ok
     names = [c.name for c in rep.claims]
     assert names == ["H1", "H2", "H3", "E"]
@@ -243,7 +241,7 @@ def test_colon_h1_subset_witness():
 
 def test_generation_check_with_removals():
     for a, b in [(5, 2), (7, 2), (4, 1)]:
-        rep = ternary_generation_check(a, b)
+        rep = ternary_generation_check(ternary_gens(a, b))
         assert rep.passed, (a, b)
         assert rep.redundant == (), (a, b)
 
@@ -365,7 +363,7 @@ def reference_colon_claims(a, b, claims):
     `verify_colon_claims` took before its memberships were batched."""
     gens = ternary_gens(a, b)
     certs_ok = {}
-    for step, _, lhs, rhs in certificate_identities(a, b):
+    for step, _, lhs, rhs in certificate_identities(gens):
         certs_ok[step] = certs_ok.get(step, True) and lhs == rhs
     reports = []
     for claim in claims:
@@ -403,7 +401,7 @@ def weakened_claims(drop):
 
 @pytest.mark.parametrize("a, b", [(3, 1), (5, 2), (6, 1)])
 def test_colon_claims_match_the_walk_reference(a, b):
-    assert verify_colon_claims(a, b) == reference_colon_claims(a, b, colon_claims(a, b))
+    assert verify_colon_claims(ternary_gens(a, b)) == reference_colon_claims(a, b, colon_claims(a, b))
 
 
 # no shrink phase: each example runs the walk reference, so shrinking a
@@ -422,7 +420,7 @@ def test_claims_missing_generators_match_the_walk_reference(pair, drop):
     expected = reference_colon_claims(a, b, claims(a, b))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ternary, "colon_claims", claims)
-        assert verify_colon_claims(a, b) == expected
+        assert verify_colon_claims(ternary_gens(a, b)) == expected
 
 
 def test_a_claimed_generator_with_a_rees_part_is_refused(monkeypatch):
@@ -433,7 +431,7 @@ def test_a_claimed_generator_with_a_rees_part_is_refused(monkeypatch):
 
     monkeypatch.setattr(ternary, "colon_claims", claims)
     with pytest.raises(ValueError, match="Rees part"):
-        verify_colon_claims(5, 2)
+        verify_colon_claims(ternary_gens(5, 2))
 
 
 @pytest.mark.parametrize("a, b, block_rows", [
@@ -454,7 +452,7 @@ def test_passing_claims_test_only_the_degree_a_multipliers(monkeypatch, a, b, bl
         return batched(leads, trails, moves)
 
     monkeypatch.setattr(ternary, "binomials_in_binomial_ideal", spy)
-    assert verify_colon_claims(a, b).ok
+    assert verify_colon_claims(ternary_gens(a, b)).ok
     assert all(len(leads) <= ternary._BLOCK_ROWS for _, leads in calls)
     gens = ternary_gens(a, b)
     claims = colon_claims(a, b)
@@ -479,7 +477,7 @@ def test_subset_checked_counts_the_outside_multipliers(monkeypatch, a, b):
     # memberships are stubbed out, the walk-reference tests cover them
     monkeypatch.setattr(ternary, "binomials_in_binomial_ideal", lambda leads, trails, moves: np.zeros(len(leads), bool))
     rows = np.array([split for e in range(a + 1) for split in compositions(e, 7)])
-    for claim, report in zip(colon_claims(a, b), verify_colon_claims(a, b).claims):
+    for claim, report in zip(colon_claims(a, b), verify_colon_claims(ternary_gens(a, b)).claims):
         colon = np.array([g.ground for g in claim["colon"]])
         inside = (rows[:, None, :3] >= colon[None]).all(axis=2).any(axis=1)
         assert report.subset_checked == int((~inside).sum()), (a, b, claim["name"])
@@ -492,7 +490,7 @@ def test_weakened_claim_is_refuted(monkeypatch, a, b, counts):
     claims = weakened_claims(0)
     expected = reference_colon_claims(a, b, claims(a, b))
     monkeypatch.setattr(ternary, "colon_claims", claims)
-    got = verify_colon_claims(a, b)
+    got = verify_colon_claims(ternary_gens(a, b))
     assert got == expected
     assert not got.ok and all(c.superset_ok and not c.subset_ok for c in got.claims)
     if counts is not None:
@@ -502,11 +500,11 @@ def test_weakened_claim_is_refuted(monkeypatch, a, b, counts):
 def test_colon_claims_are_the_same_in_small_blocks(monkeypatch):
     # multipliers split over several batched calls, the claimed generators
     # checked in the first only
-    expected = [verify_colon_claims(7, 3), reference_colon_claims(5, 2, weakened_claims(2)(5, 2))]
+    expected = [verify_colon_claims(ternary_gens(7, 3)), reference_colon_claims(5, 2, weakened_claims(2)(5, 2))]
     monkeypatch.setattr(ternary, "_BLOCK_ROWS", 97)
-    assert verify_colon_claims(7, 3) == expected[0]
+    assert verify_colon_claims(ternary_gens(7, 3)) == expected[0]
     monkeypatch.setattr(ternary, "colon_claims", weakened_claims(2))
-    assert verify_colon_claims(5, 2) == expected[1]
+    assert verify_colon_claims(ternary_gens(5, 2)) == expected[1]
 
 
 @pytest.mark.parametrize("block_rows", [7, 64])
@@ -514,9 +512,9 @@ def test_colon_claims_over_many_blocks_match_one_block(monkeypatch, block_rows):
     # every a <= 5 fits in one block of the default size; these sizes split
     # its degree-a multipliers over 1 to 40 batched calls per claim
     pairs = [(a, b) for a, b in PAIRS_TO_8 if a <= 5]
-    expected = [verify_colon_claims(a, b) for a, b in pairs]
+    expected = [verify_colon_claims(ternary_gens(a, b)) for a, b in pairs]
     monkeypatch.setattr(ternary, "_BLOCK_ROWS", block_rows)
-    assert [verify_colon_claims(a, b) for a, b in pairs] == expected
+    assert [verify_colon_claims(ternary_gens(a, b)) for a, b in pairs] == expected
 
 
 def _bidegrees(spec, moves):
@@ -546,7 +544,7 @@ def test_overclaimed_colon_fails_the_superset_check(monkeypatch):
 
     expected = reference_colon_claims(5, 2, claims(5, 2))
     monkeypatch.setattr(ternary, "colon_claims", claims)
-    got = verify_colon_claims(5, 2)
+    got = verify_colon_claims(ternary_gens(5, 2))
     assert got == expected
     assert not got.claims[0].superset_ok and got.claims[0].subset_ok
     assert all(c.ok for c in got.claims[1:])

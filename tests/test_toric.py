@@ -11,7 +11,6 @@ from reeslab import toric
 from reeslab.core import AciSpec, Binomial, InputError, Monomial, ground_monomial, parse_binomial, parse_monomial
 from reeslab.binary import sigma_set
 from reeslab.toric import (
-    Fiber,
     KernelMismatch,
     MoveSet,
     binary_spec,
@@ -66,15 +65,14 @@ def test_connected_under_moves():
     sigma = sigma_set(2, 1).moves
     fib = fiber_enumerate(spec, Monomial((2, 2), (2,)))
     assert len(fib.members) == 2
-    comps = connected_under_moves(fib, sigma)
+    comps = connected_under_moves(fib.image, sigma)
     assert len(comps) == 1
     # ground-free moves cannot rewrite the ground-free fiber members
     only_linear = MoveSet(spec, (parse_binomial("x*v - y*t", 2, 3), parse_binomial("y*v - x*u", 2, 3)))
-    comps = connected_under_moves(fib, only_linear)
+    comps = connected_under_moves(fib.image, only_linear)
     assert len(comps) == 2
     # empty fiber
-    empty = Fiber(Monomial((1, 1), (2,)), ())
-    assert connected_under_moves(empty, sigma) == ()
+    assert connected_under_moves(Monomial((1, 1), (2,)), sigma) == ()
 
 
 def test_binomial_membership_minimal_generator_excluded():
