@@ -7,19 +7,13 @@ from .core import (
     InputError,
     Monomial,
     MonomialIdeal,
-    ideal,
-    parse_binomial,
-    parse_monomial,
 )
 from .toric import (
-    Fiber,
     MoveSet,
     binary_spec,
     binomial_in_binomial_ideal,
     binomials_in_binomial_ideal,
     bruteforce_min_gens,
-    connected_under_moves,
-    fiber_enumerate,
     generates_up_to,
     monomial_in_mixed_ideal,
     ternary_spec,
@@ -33,7 +27,6 @@ from .binary import (
     reparametrize,
     sigma_set,
     sylvester_det,
-    telescopic_subideal,
     transport,
 )
 from .reduction import (
@@ -47,6 +40,7 @@ from .ternary import (
     TernaryGenSet,
     classify_type,
     enumerate_kernel_binomials,
+    enumeration_check,
     ternary_generation_check,
     ternary_gens,
     verify_colon_claims,

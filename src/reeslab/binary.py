@@ -195,9 +195,6 @@ class SigmaSet:
     def count_formula(self) -> int:
         return 1 + sum(self.euclid.quotients)
 
-    def implicit_equation(self) -> Binomial:
-        return self.entries[-1].binomial
-
     def __len__(self):
         return len(self.entries)
 
@@ -249,15 +246,6 @@ def sigma_set(d: int, b: int) -> SigmaSet:
     return sigma
 
 
-def telescopic_subideal(d: int, b: int, k: int) -> MoveSet:
-    """The prefix T(k) of Sigma: G_{0,0} plus all cycles up to k."""
-    sigma = sigma_set(d, b)
-    if not 0 <= k <= sigma.euclid.steps:
-        raise IndexError(f"cycle index {k} outside [0, {sigma.euclid.steps}]")
-    count = 1 + sum(sigma.euclid.quotients[:k])
-    return sigma.moves.prefix(count)
-
-
 @dataclass(frozen=True)
 class Reparametrization:
     """Per-variable gcd reduction of ACI exponent data, with the
@@ -269,10 +257,6 @@ class Reparametrization:
     a_reduced: tuple[int, ...]
     b_reduced: tuple[int, ...]
     delta: tuple[int, ...]
-
-    @property
-    def trivial(self) -> bool:
-        return all(c == 1 for c in self.delta)
 
 
 def reparametrize(a: Sequence[int], b: Sequence[int]) -> Reparametrization:

@@ -41,10 +41,6 @@ class Report:
     def to_json(self) -> str:
         return json.dumps(vars(self), sort_keys=True, indent=2)
 
-    @classmethod
-    def from_json(cls, text: str) -> "Report":
-        return cls(**json.loads(text))
-
     def to_text(self) -> str:
         out = [f"# {self.command}"]
         for k in sorted(self.params):
@@ -228,11 +224,7 @@ def cmd_ternary(args) -> Report:
     if args.verify:
         colon = ternary.verify_colon_claims(gens)
         gen_rep = ternary.ternary_generation_check(gens)
-        enum = ternary.enumerate_kernel_binomials(a, b)
-        expected = {gens[label] for label in ("H1", "H2", "H3", gens.regime)}
-        in_l = [bi for bi in enum if bi not in expected]
-        l_moves = gens.before("H1")
-        enum_ok = all(toric.binomial_in_binomial_ideal(bi, l_moves) for bi in in_l) and expected <= set(enum)
+        enum = ternary.enumeration_check(gens)
         results["colon_claims"] = [
             {"name": c.name, "certificates": c.certificates_ok, "superset": c.superset_ok,
              "subset": c.subset_ok, "subset_checked": c.subset_checked}
@@ -240,8 +232,9 @@ def cmd_ternary(args) -> Report:
         ]
         results["generates"] = gen_rep.passed
         results["redundant_generators"] = list(gen_rep.redundant)
-        results["enumeration_matches"] = enum_ok
-        ok = colon.ok and gen_rep.passed and enum_ok
+        results["enumeration_matches"] = enum.matches
+        results["enumeration_types"] = enum.types
+        ok = colon.ok and gen_rep.passed and enum.matches
     if args.lengths:
         rows = ternary.ternary_length_profile(a, b)
         results["exploratory_lengths"] = {
@@ -279,6 +272,25 @@ def _binary_instance(d: int, b: int) -> dict:
 def cmd_sweep(args) -> Report:
     if args.binary_max_d < 2 and args.ternary_max_a < 3:
         raise InputError("the sweep checks nothing: need --binary-max-d >= 2 or --ternary-max-a >= 3")
+    if not args.out:
+        return _sweep(args)
+    try:  # before any sweep work, so a path that cannot be written is refused at once
+        fh = open(args.out, "w", newline="" if args.format == "csv" else None)
+    except OSError as exc:
+        raise InputError(f"cannot write the --out file: {exc}") from None
+    with fh:
+        report = _sweep(args)
+        if args.format == "csv":
+            writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
+            writer.writeheader()
+            for r in report.results["binary"]:
+                writer.writerow({c: r[c] for c in CSV_COLUMNS})
+        else:
+            fh.write(report.to_json() + "\n")
+    return report
+
+
+def _sweep(args) -> Report:
     rows = [  # canonical parameter order
         _binary_instance(d, b)
         for d in range(2, args.binary_max_d + 1)
@@ -317,23 +329,12 @@ def cmd_sweep(args) -> Report:
         results["ternary"] = ternary_rows
     if uniform_rows:
         results["uniform"] = uniform_rows
-    report = Report(
+    return Report(
         "sweep",
         {"binary_max_d": args.binary_max_d, "ternary_max_a": args.ternary_max_a},
         results,
         "pass" if all_pass else "fail",
     )
-    if args.out:
-        if args.format == "csv":
-            with open(args.out, "w", newline="") as fh:
-                writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
-                writer.writeheader()
-                for r in rows:
-                    writer.writerow({c: r[c] for c in CSV_COLUMNS})
-        else:
-            with open(args.out, "w") as fh:
-                fh.write(report.to_json() + "\n")
-    return report
 
 
 def _int_list(text: str) -> list[int]:

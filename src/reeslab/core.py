@@ -76,8 +76,8 @@ def _check_exps(exps: Iterable[int]) -> None:
     for e in exps:
         if e < 0:
             raise ValueError(f"negative exponent {e}")
-        if e > EXPONENT_CAP:
-            raise InputError(f"exponent {e} exceeds cap {EXPONENT_CAP}")
+        if e > EXPONENT_CAP:  # compared here first: a call per exponent would slow every Monomial
+            check_exponent_cap(e)
 
 
 @dataclass(frozen=True)
@@ -181,29 +181,6 @@ def ground_monomial(exps: Sequence[int], m: int = 0) -> Monomial:
     return Monomial(tuple(exps), (0,) * m)
 
 
-def parse_monomial(text: str, n: int, m: int = 0) -> Monomial:
-    """Inverse of Monomial.text for the default variable names (tests, CLI)."""
-    gnames, rnames = ground_names(n), rees_names(m)
-    g, r = [0] * n, [0] * m
-    text = text.strip()
-    if text == "1":
-        return Monomial(tuple(g), tuple(r))
-    for factor in text.split("*"):
-        if "^" in factor:
-            name, _, exp = factor.partition("^")
-            e = int(exp)
-        else:
-            name, e = factor, 1
-        name = name.strip()
-        if name in gnames:
-            g[gnames.index(name)] += e
-        elif name in rnames:
-            r[rnames.index(name)] += e
-        else:
-            raise ValueError(f"unknown variable {name!r} in {text!r}")
-    return Monomial(tuple(g), tuple(r))
-
-
 @dataclass(frozen=True)
 class Binomial:
     """Difference of two distinct monomials, canonically oriented.
@@ -243,13 +220,6 @@ class Binomial:
 
     def __str__(self) -> str:
         return self.text()
-
-
-def parse_binomial(text: str, n: int, m: int = 0) -> Binomial:
-    left, sep, right = text.partition(" - ")
-    if not sep:
-        raise ValueError(f"not a binomial: {text!r}")
-    return Binomial(parse_monomial(left, n, m), parse_monomial(right, n, m))
 
 
 def divisibility_mask(rows: np.ndarray, divisors: np.ndarray) -> np.ndarray:
@@ -316,8 +286,7 @@ def _check_rows(rows: np.ndarray) -> None:
     the cap in row order."""
     if rows.size and rows.max() > EXPONENT_CAP:
         flat = rows.ravel()
-        e = flat[np.argmax(flat > EXPONENT_CAP)]
-        raise InputError(f"exponent {e} exceeds cap {EXPONENT_CAP}")
+        check_exponent_cap(int(flat[np.argmax(flat > EXPONENT_CAP)]))
 
 
 class MonomialIdeal:
@@ -541,14 +510,3 @@ class AciSpec:
     def default_r_cap(self) -> int:
         return 4 * max(self.a)
 
-
-def ideal(*texts: str, nvars: int | None = None) -> MonomialIdeal:
-    """Convenience builder from monomial text, e.g. ideal('x^2', 'y^2', 'x*y')."""
-    if nvars is None:
-        seen = set()
-        for t in texts:
-            for name in _GROUND_NAMES:
-                if name in t:
-                    seen.add(name)
-        nvars = max((_GROUND_NAMES.index(s) + 1 for s in seen), default=1)
-    return MonomialIdeal([parse_monomial(t, nvars) for t in texts], nvars)

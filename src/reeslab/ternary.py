@@ -18,10 +18,17 @@ before it.  `toric.ternary_spec` alone refuses a <= 2b.
 `_certificate_table` is the one source of the colon claims: each claimed
 colon generator is written once there, with its identity, and
 `colon_claims` reads the claims off it.
+
+Two cross-checks run apart from the colon claims.  `ternary_gens` builds
+the cube relation from all three of its pivot pairs and raises unless
+they agree.  `enumeration_check` exhausts the coprime kernel binomials of
+w-degree <= 3 with ground exponents below a, and finds the Sylvester
+forms and the cube relation among them and every other one in (L).
 """
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
@@ -37,7 +44,7 @@ from .binary import sylvester_det
 from .toric import (
     GenerationReport,
     MoveSet,
-    binomial_in_binomial_ideal,  # noqa: F401  (perfbench's tracer test reads ternary.binomial_in_binomial_ideal)
+    binomial_in_binomial_ideal,
     binomials_in_binomial_ideal,
     compositions,
     generates_up_to,
@@ -110,7 +117,10 @@ def implicit_pivots(a: int, b: int) -> tuple[tuple[Monomial, Monomial], ...]:
 def ternary_gens(a: int, b: int) -> TernaryGenSet:
     """Build the full generator set, checked against `ternary_spec(a, b)`
     (which refuses a <= 2b); the H's and the cube relation are produced by
-    sylvester_det on the pivots from the construction."""
+    sylvester_det on the pivots from the construction.  The cube relation
+    is built from each of its three pairs, (g1, H3), (g2, H2) and (g3, H1),
+    on the `implicit_pivots`; the first is the generator, and RuntimeError
+    is raised unless the other two equal it."""
     spec = ternary_spec(a, b)
     f1 = Binomial(_m(gx=a, u=1), _m(gy=a, t=1))
     f2 = Binomial(_m(gx=a, v=1), _m(gz=a, t=1))
@@ -121,19 +131,13 @@ def ternary_gens(a: int, b: int) -> TernaryGenSet:
     h1 = sylvester_det(g1, g2, (_m(gx=b), _m(gy=b)))
     h2 = sylvester_det(g1, g3, (_m(gx=b), _m(gz=b)))
     h3 = sylvester_det(g2, g3, (_m(gy=b), _m(gz=b)))
-    implicit = sylvester_det(g1, h3, implicit_pivots(a, b)[0])
-    return TernaryGenSet(a, b, MoveSet(spec, (f1, f2, f3, g1, g2, g3, h1, h2, h3, implicit)))
-
-
-def implicit_three_ways(gens: TernaryGenSet) -> tuple[Binomial, Binomial, Binomial]:
-    """The cube relation from each of the three pair/pivot choices; all
-    three must coincide."""
-    p1, p2, p3 = implicit_pivots(gens.a, gens.b)
-    return (
-        sylvester_det(gens["g1"], gens["H3"], p1),
-        sylvester_det(gens["g2"], gens["H2"], p2),
-        sylvester_det(gens["g3"], gens["H1"], p3),
-    )
+    pairs = zip((g1, g2, g3), (h3, h2, h1), implicit_pivots(a, b))
+    cube, *others = [sylvester_det(g, h, pivot) for g, h, pivot in pairs]
+    gens = TernaryGenSet(a, b, MoveSet(spec, (f1, f2, f3, g1, g2, g3, h1, h2, h3, cube)))
+    for pair, other in zip(("(g2, H2)", "(g3, H1)"), others):
+        if other != cube:
+            raise RuntimeError(f"the cube relation from {pair} is {other}, from (g1, H3) {cube}, at ({a}, {b})")
+    return gens
 
 
 def classify_type(bin_: Binomial) -> Optional[int]:
@@ -178,6 +182,25 @@ def enumerate_kernel_binomials(a: int, b: int, delta_max: int = 3) -> tuple[Bino
             out.append(Binomial(lead, trail))
     out.sort(key=lambda bb: (bb.lead.rees[3] + bb.trail.rees[3], bb.lead.sort_key()))
     return MoveSet(spec, tuple(out)).moves
+
+
+@dataclass(frozen=True)
+class EnumerationReport:
+    matches: bool
+    types: dict[int, int]  # enumerated binomials by `classify_type`, in increasing type
+
+
+def enumeration_check(gens: TernaryGenSet) -> EnumerationReport:
+    """The generators against `enumerate_kernel_binomials`: it matches when
+    every enumerated binomial other than H1, H2, H3 and the cube relation
+    lies in (L), the six syzygies, by `binomial_in_binomial_ideal`, and
+    those four are among the enumerated."""
+    found = enumerate_kernel_binomials(gens.a, gens.b)
+    headline = {gens[label] for label in ("H1", "H2", "H3", gens.regime)}
+    l_moves = gens.before("H1")
+    matches = all(binomial_in_binomial_ideal(bi, l_moves) for bi in found if bi not in headline)
+    types = Counter(classify_type(bi) for bi in found)
+    return EnumerationReport(matches and headline <= set(found), dict(sorted(types.items())))
 
 
 # -- colon claims ------------------------------------------------------------

@@ -31,11 +31,10 @@ of consecutive levels, under kernel moves in one numpy pass.
 `generates_up_to` and `binomials_in_binomial_ideal` (which decides many
 memberships at once on the complete fibers that `_fibers_of` builds) label
 `_stacks` of levels, each labelled once it holds `_STACK_MEMBERS` members;
-a level that large is labelled alone.  `connected_under_moves` goes through
-the same kernel one fiber at a time, and `bruteforce_min_gens` one
-(T-degree, image ground degree) group at a time.  The tuple walk
-`_neighbors` answers single membership questions; the kernel answers
-batches.
+a level that large is labelled alone.  `bruteforce_min_gens` goes through
+the same kernel one (T-degree, image ground degree) group at a time.  The
+tuple walk `_neighbors` answers single membership questions; the kernel
+answers batches.
 
 Both sweeps label only the fibers of a stack that `_undecided` leaves.
 Moves generate the kernel iff every fiber is connected (Diaconis and
@@ -81,17 +80,6 @@ def ternary_spec(a: int, b: int) -> AciSpec:
     return AciSpec((a,) * 3, (b,) * 3)
 
 
-@dataclass(frozen=True)
-class Fiber:
-    """All source monomials sharing one image; bigraded, hence finite."""
-
-    image: Monomial
-    members: tuple[Monomial, ...]
-
-    def __len__(self):
-        return len(self.members)
-
-
 def compositions(total: int, parts: int):
     """Yield all tuples of `parts` non-negative ints summing to `total`, in
     increasing lexicographic order."""
@@ -113,21 +101,6 @@ def compositions(total: int, parts: int):
         c[k] = 0
         c[k - 1] += 1
         c[-1] = rest
-
-
-def _image_level(spec: AciSpec, image: Monomial) -> _Level:
-    """The one-image level of `_fibers_of`: the complete fiber of `image`."""
-    if image.ambient != (spec.n, 1):
-        raise ValueError(f"image ambient {image.ambient}, expected {(spec.n, 1)}")
-    return _fibers_of(spec, image.rees[0], np.array([image.ground], dtype=np.int64))
-
-
-def fiber_enumerate(spec: AciSpec, image: Monomial) -> Fiber:
-    """Complete fiber of `image`, its members sorted by `Monomial.sort_key`."""
-    level = _image_level(spec, image)
-    members = [Monomial(tuple(g), tuple(r)) for g, r in zip(level.ground.tolist(), level.rees.tolist())]
-    members.sort(key=Monomial.sort_key)
-    return Fiber(image, tuple(members))
 
 
 @dataclass(frozen=True)
@@ -391,16 +364,6 @@ def _fiber_components(level: _Level, moves: np.ndarray) -> np.ndarray:
             if np.array_equal(jumped, labels):
                 break
             labels = jumped
-
-
-def connected_under_moves(image: Monomial, moves: MoveSet) -> tuple[tuple[Monomial, ...], ...]:
-    """The complete fiber of `image` partitioned into congruence
-    components, in `_Level.components` order: each component's members by
-    Rees exponents in `compositions` order, the components by their first
-    members' exponent vectors (ground, then Rees).  An empty fiber gives ()."""
-    level = _image_level(moves.spec, image)
-    parts = level.components(0, _fiber_components(level, moves.array))
-    return tuple(tuple(_mono(v, moves.spec.n) for v in g) for g in parts)
 
 
 def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -4,9 +4,13 @@
 `AciSpec` as the literal product x^g * prod_j generator_j^(beta_j) in
 `Monomial` arithmetic, the reference for `AciSpec.images`.
 
-`reference_fiber` is the body `toric.fiber_enumerate` had before it became
-the one-image case of the array builder `toric._fibers_of`; the tests of
-the builder and of the sweep's fiber enumeration compare against it.
+`reference_fiber` lists the members of one fiber, composition by
+composition, in `Monomial.sort_key` order; the tests of the array builder
+`toric._fibers_of` and of the sweep's fiber enumeration compare against it.
+
+`image_level` and `connected_under_moves` are not references but the
+kernel's one-image route, kept here for the tests: the level `_fibers_of`
+builds for one image, and its components under `_fiber_components`.
 
 `reference_reduced_fibers` is the body `toric._reduced_fibers_at` had
 before it built its member mask a bounded block at a time through the
@@ -74,6 +78,23 @@ def reference_fiber(spec, image):
             members.append(Monomial(tuple(ground), beta))
     members.sort(key=Monomial.sort_key)
     return tuple(members)
+
+
+def image_level(spec, image):
+    """The one-image level of `_fibers_of`: the complete fiber of `image`."""
+    if image.ambient != (spec.n, 1):
+        raise ValueError(f"image ambient {image.ambient}, expected {(spec.n, 1)}")
+    return _fibers_of(spec, image.rees[0], np.array([image.ground], dtype=np.int64))
+
+
+def connected_under_moves(image, moves):
+    """The complete fiber of `image` partitioned into congruence
+    components, in `_Level.components` order: each component's members by
+    Rees exponents in `compositions` order, the components by their first
+    members' exponent vectors (ground, then Rees).  An empty fiber gives ()."""
+    level = image_level(moves.spec, image)
+    parts = level.components(0, _fiber_components(level, moves.array))
+    return tuple(tuple(_mono(v, moves.spec.n) for v in g) for g in parts)
 
 
 def reference_reduced_fibers(spec, tau, ground_bound):

@@ -13,10 +13,10 @@ from reeslab.binary import (
     reparametrize,
     sigma_set,
     sylvester_det,
-    telescopic_subideal,
     transport,
 )
-from reeslab.core import EXPONENT_CAP, InputError, parse_binomial, parse_monomial
+from monomial_text import parse_binomial, parse_monomial
+from reeslab.core import EXPONENT_CAP, InputError
 from reeslab.toric import binary_spec, bruteforce_min_gens
 
 
@@ -195,9 +195,11 @@ def test_sigma_kernel_membership():
 
 
 def test_implicit_equation_shape():
+    # the last entry, the one of origin "implicit"
     for d, b in [(2, 1), (7, 2), (14, 3), (9, 4)]:
         sigma = sigma_set(d, b)
-        implicit = sigma.implicit_equation()
+        implicit = sigma.entries[-1].binomial
+        assert [e.origin for e in sigma.entries].index("implicit") == len(sigma) - 1
         assert implicit == pb(f"v^{d} - t^{b}*u^{d-b}")
         ground_free = [bi for bi in sigma.binomials() if bi.lead.ground_degree() == 0 and bi.trail.ground_degree() == 0]
         assert ground_free == [implicit]
@@ -207,21 +209,25 @@ def test_b_equals_one_degenerate_cycle():
     sigma = sigma_set(5, 1)
     assert sigma.euclid.quotients == (5,)
     assert len(sigma) == 6
-    assert sigma.implicit_equation() == pb("v^5 - t*u^4")
+    assert sigma.entries[-1].binomial == pb("v^5 - t*u^4")
     assert len(bruteforce_min_gens(binary_spec(5, 1), 6, 15)) == 6
 
 
+def telescopic(sigma, k):
+    """The prefix T(k) of Sigma: G_{0,0} plus all cycles up to k."""
+    return sigma.moves.prefix(1 + sum(sigma.euclid.quotients[:k]))
+
+
 def test_telescopic_subideals():
+    # Sigma lists G_{0,0}, then cycle k's c_k entries for k = 1, 2, ...,
+    # so T(k) is a prefix of it
     for d, b in [(14, 3), (7, 2)]:
         sigma = sigma_set(d, b)
-        t0 = telescopic_subideal(d, b, 0)
-        assert tuple(t0) == (sigma.entries[0].binomial,)
-        t1 = telescopic_subideal(d, b, 1)
-        assert len(t1) == 1 + sigma.euclid.ck(1)
-        full = telescopic_subideal(d, b, sigma.euclid.steps)
-        assert tuple(full) == sigma.binomials()
-    with pytest.raises(IndexError):
-        telescopic_subideal(14, 3, 9)
+        cycles = [k for k, c in enumerate(sigma.euclid.quotients, start=1) for _ in range(c)]
+        assert [e.k for e in sigma.entries] == [0] + cycles
+        assert tuple(telescopic(sigma, 0)) == (sigma.entries[0].binomial,)
+        assert len(telescopic(sigma, 1)) == 1 + sigma.euclid.ck(1)
+        assert tuple(telescopic(sigma, sigma.euclid.steps)) == sigma.binomials()
 
 
 def test_telescopic_colon_claim_regression():
@@ -232,7 +238,7 @@ def test_telescopic_colon_claim_regression():
     d, b = 14, 3
     sigma = sigma_set(d, b)
     ed = sigma.euclid
-    t1 = telescopic_subideal(d, b, 1)
+    t1 = telescopic(sigma, 1)
     g21 = next(e.binomial for e in sigma.entries if (e.k, e.i) == (2, 1))
     d1 = ed.dk(1)
     assert binomial_in_binomial_ideal(g21.scale(pm(f"x^{d1}")), t1)
@@ -244,7 +250,7 @@ def test_reparametrize_examples():
     r = reparametrize((4, 6), (2, 3))
     assert (r.a_reduced, r.b_reduced, r.delta) == ((2, 2), (1, 1), (2, 3))
     r = reparametrize((14, 14), (3, 11))
-    assert r.trivial
+    assert (r.a_reduced, r.b_reduced, r.delta) == ((14, 14), (3, 11), (1, 1))
     r = reparametrize((9, 6), (3, 4))
     assert (r.a_reduced, r.b_reduced) == ((3, 3), (1, 2))
     with pytest.raises(InputError):

@@ -13,10 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fiber_reference import reference_fiber
+from monomial_text import parse_binomial
 from reeslab import binary, cli, ternary, toric
 from reeslab.binary import IntegralityError, SylvesterError
 from reeslab.cli import Report, main
-from reeslab.core import EXPONENT_CAP, Binomial, Monomial, parse_binomial
+from reeslab.core import EXPONENT_CAP, Binomial, Monomial
 from reeslab.toric import KernelMismatch
 
 
@@ -171,9 +172,9 @@ def test_timing_goes_to_stderr_only(capsys):
 
 
 def test_json_round_trip(capsys):
+    # the JSON report holds every field of the report it was written from
     _, out, _ = run_cli(capsys, "lengths", "7", "3", "--format", "json")
-    report = Report.from_json(out)
-    assert report == Report.from_json(report.to_json())
+    report = Report(**json.loads(out))
     assert report.to_json() + "\n" == out
 
 
@@ -181,11 +182,8 @@ def test_report_json_holds_the_report_fields():
     report = Report("lengths", {"d": 7, "b": 3}, {"rows": []}, "pass")
     data = json.loads(report.to_json())
     assert list(data) == ["command", "params", "results", "schema", "verdict"]
-    assert Report.from_json(report.to_json()) == report
-    del data["schema"]  # an absent schema takes the default
-    assert Report.from_json(json.dumps(data)).schema == cli.SCHEMA
-    with pytest.raises(TypeError):  # a key that is no field is refused
-        Report.from_json(json.dumps({**data, "extra": 1}))
+    assert data["schema"] == cli.SCHEMA
+    assert Report(**data) == report
 
 
 def test_sweep_csv(tmp_path, capsys):
@@ -199,6 +197,21 @@ def test_sweep_csv(tmp_path, capsys):
     assert list(rows[0]) == ["d", "b", "count", "hmSum", "e1", "ell0", "ell0prime", "verdict"]
     # C(5,2) = 10 for the two d=5 profiles
     assert {r["hmSum"] for r in rows if r["d"] == "5"} == {"10"}
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_sweep_refuses_an_out_path_it_cannot_write_before_sweeping(tmp_path, capsys, monkeypatch, fmt):
+    # a missing directory, or a directory where the file should be: exit 2
+    # with the path named, and no sweep run
+    def unreachable(*args):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr(cli, "_binary_instance", unreachable)
+    for path in (tmp_path / "missing" / "sweep.out", tmp_path):
+        code, out, err = run_cli(capsys, "sweep", "--binary-max-d", "5", "--out", str(path), "--format", fmt)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot write the --out file: ") and str(path) in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_csv_only_for_sweep_with_out(capsys):
@@ -332,6 +345,24 @@ def test_an_off_kernel_generator_fails_even_the_plain_ternary_report(capsys, mon
     assert code == 3
     assert out == ""
     assert "KernelMismatch" in err
+
+
+def test_cube_relations_that_disagree_are_an_internal_error(capsys, monkeypatch):
+    # (g2, H2) gives the cube relation times x: in the kernel, so only the
+    # cross-check of the three pivot pairs refuses it, as the set is built
+    sylvester_det = ternary.sylvester_det
+    pivot = ternary.implicit_pivots(5, 2)[1]
+
+    def skewed(f, g, p):
+        det = sylvester_det(f, g, p)
+        return det.scale(Monomial((1, 0, 0), (0, 0, 0, 0))) if p == pivot else det
+
+    monkeypatch.setattr(ternary, "sylvester_det", skewed)
+    with pytest.raises(RuntimeError, match=r"the cube relation from \(g2, H2\) is x\*w\^3 - x\^2\*y\*z\*t\*u\*v"):
+        ternary.ternary_gens(5, 2)
+    code, out, err = run_cli(capsys, "ternary", "5", "2")
+    assert (code, out) == (3, "")
+    assert "RuntimeError: the cube relation from (g2, H2)" in err
 
 
 def test_invalid_parameters_exit_2(capsys):

@@ -5,11 +5,12 @@ one fiber, the pure-Python fiber enumeration of `fiber_reference`, and the
 congruence walk `binomial_in_binomial_ideal`.  The kernel under test
 labels whole T-degree levels at once (`_reduced_fibers_at` or `_fibers_of`
 plus `_fiber_components`), and serves `generates_up_to`,
-`connected_under_moves`, `fiber_enumerate`, `bruteforce_min_gens` and
-`binomials_in_binomial_ideal`.  `bruteforce_min_gens` labels each
-(T-degree, image ground degree) group of the fibers the gate leaves; the
-same rule over every fiber is its reference
-(`fiber_reference.reference_min_gens`).
+`bruteforce_min_gens` and `binomials_in_binomial_ideal`; its one-image
+route, `fiber_reference.connected_under_moves` on the level
+`fiber_reference.image_level`, is tested here too.
+`bruteforce_min_gens` labels each (T-degree, image ground degree) group
+of the fibers the gate leaves; the same rule over every fiber is its
+reference (`fiber_reference.reference_min_gens`).
 `_reduced_fibers_at` builds its member mask a bounded block at a time; the
 dense matrix it replaced is its reference
 (`fiber_reference.reference_reduced_fibers`).  `generates_up_to` and
@@ -31,6 +32,8 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from fiber_reference import (
+    connected_under_moves,
+    image_level,
     reference_binomials_in_binomial_ideal,
     reference_fiber,
     reference_generates_up_to,
@@ -59,8 +62,6 @@ from reeslab.toric import (
     binomials_in_binomial_ideal,
     bruteforce_min_gens,
     compositions,
-    connected_under_moves,
-    fiber_enumerate,
     generates_up_to,
     ternary_spec,
 )
@@ -513,10 +514,12 @@ def images(draw):
 @SETTINGS
 @given(images())
 def test_fiber_enumerate_matches_reference(case):
+    # the one-image level holds the fiber's members, empty fibers included
     spec, image = case
-    fiber = fiber_enumerate(spec, image)
-    assert fiber.image == image
-    assert fiber.members == reference_fiber(spec, image)
+    level = image_level(spec, image)
+    assert level.images.tolist() == [list(image.ground)]
+    members = [Monomial(tuple(g), tuple(r)) for g, r in zip(level.ground.tolist(), level.rees.tolist())]
+    assert sorted(members, key=Monomial.sort_key) == list(reference_fiber(spec, image))
 
 
 @SETTINGS

@@ -9,7 +9,8 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from reeslab import cli, ternary
-from reeslab.core import InputError, Monomial, parse_binomial, parse_monomial
+from monomial_text import parse_binomial, parse_monomial
+from reeslab.core import InputError, Monomial
 from reeslab.ternary import (
     ColonClaimReport,
     ColonClaimsReport,
@@ -17,7 +18,8 @@ from reeslab.ternary import (
     colon_claims,
     classify_type,
     enumerate_kernel_binomials,
-    implicit_three_ways,
+    enumeration_check,
+    implicit_pivots,
     ternary_generation_check,
     ternary_gens,
     ternary_length_profile,
@@ -63,7 +65,8 @@ def test_boundary_a_equals_3b():
     assert g["E"] == pb3("w^3 - t*u*v")
     assert g.regime == "E"
     # the a > 3b formula degenerates to the same binomial at a = 3b
-    assert all(x == g["E"] for x in implicit_three_ways(g))
+    pairs = zip((g["g1"], g["g2"], g["g3"]), (g["H3"], g["H2"], g["H1"]), implicit_pivots(6, 2))
+    assert [ternary.sylvester_det(f, h, pivot) for f, h, pivot in pairs] == [g["E"]] * 3
 
 
 def test_gens_rejects_gate():
@@ -114,10 +117,11 @@ def test_checks_read_the_generators_they_are_given(monkeypatch):
     assert [check(gens) for check in checks] == expected
 
 
-def test_implicit_three_ways_agree():
+def test_ternary_gens_builds_every_pair():
+    # each build cross-checks the cube relation of its three pivot pairs
+    # and raises unless they agree
     for a, b in ALL_PAIRS:
-        ways = set(implicit_three_ways(ternary_gens(a, b)))
-        assert len(ways) == 1
+        assert len(ternary_gens(a, b).moves) == 10
 
 
 def test_all_gens_in_kernel():
@@ -144,13 +148,22 @@ def test_enumeration_recovers_generators():
     for a, b in [(5, 2), (7, 2), (4, 1)]:
         g = ternary_gens(a, b)
         found = set(enumerate_kernel_binomials(a, b))
-        headline = {g[label] for label in ("H1", "H2", "H3", g.regime)}
-        assert {g["g1"], g["g2"], g["g3"]} | headline <= found
-        # everything else found is already in (L)
-        l_moves = g.before("H1")
-        extras = found - headline
-        for bi in extras:
-            assert binomial_in_binomial_ideal(bi, l_moves), (a, b, str(bi))
+        assert {g[label] for label in ("g1", "g2", "g3", "H1", "H2", "H3", g.regime)} <= found
+        # and everything else found is already in (L)
+        assert enumeration_check(g).matches, (a, b)
+
+
+def test_the_enumeration_check_sees_a_missing_generator_and_a_binomial_outside_l(monkeypatch):
+    g = ternary_gens(5, 2)
+    found = enumerate_kernel_binomials(5, 2)
+    for kept in ([bi for bi in found if bi != g["H2"]], [bi for bi in found if bi != g["E"]]):
+        monkeypatch.setattr(ternary, "enumerate_kernel_binomials", lambda a, b: tuple(kept))
+        assert not enumeration_check(g).matches
+    # a binomial of w-degree 4 that (L) misses
+    outside = pb3("z^2*w^4 - x^3*y^3*t*u*v^2")
+    assert outside in enumerate_kernel_binomials(5, 2, 4)
+    monkeypatch.setattr(ternary, "enumerate_kernel_binomials", lambda a, b: found + (outside,))
+    assert not enumeration_check(g).matches
 
 
 def test_enumeration_is_checked_against_the_map(monkeypatch):
@@ -168,6 +181,8 @@ def test_enumeration_types_at_5_2():
     g = ternary_gens(5, 2)
     assert set(by_type[3]) == {g["H1"], g["H2"], g["H3"]}
     assert by_type[1] == [g["E"]]
+    assert enumeration_check(g).types == {t: len(by_type[t]) for t in sorted(by_type)} == {1: 1, 2: 3, 3: 3}
+    assert enumeration_check(ternary_gens(7, 2)).types == {2: 3, 3: 3, 4: 1}
 
 
 def test_delta_four_diagnostic():
