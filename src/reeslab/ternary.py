@@ -23,7 +23,11 @@ Two cross-checks run apart from the colon claims.  `ternary_gens` builds
 the cube relation from all three of its pivot pairs and raises unless
 they agree.  `enumeration_check` exhausts the coprime kernel binomials of
 w-degree <= 3 with ground exponents below a, and finds the Sylvester
-forms and the cube relation among them and every other one in (L).
+forms and the cube relation among them and every other one in (L).  On
+all 380 pairs with a <= 40 those bounds admit exactly g1, g2, g3, H1, H2,
+H3 and the cube relation, so the (L) half only re-finds g1, g2 and g3,
+which are moves of (L) themselves: the check shows that the four
+generators after (L) are found, and nothing more.
 """
 from __future__ import annotations
 
@@ -194,7 +198,9 @@ def enumeration_check(gens: TernaryGenSet) -> EnumerationReport:
     """The generators against `enumerate_kernel_binomials`: it matches when
     every enumerated binomial other than H1, H2, H3 and the cube relation
     lies in (L), the six syzygies, by `binomial_in_binomial_ideal`, and
-    those four are among the enumerated."""
+    those four are among the enumerated.  For every a <= 40 the only
+    others are g1, g2 and g3, moves of (L), so the (L) half holds by
+    construction there and only the four being found is tested."""
     found = enumerate_kernel_binomials(gens.a, gens.b)
     headline = {gens[label] for label in ("H1", "H2", "H3", gens.regime)}
     l_moves = gens.before("H1")

@@ -31,7 +31,13 @@ of consecutive levels, under kernel moves in one numpy pass.
 `generates_up_to` and `binomials_in_binomial_ideal` (which decides many
 memberships at once on the complete fibers that `_fibers_of` builds) label
 `_stacks` of levels, each labelled once it holds `_STACK_MEMBERS` members;
-a level that large is labelled alone.  `bruteforce_min_gens` goes through
+a level that large is labelled alone.  `binomials_in_binomial_ideal`
+builds fibers only for the rows it cannot settle first: one
+`divisibility_mask` of the leads and one of the trails against the move
+sides answer every row with an isolated endpoint, a monomial no move
+applies to and so alone in its component.  Those are 87% of the rows of
+the colon claims of the 30 ternary pairs with a <= 12 (64-99.8% per
+pair).  `bruteforce_min_gens` goes through
 the same kernel one (T-degree, image ground degree) group at a time.  The
 tuple walk `_neighbors` answers single membership questions; the kernel
 answers batches.
@@ -468,15 +474,25 @@ def binomials_in_binomial_ideal(leads: np.ndarray, trails: np.ndarray, moves: Mo
     being exponent vectors (ground, then Rees).
 
     It does exactly when both monomials lie in one component of their
-    fiber under the moves.  Rows are grouped by T-degree; the distinct
-    fibers of each group are built as one level by `_fibers_of`,
-    consecutive levels are labelled together by one `_fiber_components`
-    call per `_stacks` stack, and each lead and trail is found in its stack
-    by its `_Level.key`.
+    fiber under the moves.  Once every row is checked to lie in the
+    kernel, one `divisibility_mask` of the leads and one of the trails
+    against the sides of the moves settle most rows: a monomial that no
+    side divides admits no move, so it is alone in its component, and a
+    row with such a side is a member exactly when lead == trail.  A row
+    with lead == trail is a member too.  Only the other rows have fibers
+    built: they are grouped by T-degree, the distinct fibers of each group
+    are built as one level by `_fibers_of`, consecutive levels are
+    labelled together by one `_fiber_components` call per `_stacks` stack,
+    and each lead and trail is found in its stack by its `_Level.key`.
     """
     spec, n = moves.spec, moves.spec.n
     leads, trails = np.asarray(leads, dtype=np.int64), np.asarray(trails, dtype=np.int64)
     images = _check_kernel(spec, leads, trails)
+    out = (leads == trails).all(axis=1)
+    sides = moves.array.reshape(-1, leads.shape[1])
+    moved = divisibility_mask(leads, sides).any(axis=1) & divisibility_mask(trails, sides).any(axis=1)
+    todo = np.flatnonzero(moved & ~out)
+    leads, trails, images = leads[todo], trails[todo], images[todo]
     fiber = np.empty(len(leads), dtype=np.int64)  # fiber id of each row in all the levels stacked
     grounds = []
     for tau in sorted(set(images[:, n].tolist())):
@@ -484,7 +500,6 @@ def binomials_in_binomial_ideal(leads: np.ndarray, trails: np.ndarray, moves: Mo
         ground, local = _distinct_rows(images[rows, :n])
         fiber[rows] = local + sum(len(g) for _, g in grounds)
         grounds.append((tau, ground))
-    out = np.zeros(len(leads), dtype=bool)
     start = 0
     for stack in _stacks(_fibers_of(spec, tau, ground) for tau, ground in grounds):
         end = start + len(stack.images)
@@ -493,7 +508,7 @@ def binomials_in_binomial_ideal(leads: np.ndarray, trails: np.ndarray, moves: Mo
         keys = stack.key(stack.fiber, stack.rees)
         lead_at = np.searchsorted(keys, stack.key(fiber[rows] - start, leads[rows, n:]))
         trail_at = np.searchsorted(keys, stack.key(fiber[rows] - start, trails[rows, n:]))
-        out[rows] = labels[lead_at] == labels[trail_at]
+        out[todo[rows]] = labels[lead_at] == labels[trail_at]
         start = end
     return out
 

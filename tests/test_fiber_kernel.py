@@ -22,6 +22,9 @@ budgets.  Both sweeps label only the fibers that the divisor-complex gate
 `_undecided` leaves; its reference is `reference_undecided` below, and the
 full labelling of every fiber stays the reference of the sweeps, also
 under ground bounds tight enough that the gate's bound condition binds.
+`binomials_in_binomial_ideal` answers a row with an isolated endpoint, or
+with equal sides, without building its fiber; a spy on `_fibers_of`
+checks which fibers are built.
 """
 import re
 from math import gcd
@@ -620,6 +623,52 @@ def test_batched_membership_refuses_pairs_off_the_kernel(monkeypatch):
         assert binomials_in_binomial_ideal(np.zeros((0, width)), np.zeros((0, width)), moves).tolist() == []
         with pytest.raises(KernelMismatch):
             binomials_in_binomial_ideal(_vecs([lead, lead]), _vecs([lead, Monomial((3, 0), (0, 0, 0))]), moves)
+
+
+def test_fibers_are_built_only_for_rows_whose_distinct_sides_both_admit_a_move(monkeypatch):
+    # a monomial that no side of a move divides is alone in its component,
+    # so its row is settled without a fiber, and so is a row with
+    # lead == trail; the fibers built are exactly those of the other rows
+    built = []
+
+    def spy(spec, tau, images):
+        built.extend(tuple(row) + (tau,) for row in images.tolist())
+        return _fibers_of(spec, tau, images)
+
+    monkeypatch.setattr(toric, "_fibers_of", spy)
+
+    def meets(m, moves):
+        return any(side.divides(m) for move in moves for side in (move.lead, move.trail))
+
+    gens = ternary_gens(5, 2)
+    multipliers = [Monomial(c[:3], c[3:]) for k in range(4) for c in compositions(k, 7)]
+    for claim in colon_claims(5, 2):
+        prefix, h = gens.before(claim["name"]), gens[claim["name"]]
+        touched = prefix.moves[0].lead  # a side of a move: a lead == trail row that a move meets
+        pairs = [(m * h.lead, m * h.trail) for m in multipliers] + [(touched, touched)]
+        is_open = [lead != trail and meets(lead, prefix) and meets(trail, prefix) for lead, trail in pairs]
+        assert any(is_open) and not all(is_open)
+        built.clear()
+        got = binomials_in_binomial_ideal(_vecs(p[0] for p in pairs), _vecs(p[1] for p in pairs), prefix)
+        images = [prefix.spec.image_of(lead) for (lead, _), o in zip(pairs, is_open) if o]
+        assert len(built) == len(set(built)) and set(built) == {(*i.ground, *i.rees) for i in images}, claim["name"]
+        for (lead, trail), o, member in zip(pairs, is_open, got.tolist()):
+            if not o:
+                assert member == (lead == trail)
+
+    built.clear()
+    alone = Monomial((7, 7), (0, 0, 0))  # x^7 y^7: no side of a Sigma move divides it
+    moves = sigma_set(3, 1).moves
+    assert not meets(alone, moves)
+    assert binomials_in_binomial_ideal(_vecs([alone]), _vecs([alone]), moves).tolist() == [True]
+    # without moves every row is settled, and only equal rows are members
+    members = reference_fiber(moves.spec, moves.spec.image_of(moves.moves[0].lead))
+    assert len(members) > 1
+    pairs = [(x, y) for x in members for y in members]
+    got = binomials_in_binomial_ideal(_vecs(p[0] for p in pairs), _vecs(p[1] for p in pairs),
+                                      MoveSet(binary_spec(3, 1), ()))
+    assert got.tolist() == [x == y for x, y in pairs]
+    assert built == []
 
 
 @pytest.mark.parametrize("d", range(2, 13))

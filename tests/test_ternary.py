@@ -153,6 +153,18 @@ def test_enumeration_recovers_generators():
         assert enumeration_check(g).matches, (a, b)
 
 
+def test_the_enumeration_finds_only_the_generators_with_w_up_to_a_40():
+    # what `enumeration_check` and README say it checks: within its bounds
+    # the enumeration holds g1, g2, g3, the Sylvester forms and the cube
+    # relation and nothing else, so its (L) half only meets moves of (L)
+    for a in range(3, 41):
+        for b in range(1, (a - 1) // 2 + 1):
+            g = ternary_gens(a, b)
+            found = enumerate_kernel_binomials(a, b)
+            assert len(found) == 7, (a, b)
+            assert set(found) == {g[label] for label in ("g1", "g2", "g3", "H1", "H2", "H3", g.regime)}, (a, b)
+
+
 def test_the_enumeration_check_sees_a_missing_generator_and_a_binomial_outside_l(monkeypatch):
     g = ternary_gens(5, 2)
     found = enumerate_kernel_binomials(5, 2)
