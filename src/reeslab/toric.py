@@ -23,15 +23,19 @@ share no common variable).  Multiplying a fiber by a variable is a
 connectivity-preserving bijection as long as every move has coprime sides,
 so reduced fibers decide the sweep; move sets are validated accordingly.
 
-The sweeps build fibers one T-degree level at a time: `_reduced_fibers_at`
-builds all reduced fibers of a level as arrays with `_level_of` (shared
-with `_fibers_of`; one bounded block of the member mask at a time).
+The sweeps build fibers as arrays, one level per `_runs` run of
+consecutive T-degrees, joined while (compositions x images) stays within
+`_JOINT_CELLS`: `_reduced_fibers_at` builds all reduced fibers of a run
+with `_level_of` (shared with `_fibers_of`; one member mask, built a
+bounded block at a time, whose T-degree columns (tau, top - tau) match
+each composition to images of its own T-degree only).
 `_fiber_components` labels every complete fiber of a level, or of a stack
 of consecutive levels, under kernel moves in one numpy pass.
 `generates_up_to` and `binomials_in_binomial_ideal` (which decides many
-memberships at once on the complete fibers that `_fibers_of` builds) label
-`_stacks` of levels, each labelled once it holds `_STACK_MEMBERS` members;
-a level that large is labelled alone.  `binomials_in_binomial_ideal`
+memberships at once on the complete fibers that `_fibers_of` builds,
+grouped by the same `_runs`) label `_stacks` of levels, each labelled
+once it holds `_STACK_MEMBERS` members; a level that large is labelled
+alone.  `binomials_in_binomial_ideal`
 builds fibers only for the rows it cannot settle first: one
 `divisibility_mask` of the leads and one of the trails against the move
 sides answer every row with an isolated endpoint, a monomial no move
@@ -386,43 +390,70 @@ def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 _MASK_CELLS = 1 << 20  # (images x compositions) cells per block of a level's member mask
+_JOINT_CELLS = 1 << 16  # (compositions x images) cells up to which T-degrees are built as one level
 _STACK_MEMBERS = 1 << 12  # members at which a stack of levels is labelled
 
 
 def _level_of(comps: np.ndarray, G: np.ndarray, images: np.ndarray, keep: Callable) -> _Level:
     """The level of the fibers of the rows of `images` (distinct, in
-    increasing order) that `keep` selects, for the compositions `comps` of
-    one T-degree with image ground vectors G.  A composition gives a member
-    of an image when its image ground vector lies below the image; that
-    mask is `core.divisibility_mask` of the images by G, built
+    increasing order) that `keep` selects, for the compositions `comps` and
+    rows G of `_compositions_at`.  Rows of G and `images` are (tau,
+    top - tau, image ground vector), so a composition gives a member of an
+    image when its row lies below the image's, at equal T-degrees only; of
+    one T-degree, those columns hold for every pair and stay out of the
+    mask.  That mask is `core.divisibility_mask` of the images by G, built
     `_MASK_CELLS` cells at a time, and `keep(block, member)` indexes the
     block's rows to keep, in increasing order."""
     k = len(comps)
     step = max(1, _MASK_CELLS // k)
+    skip = 2 * int(G[0, 0] == G[-1, 0])  # the T-degree columns, when they hold everywhere
     kept, flat, count = [images[:0]], [np.empty(0, dtype=np.int64)], 0
     for start in range(0, len(images), step):
         block = images[start:start + step]
-        member = divisibility_mask(block, G)
+        member = divisibility_mask(block[:, skip:], G[:, skip:])
         rows = keep(block, member)
         kept.append(block[rows])
         flat.append(np.flatnonzero(member[rows]) + count * k)
         count += len(kept[-1])
     images = np.concatenate(kept)
     fiber, col = np.divmod(np.concatenate(flat), k)
-    return _Level(images, fiber, images[fiber] - G[col], comps[col])
+    return _Level(images[:, 2:], fiber, images[fiber, 2:] - G[col, 2:], comps[col])
 
 
-def _compositions_at(spec: AciSpec, tau: int) -> tuple[np.ndarray, np.ndarray]:
-    """The compositions of tau as rows, and G: their Rees monomials' image ground vectors."""
-    comps = np.array(list(compositions(tau, spec.nrees)), dtype=np.int64).reshape(-1, spec.nrees)
-    return comps, comps @ spec.degree_matrix
+def _compositions_at(spec: AciSpec, taus: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The compositions of each of the increasing T-degrees `taus` as rows,
+    T-degree first, and G: for each, (tau, top - tau) with top the last of
+    `taus`, then its Rees monomial's image ground vector."""
+    comps = np.array([c for tau in taus for c in compositions(tau, spec.nrees)], dtype=np.int64).reshape(-1, spec.nrees)
+    tau = comps.sum(axis=1)
+    return comps, np.column_stack((tau, taus[-1] - tau, comps @ spec.degree_matrix))
 
 
-def _fibers_of(spec: AciSpec, tau: int, images: np.ndarray) -> _Level:
-    """The level of the complete fibers of T-degree tau whose image ground
-    parts are the rows of `images` (distinct, in increasing order): the
-    layout and member order of `_reduced_fibers_at`, without its filters."""
-    return _level_of(*_compositions_at(spec, tau), images, lambda block, member: slice(None))
+def _runs(spec: AciSpec, taus: Sequence[int], sizes: Sequence[int]) -> Iterator[slice]:
+    """Runs of consecutive entries of the increasing T-degrees `taus`, with
+    sizes[i] images at taus[i], each to be built as one level: a run grows
+    while its (compositions x images) cells stay within `_JOINT_CELLS` and
+    its members stay `_keyable`.  A T-degree beyond that is a run alone."""
+    start = k = size = 0
+    for i, (tau, count) in enumerate(zip(taus, sizes)):
+        comps = math.comb(tau + spec.nrees - 1, spec.nrees - 1)
+        if i > start and ((k + comps) * (size + count) > _JOINT_CELLS
+                          or not _keyable(spec.nrees, tau + 1, size + count)):
+            yield slice(start, i)
+            start, k, size = i, 0, 0
+        k, size = k + comps, size + count
+    if start < len(taus):
+        yield slice(start, len(taus))
+
+
+def _fibers_of(spec: AciSpec, images: np.ndarray) -> _Level:
+    """The level of the complete fibers whose images are the rows of
+    `images`, (T-degree, image ground part), distinct and in increasing
+    order: the layout and member order of `_reduced_fibers_at`, without
+    its filters."""
+    comps, G = _compositions_at(spec, sorted(set(images[:, 0].tolist())))
+    images = np.column_stack((images[:, 0], G[-1, 0] - images[:, 0], images[:, 1:]))
+    return _level_of(comps, G, images, lambda block, member: slice(None))
 
 
 def _stack(levels: Sequence[_Level]) -> _Level:
@@ -480,10 +511,11 @@ def binomials_in_binomial_ideal(leads: np.ndarray, trails: np.ndarray, moves: Mo
     side divides admits no move, so it is alone in its component, and a
     row with such a side is a member exactly when lead == trail.  A row
     with lead == trail is a member too.  Only the other rows have fibers
-    built: they are grouped by T-degree, the distinct fibers of each group
-    are built as one level by `_fibers_of`, consecutive levels are
-    labelled together by one `_fiber_components` call per `_stacks` stack,
-    and each lead and trail is found in its stack by its `_Level.key`.
+    built: their distinct (T-degree, image) rows are split into `_runs` of
+    consecutive T-degrees, each run built as one level by `_fibers_of`,
+    consecutive levels are labelled together by one `_fiber_components`
+    call per `_stacks` stack, and each lead and trail is found in its
+    stack by its `_Level.key`.
     """
     spec, n = moves.spec, moves.spec.n
     leads, trails = np.asarray(leads, dtype=np.int64), np.asarray(trails, dtype=np.int64)
@@ -492,16 +524,13 @@ def binomials_in_binomial_ideal(leads: np.ndarray, trails: np.ndarray, moves: Mo
     sides = moves.array.reshape(-1, leads.shape[1])
     moved = divisibility_mask(leads, sides).any(axis=1) & divisibility_mask(trails, sides).any(axis=1)
     todo = np.flatnonzero(moved & ~out)
-    leads, trails, images = leads[todo], trails[todo], images[todo]
-    fiber = np.empty(len(leads), dtype=np.int64)  # fiber id of each row in all the levels stacked
-    grounds = []
-    for tau in sorted(set(images[:, n].tolist())):
-        rows = np.flatnonzero(images[:, n] == tau)
-        ground, local = _distinct_rows(images[rows, :n])
-        fiber[rows] = local + sum(len(g) for _, g in grounds)
-        grounds.append((tau, ground))
+    leads, trails = leads[todo], trails[todo]
+    # the distinct (T-degree, image ground part) rows, and each row's fiber id among them
+    images, fiber = _distinct_rows(images[todo][:, [n, *range(n)]])
+    taus, sizes = (column.tolist() for column in np.unique(images[:, 0], return_counts=True))
+    bounds = [0, *itertools.accumulate(sizes)]
     start = 0
-    for stack in _stacks(_fibers_of(spec, tau, ground) for tau, ground in grounds):
+    for stack in _stacks(_fibers_of(spec, images[bounds[r.start]:bounds[r.stop]]) for r in _runs(spec, taus, sizes)):
         end = start + len(stack.images)
         rows = np.flatnonzero((fiber >= start) & (fiber < end))
         labels = _fiber_components(stack, moves.array)
@@ -521,41 +550,52 @@ def _require_coprime(moves: Sequence[Binomial]) -> None:
             raise ValueError(f"sweep requires coprime moves, got {mv}")
 
 
-def _reduced_fibers_at(spec: AciSpec, tau: int, ground_bound: int) -> _Level:
-    """The level of every reduced fiber of T-degree tau with at least two
-    members whose smallest member has ground degree within bound.
+def _reduced_fibers_at(spec: AciSpec, taus: Sequence[int], ground_bound: int) -> _Level:
+    """The level of every reduced fiber of the consecutive T-degrees `taus`
+    with at least two members whose smallest member has ground degree
+    within bound: `_stack` of the one-T-degree levels.
 
     A reduced fiber's image is the coordinatewise max of at most n
-    member image vectors, so candidates are exactly the maxes of small
-    subsets of composition images.  For each ground variable some member
-    of a candidate fiber lacks it, so members never share a ground
-    variable; the fiber is non-reduced exactly when all its members carry
-    some t_j, and then it is t_j times a fiber of T-degree tau - 1.  Those
-    fibers are left out.  The candidate images are built whole (C(k + n - 1, n)
-    rows for k compositions and n ground variables), their member mask one
-    bounded block at a time by `_level_of`.
+    member image vectors, so candidates are exactly the maxes of n-element
+    multisets of composition images of one T-degree: C(k + n - 1, n) rows
+    for k compositions.  A candidate X whose members have ground degree at
+    least |X| - tau * max_j |g_j| > bound (g_j the generators) is dropped
+    at once.  For each ground variable some member of a candidate fiber
+    lacks it, so members never share a ground variable; the fiber is
+    non-reduced exactly when all its members carry some t_j, and then it
+    is t_j times a fiber of T-degree tau - 1.  Those fibers are left out.
+    All the candidates go through one `_level_of` member mask.
     """
-    comps, G = _compositions_at(spec, tau)
-    k = len(comps)
-    size = min(spec.n, k)
-    idx = np.fromiter(
-        itertools.chain.from_iterable(itertools.combinations_with_replacement(range(k), size)), dtype=np.int64
-    ).reshape(-1, size)
+    comps, G = _compositions_at(spec, taus)
+    first = np.searchsorted(G[:, 0], [*taus, taus[-1] + 1]).tolist()
+    idx = np.fromiter(itertools.chain.from_iterable(itertools.chain.from_iterable(
+        itertools.combinations_with_replacement(range(lo, hi), spec.n) for lo, hi in itertools.pairwise(first)
+    )), dtype=np.int64).reshape(-1, spec.n)
     cand = G[idx[:, 0]]
-    for col in range(1, size):
+    for col in range(1, spec.n):
         cand = np.maximum(cand, G[idx[:, col]])
+    least = np.array([-spec.degree_matrix.sum(axis=1).max(), 0, *[1] * spec.n])  # |X| - tau * max_j |g_j|
+    cand = cand[cand @ least <= ground_bound]
     faces = [np.flatnonzero(beta == 0) for beta in comps.T]  # the compositions without t_j
-    gsum = G.sum(axis=1)
+    gsum = G[:, 2:].sum(axis=1)
 
     def keep(block: np.ndarray, member: np.ndarray) -> np.ndarray:
         # each t_j is missing from some member, and two or more members
         reduced = np.all([member[:, face].any(axis=1) for face in faces], axis=0)
         rows = np.flatnonzero(reduced & (np.count_nonzero(member, axis=1) >= 2))
         # then some member, so the smallest, has ground degree within bound
-        within = member[rows] & (gsum >= block[rows].sum(axis=1, keepdims=True) - ground_bound)
+        within = member[rows] & (gsum >= block[rows, 2:].sum(axis=1, keepdims=True) - ground_bound)
         return rows[within.any(axis=1)]
 
     return _level_of(comps, G, _distinct_rows(cand)[0], keep)
+
+
+def _sweep_levels(spec: AciSpec, t_bound: int, ground_bound: int) -> Iterator[_Level]:
+    """The levels of reduced fibers of T-degree <= t_bound, one `_runs` run
+    of T-degrees each, sized by their C(k + n - 1, n) candidates."""
+    taus = range(t_bound + 1)
+    sizes = [math.comb(math.comb(tau + spec.nrees - 1, tau) + spec.n - 1, spec.n) for tau in taus]
+    return (_reduced_fibers_at(spec, taus[run], ground_bound) for run in _runs(spec, taus, sizes))
 
 
 def _undecided(level: _Level, ground_bound: int) -> np.ndarray:
@@ -628,7 +668,7 @@ def generates_up_to(moves: MoveSet, t_bound: int, ground_bound: int) -> Generati
     spec = moves.spec
     n = spec.n
     checked = labelled = 0
-    for stack in _stacks(_reduced_fibers_at(spec, tau, ground_bound) for tau in range(t_bound + 1)):
+    for stack in _stacks(_sweep_levels(spec, t_bound, ground_bound)):
         undecided = _undecided(stack, ground_bound)
         sub = stack.select(undecided)
         labels = _fiber_components(sub, moves.array)
@@ -677,7 +717,7 @@ def bruteforce_min_gens(
     found: list[tuple[tuple[int, int], Binomial]] = []
     # a spanning binomial joins two members of one fiber: a kernel move
     movearr = _move_array((), width)
-    for stack in _stacks(_reduced_fibers_at(spec, tau, ground_bound) for tau in range(t_bound + 1)):
+    for stack in _stacks(_sweep_levels(spec, t_bound, ground_bound)):
         sub = stack.select(_undecided(stack, ground_bound))
         firsts = sub.rees[np.searchsorted(sub.fiber, np.arange(len(sub.images)))]
         groups = np.stack((firsts.sum(axis=1), sub.images.sum(axis=1)), axis=1)

@@ -84,7 +84,7 @@ def image_level(spec, image):
     """The one-image level of `_fibers_of`: the complete fiber of `image`."""
     if image.ambient != (spec.n, 1):
         raise ValueError(f"image ambient {image.ambient}, expected {(spec.n, 1)}")
-    return _fibers_of(spec, image.rees[0], np.array([image.ground], dtype=np.int64))
+    return _fibers_of(spec, np.array([image.rees + image.ground], dtype=np.int64))
 
 
 def connected_under_moves(image, moves):
@@ -148,7 +148,7 @@ def reference_min_gens(spec, t_bound, ground_bound, tie_break_seed=None):
     found = []
     movearr = _move_array((), width)
     for tau in range(t_bound + 1):
-        level = _reduced_fibers_at(spec, tau, ground_bound)
+        level = _reduced_fibers_at(spec, [tau], ground_bound)
         degrees = level.images.sum(axis=1)
         for degree in sorted(set(degrees.tolist())):
             group = _select(level, degrees == degree)
@@ -174,7 +174,7 @@ def reference_generates_up_to(moves, t_bound, ground_bound):
     _require_coprime(list(moves))
     checked = 0
     for tau in range(t_bound + 1):
-        level = _reduced_fibers_at(spec, tau, ground_bound)
+        level = _reduced_fibers_at(spec, [tau], ground_bound)
         labels = _fiber_components(level, moves.array)
         split = level.split_fibers(labels)
         if split:
@@ -197,7 +197,7 @@ def reference_binomials_in_binomial_ideal(leads, trails, moves):
     for tau in sorted(set(images[:, n].tolist())):
         rows = np.flatnonzero(images[:, n] == tau)
         ground, fiber = _distinct_rows(images[rows, :n])
-        level = _fibers_of(spec, tau, ground)
+        level = _fibers_of(spec, np.insert(ground, 0, tau, axis=1))
         labels = _fiber_components(level, moves.array)
         keys = level.key(level.fiber, level.rees)
         lead_at = np.searchsorted(keys, level.key(fiber, leads[rows, n:]))

@@ -25,6 +25,11 @@ under ground bounds tight enough that the gate's bound condition binds.
 `binomials_in_binomial_ideal` answers a row with an isolated endpoint, or
 with equal sides, without building its fiber; a spy on `_fibers_of`
 checks which fibers are built.
+The sweeps and the memberships build runs of consecutive T-degrees as one
+level while the run's (compositions x images) cells stay within
+`_JOINT_CELLS`; under several such budgets each level built equals the
+stack of its one-T-degree levels and of their dense references, and the
+memberships and colon-claim reports are those of one level per T-degree.
 """
 import re
 from math import gcd
@@ -48,7 +53,7 @@ from reeslab import toric
 
 from reeslab.binary import sigma_set
 from reeslab.core import AciSpec, Binomial, Monomial
-from reeslab.ternary import colon_claims, ternary_gens
+from reeslab.ternary import colon_claims, ternary_gens, verify_colon_claims
 from reeslab.toric import (
     GenerationReport,
     MoveSet,
@@ -190,7 +195,7 @@ def test_level_labels_match_bfs_per_fiber(case):
     moves, t_bound, g = case
     spec = moves.spec
     for tau in range(t_bound + 1):
-        level = _reduced_fibers_at(spec, tau, g)
+        level = _reduced_fibers_at(spec, [tau], g)
         labels = _fiber_components(level, moves.array)
         vecs = [tuple(g) + tuple(r) for g, r in zip(level.ground.tolist(), level.rees.tolist())]
         for f, image in enumerate(level.images.tolist()):
@@ -275,7 +280,7 @@ def test_undecided_fibers_match_the_reference_gate(case):
     moves, t_bound, g = case
     spec = moves.spec
     for tau in range(t_bound + 1):
-        level = _reduced_fibers_at(spec, tau, g)
+        level = _reduced_fibers_at(spec, [tau], g)
         got = _undecided(level, g)
         assert got.dtype == bool and got.shape == (len(level.images),)
         expected = [reference_undecided(reference_fiber(spec, Monomial(tuple(image), (tau,))), g)
@@ -317,7 +322,7 @@ def test_the_fibers_labelled_are_the_generators_images(d):
         assert report.passed and report.fibers_labelled == len(moves)
         labelled = []
         for tau in range(d + 2):
-            level = _reduced_fibers_at(spec, tau, 3 * d)
+            level = _reduced_fibers_at(spec, [tau], 3 * d)
             labelled += [Monomial(tuple(image), (tau,)) for image in level.images[_undecided(level, 3 * d)].tolist()]
         assert sorted(labelled) == sorted(spec.image_of(mv.lead) for mv in moves), b
 
@@ -339,10 +344,10 @@ def test_a_connected_complex_is_labelled_when_a_smaller_fiber_lies_beyond_the_bo
     assert len(parts) == 1
     assert min(m.ground_degree() for m in members) == 15
     assert smallest[5] == 16  # v, the third Rees variable
-    level = _reduced_fibers_at(spec, 2, 15)
+    level = _reduced_fibers_at(spec, [2], 15)
     assert _undecided(level, 15)[level.images.tolist().index([7, 10, 10])]
     # ground bound 16 lets every smaller fiber in, and then it is decided
-    level = _reduced_fibers_at(spec, 2, 16)
+    level = _reduced_fibers_at(spec, [2], 16)
     assert not _undecided(level, 16)[level.images.tolist().index([7, 10, 10])]
 
 
@@ -383,7 +388,7 @@ def test_bruteforce_labels_each_group_of_undecided_fibers_once(monkeypatch):
 
 def test_a_level_without_members_is_labelled_at_once(monkeypatch):
     # the gate often leaves no fiber of a stack; such a level is not keyed
-    level = _reduced_fibers_at(binary_spec(11, 5), 3, 33)
+    level = _reduced_fibers_at(binary_spec(11, 5), [3], 33)
     empty = level.select(np.zeros(len(level.images), dtype=bool))
 
     def unreachable(*args):
@@ -415,7 +420,7 @@ def test_bruteforce_min_gens_matches_the_per_group_reference_ternary(a, b):
 
 def _assert_same_level(got, expected):
     for name in ("images", "fiber", "ground", "rees"):
-        assert getattr(got, name).tolist() == getattr(expected, name).tolist(), name
+        assert np.array_equal(getattr(got, name), getattr(expected, name)), name
 
 
 @pytest.mark.parametrize("d", range(2, 13))
@@ -425,14 +430,14 @@ def test_reduced_fibers_match_the_dense_reference(d):
         if gcd(d, b) == 1:
             spec = binary_spec(d, b)
             for tau in range(d + 2):
-                _assert_same_level(_reduced_fibers_at(spec, tau, 3 * d), reference_reduced_fibers(spec, tau, 3 * d))
+                _assert_same_level(_reduced_fibers_at(spec, [tau], 3 * d), reference_reduced_fibers(spec, tau, 3 * d))
 
 
 @pytest.mark.parametrize("a, b", [(a, b) for a in range(3, 7) for b in range(1, (a - 1) // 2 + 1)])
 def test_reduced_fibers_match_the_dense_reference_ternary(a, b):
     spec = ternary_spec(a, b)
     for tau in range(5):
-        _assert_same_level(_reduced_fibers_at(spec, tau, 3 * a), reference_reduced_fibers(spec, tau, 3 * a))
+        _assert_same_level(_reduced_fibers_at(spec, [tau], 3 * a), reference_reduced_fibers(spec, tau, 3 * a))
 
 
 def test_move_sets_refuse_the_first_move_off_the_kernel():
@@ -526,28 +531,30 @@ def test_fiber_enumerate_matches_reference(case):
 
 
 @SETTINGS
-@given(cases, st.integers(1, 3), st.integers(1, 200))
-def test_fibers_of_is_the_level_of_its_images(case, tau, cells):
-    # many images in one call, the member mask built `cells` cells at a time
+@given(cases, st.lists(st.integers(1, 3), min_size=1, max_size=3, unique=True), st.integers(1, 200))
+def test_fibers_of_is_the_level_of_its_images(case, taus, cells):
+    # many images of one or more T-degrees in one call, the member mask
+    # built `cells` cells at a time
     moves, _, g = case
     spec = moves.spec
-    grounds = sorted({
-        spec.image_of(Monomial(ground, beta)).ground
+    images = sorted({
+        (tau, *spec.image_of(Monomial(ground, beta)).ground)
+        for tau in taus
         for beta in compositions(tau, spec.nrees)
         for ground in compositions(g, spec.n)
     })
     saved, toric._MASK_CELLS = toric._MASK_CELLS, cells
     try:
-        level = _fibers_of(spec, tau, np.array(grounds, dtype=np.int64))
+        level = _fibers_of(spec, np.array(images, dtype=np.int64))
     finally:
         toric._MASK_CELLS = saved
-    assert level.images.tolist() == [list(x) for x in grounds]
+    assert level.images.tolist() == [list(x[1:]) for x in images]
     assert list(level.fiber) == sorted(level.fiber)
-    for f, ground in enumerate(grounds):
+    for f, (tau, *ground) in enumerate(images):
         rows = np.flatnonzero(level.fiber == f)
         got = [Monomial(tuple(x), tuple(r)) for x, r in zip(level.ground[rows].tolist(), level.rees[rows].tolist())]
         assert [m.rees for m in got] == sorted(m.rees for m in got)  # `compositions` order
-        assert sorted(got) == sorted(reference_fiber(spec, Monomial(ground, (tau,))))
+        assert sorted(got) == sorted(reference_fiber(spec, Monomial(tuple(ground), (tau,))))
 
 
 def _sigma_2_1_non_reduced_pair():
@@ -631,9 +638,9 @@ def test_fibers_are_built_only_for_rows_whose_distinct_sides_both_admit_a_move(m
     # lead == trail; the fibers built are exactly those of the other rows
     built = []
 
-    def spy(spec, tau, images):
-        built.extend(tuple(row) + (tau,) for row in images.tolist())
-        return _fibers_of(spec, tau, images)
+    def spy(spec, images):
+        built.extend(map(tuple, images.tolist()))
+        return _fibers_of(spec, images)
 
     monkeypatch.setattr(toric, "_fibers_of", spy)
 
@@ -651,7 +658,7 @@ def test_fibers_are_built_only_for_rows_whose_distinct_sides_both_admit_a_move(m
         built.clear()
         got = binomials_in_binomial_ideal(_vecs(p[0] for p in pairs), _vecs(p[1] for p in pairs), prefix)
         images = [prefix.spec.image_of(lead) for (lead, _), o in zip(pairs, is_open) if o]
-        assert len(built) == len(set(built)) and set(built) == {(*i.ground, *i.rees) for i in images}, claim["name"]
+        assert len(built) == len(set(built)) and set(built) == {(*i.rees, *i.ground) for i in images}, claim["name"]
         for (lead, trail), o, member in zip(pairs, is_open, got.tolist()):
             if not o:
                 assert member == (lead == trail)
@@ -741,3 +748,82 @@ def test_stacks_close_at_the_budget_and_keep_large_levels_alone(monkeypatch):
     monkeypatch.setattr(toric, "_STACK_MEMBERS", 50)
     levels = [_one_member_fibers(range(size)) for size in (5, 10, 40, 3, 60, 4, 2)]
     assert [len(stack) for stack in _stacks(levels)] == [55, 3, 60, 6]
+
+
+#: joint-level budgets: every T-degree a level alone (1), the default, and
+#: every run of T-degrees one level (2^30)
+JOINT_BUDGETS = (1, toric._JOINT_CELLS, 1 << 30)
+
+
+def assert_grouped_levels_are_exact(spec, t_bound, g):
+    """Under every joint budget, each level the sweep builds is `_stack` of
+    the one-T-degree levels of its run and of their dense references, and
+    the runs cover T-degrees 0..t_bound in order."""
+    build, saved = toric._reduced_fibers_at, toric._JOINT_CELLS
+    singles = [build(spec, [tau], g) for tau in range(t_bound + 1)]
+    for tau, level in enumerate(singles):
+        _assert_same_level(level, reference_reduced_fibers(spec, tau, g))
+    for budget in JOINT_BUDGETS:
+        runs = []
+
+        def spy(spec, taus, ground_bound):
+            runs.append(list(taus))
+            return build(spec, taus, ground_bound)
+
+        toric._reduced_fibers_at, toric._JOINT_CELLS = spy, budget
+        try:
+            levels = list(toric._sweep_levels(spec, t_bound, g))
+        finally:
+            toric._reduced_fibers_at, toric._JOINT_CELLS = build, saved
+        assert sum(runs, []) == list(range(t_bound + 1)), budget
+        assert budget > 1 or all(len(run) == 1 for run in runs)
+        for run, level in zip(runs, levels, strict=True):
+            _assert_same_level(level, _stack([singles[tau] for tau in run]))
+    return runs
+
+
+@pytest.mark.parametrize("d", range(2, 17))
+def test_grouped_levels_are_exact_at_every_budget(d):
+    for b in range(1, d):
+        if gcd(d, b) == 1:
+            for g in (3 * d, d):
+                assert len(assert_grouped_levels_are_exact(binary_spec(d, b), d + 1, g)) == 1  # all in one level
+
+
+@pytest.mark.parametrize("a, b", [(a, b) for a in range(3, 10) for b in range(1, (a - 1) // 2 + 1)])
+def test_grouped_levels_are_exact_at_every_budget_ternary(a, b):
+    assert_grouped_levels_are_exact(ternary_spec(a, b), 4, 3 * a)
+
+
+@SETTINGS
+@given(st.one_of(random_cases(), tight_random_cases()))
+def test_grouped_levels_are_exact_at_every_budget_random(case):
+    moves, t_bound, g = case
+    assert_grouped_levels_are_exact(moves.spec, t_bound, g)
+
+
+@pytest.mark.parametrize("budget", JOINT_BUDGETS)
+@SETTINGS
+@given(multiplier_cases())
+def test_grouped_membership_matches_the_per_level_reference(budget, case):
+    prefix, h, rows, stack_budget = case
+    leads, trails = rows + _vecs([h.lead]), rows + _vecs([h.trail])
+    saved = toric._JOINT_CELLS, toric._STACK_MEMBERS
+    toric._JOINT_CELLS, toric._STACK_MEMBERS = budget, stack_budget
+    try:
+        got = binomials_in_binomial_ideal(leads, trails, prefix)
+    finally:
+        toric._JOINT_CELLS, toric._STACK_MEMBERS = saved
+    assert got.tolist() == reference_binomials_in_binomial_ideal(leads, trails, prefix).tolist()
+
+
+def test_colon_claims_are_the_same_at_every_joint_budget(monkeypatch):
+    # the 30 ternary pairs with a <= 12; budget 1 builds one level per T-degree
+    pairs = [(a, b) for a in range(3, 13) for b in range(1, (a - 1) // 2 + 1)]
+    assert len(pairs) == 30
+    gens = [ternary_gens(a, b) for a, b in pairs]
+    monkeypatch.setattr(toric, "_JOINT_CELLS", 1)
+    expected = [verify_colon_claims(g) for g in gens]
+    for budget in JOINT_BUDGETS[1:]:
+        monkeypatch.setattr(toric, "_JOINT_CELLS", budget)
+        assert [verify_colon_claims(g) for g in gens] == expected, budget

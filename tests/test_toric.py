@@ -319,7 +319,7 @@ def test_reduced_fibers_match_fiber_enumerate(monkeypatch, cells):
     for spec, t_max, g in _reduced_fiber_cases():
         n = spec.n
         for tau in range(t_max + 1):
-            level = _reduced_fibers_at(spec, tau, g)
+            level = _reduced_fibers_at(spec, [tau], g)
             assert len(level) == len(level.fiber) == len(level.ground) == len(level.rees)
             assert list(level.fiber) == sorted(level.fiber)
             yielded = {}
@@ -355,7 +355,7 @@ def test_reduced_fibers_build_the_member_mask_in_bounded_blocks():
     # at once peaks near 145 MiB (`fiber_reference.reference_reduced_fibers`)
     tracemalloc.start()
     try:
-        _reduced_fibers_at(binary_spec(30, 7), 31, 90)
+        _reduced_fibers_at(binary_spec(30, 7), [31], 90)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
