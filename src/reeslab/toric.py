@@ -25,38 +25,40 @@ so reduced fibers decide the sweep; move sets are validated accordingly.
 
 The sweeps build fibers as arrays, one level per `_runs` run of
 consecutive T-degrees, joined while (compositions x images) stays within
-`_JOINT_CELLS`: `_reduced_fibers_at` builds all reduced fibers of a run
-with `_level_of` (shared with `_fibers_of`; one member mask, built a
+`_JOINT_CELLS`: `_reduced_fibers_at` finds every reduced fiber of a run
+with `_member_cells` (shared with `_fibers_of`; one member mask, built a
 bounded block at a time, whose T-degree columns (tau, top - tau) match
-each composition to images of its own T-degree only).
-`_fiber_components` labels every complete fiber of a level, or of a stack
-of consecutive levels, under kernel moves in one numpy pass.
-`generates_up_to` and `binomials_in_binomial_ideal` (which decides many
-memberships at once on the complete fibers that `_fibers_of` builds,
-grouped by the same `_runs`) label `_stacks` of levels, each labelled
-once it holds `_STACK_MEMBERS` members; a level that large is labelled
-alone.  `binomials_in_binomial_ideal`
-builds fibers only for the rows it cannot settle first: one
-`divisibility_mask` of the leads and one of the trails against the move
-sides answer every row with an isolated endpoint, a monomial no move
-applies to and so alone in its component.  Those are 87% of the rows of
-the colon claims of the 30 ternary pairs with a <= 12 (64-99.8% per
-pair).  `bruteforce_min_gens` goes through
-the same kernel one (T-degree, image ground degree) group at a time.  The
-tuple walk `_neighbors` answers single membership questions; the kernel
-answers batches.
+each composition to images of its own T-degree only), gates them on the
+member cells the mask leaves, and builds member rows only for the fibers
+the gate leaves.  `_fiber_components` labels every complete fiber of a
+level, or of a stack of consecutive levels, under kernel moves in one
+numpy pass.  `generates_up_to` labels each run's gated level as soon as it
+is built.  `bruteforce_min_gens` and `binomials_in_binomial_ideal` (which
+decides many memberships at once on the complete fibers that `_fibers_of`
+builds, grouped by the same `_runs`) label `_stacks` of levels, each
+labelled once it holds `_STACK_MEMBERS` members; a level that large is
+labelled alone.  `binomials_in_binomial_ideal` builds fibers only for the
+rows it cannot settle first: one `divisibility_mask` of the leads and one
+of the trails against the move sides answer every row with an isolated
+endpoint, a monomial no move applies to and so alone in its component.
+Those are 87% of the rows of the colon claims of the 30 ternary pairs with
+a <= 12 (64-99.8% per pair).  `bruteforce_min_gens` goes through the same
+kernel one (T-degree, image ground degree) group at a time.  The tuple
+walk `_neighbors` answers single membership questions; the kernel answers
+batches.
 
-Both sweeps label only the fibers of a stack that `_undecided` leaves.
-Moves generate the kernel iff every fiber is connected (Diaconis and
-Sturmfels, Ann. Statist. 1998).  A fiber b whose squarefree divisor
-complex Delta_b is connected is connected whenever every smaller fiber
-b - deg(x_v), x_v a vertex of Delta_b, is (Miller and Sturmfels,
-Combinatorial Commutative Algebra, GTM 227, ch. 9).  The gate keeps a
-fiber when Delta_b is disconnected or some smaller fiber lies beyond the
-ground bound.  Every other fiber is connected once the fibers before it
-in (T-degree, image) order are, so the verdict, the first failure and
-`fibers_checked` are those of labelling every fiber.  Under the full
-Sigma set the fibers kept are exactly the generators' degrees.
+Both sweeps build and label only the fibers that the divisor-complex gate
+of `_reduced_fibers_at` leaves.  Moves generate the kernel iff every fiber
+is connected (Diaconis and Sturmfels, Ann. Statist. 1998).  A fiber b
+whose squarefree divisor complex Delta_b is connected is connected
+whenever every smaller fiber b - deg(x_v), x_v a vertex of Delta_b, is
+(Miller and Sturmfels, Combinatorial Commutative Algebra, GTM 227, ch. 9).
+The gate keeps a fiber when Delta_b is disconnected or some smaller fiber
+lies beyond the ground bound.  Every other fiber is connected once the
+fibers before it in (T-degree, image) order are, so the verdict, the
+first failure and `fibers_checked` are those of labelling every fiber.
+Under the full Sigma set the fibers kept are exactly the generators'
+degrees.
 """
 from __future__ import annotations
 
@@ -394,30 +396,49 @@ _JOINT_CELLS = 1 << 16  # (compositions x images) cells up to which T-degrees ar
 _STACK_MEMBERS = 1 << 12  # members at which a stack of levels is labelled
 
 
-def _level_of(comps: np.ndarray, G: np.ndarray, images: np.ndarray, keep: Callable) -> _Level:
-    """The level of the fibers of the rows of `images` (distinct, in
-    increasing order) that `keep` selects, for the compositions `comps` and
-    rows G of `_compositions_at`.  Rows of G and `images` are (tau,
-    top - tau, image ground vector), so a composition gives a member of an
-    image when its row lies below the image's, at equal T-degrees only; of
-    one T-degree, those columns hold for every pair and stay out of the
-    mask.  That mask is `core.divisibility_mask` of the images by G, built
-    `_MASK_CELLS` cells at a time, and `keep(block, member)` indexes the
-    block's rows to keep, in increasing order."""
-    k = len(comps)
+def _member_cells(G: np.ndarray, images: np.ndarray, keep: Optional[Callable] = None
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The member cells of the rows of `images` (distinct, in increasing
+    order) for the rows G of `_compositions_at`: the ground parts of the
+    rows kept, and for each member of a kept row its index among them and
+    its composition's index in G, members in (row, composition) order.
+    Rows of G and `images` are (tau, top - tau, image ground vector), so a
+    composition gives a member of an image when its row lies below the
+    image's, at equal T-degrees only; of one T-degree, those columns hold
+    for every pair and stay out of the mask.  That mask is
+    `core.divisibility_mask` of the images by G, built `_MASK_CELLS` cells
+    at a time, and `keep(block, member)`, when given, indexes the block's
+    rows to keep, in increasing order."""
+    k = len(G)
     step = max(1, _MASK_CELLS // k)
     skip = 2 * int(G[0, 0] == G[-1, 0])  # the T-degree columns, when they hold everywhere
     kept, flat, count = [images[:0]], [np.empty(0, dtype=np.int64)], 0
     for start in range(0, len(images), step):
         block = images[start:start + step]
         member = divisibility_mask(block[:, skip:], G[:, skip:])
-        rows = keep(block, member)
+        rows = slice(None) if keep is None else keep(block, member)
         kept.append(block[rows])
         flat.append(np.flatnonzero(member[rows]) + count * k)
         count += len(kept[-1])
-    images = np.concatenate(kept)
     fiber, col = np.divmod(np.concatenate(flat), k)
-    return _Level(images[:, 2:], fiber, images[fiber, 2:] - G[col, 2:], comps[col])
+    return np.concatenate(kept)[:, 2:], fiber, col
+
+
+def _multisets(bounds: Sequence[int], size: int) -> np.ndarray:
+    """The `size`-element multisets of indices within each block
+    bounds[i] .. bounds[i + 1] - 1, as rows of non-decreasing indices, block
+    by block in `itertools.combinations_with_replacement` order.  Each
+    further column repeats every row once per index from its last one to
+    the end of its block."""
+    last = np.arange(bounds[0], bounds[-1])
+    end = np.repeat(bounds[1:], np.diff(bounds))  # the end of each row's block
+    idx = last[:, None]
+    for _ in range(1, size):
+        count = end - last
+        rows = np.repeat(np.arange(len(last)), count)
+        last = np.arange(len(rows)) - (np.cumsum(count) - count - last)[rows]
+        idx, end = np.column_stack((idx[rows], last)), end[rows]
+    return idx
 
 
 def _compositions_at(spec: AciSpec, taus: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
@@ -452,8 +473,8 @@ def _fibers_of(spec: AciSpec, images: np.ndarray) -> _Level:
     order: the layout and member order of `_reduced_fibers_at`, without
     its filters."""
     comps, G = _compositions_at(spec, sorted(set(images[:, 0].tolist())))
-    images = np.column_stack((images[:, 0], G[-1, 0] - images[:, 0], images[:, 1:]))
-    return _level_of(comps, G, images, lambda block, member: slice(None))
+    images, fiber, col = _member_cells(G, np.column_stack((images[:, 0], G[-1, 0] - images[:, 0], images[:, 1:])))
+    return _Level(images, fiber, images[fiber] - G[col, 2:], comps[col])
 
 
 def _stack(levels: Sequence[_Level]) -> _Level:
@@ -550,31 +571,51 @@ def _require_coprime(moves: Sequence[Binomial]) -> None:
             raise ValueError(f"sweep requires coprime moves, got {mv}")
 
 
-def _reduced_fibers_at(spec: AciSpec, taus: Sequence[int], ground_bound: int) -> _Level:
-    """The level of every reduced fiber of the consecutive T-degrees `taus`
-    with at least two members whose smallest member has ground degree
-    within bound: `_stack` of the one-T-degree levels.
+def _reduced_fibers_at(spec: AciSpec, taus: Sequence[int], ground_bound: int
+                       ) -> tuple[int, np.ndarray, _Level]:
+    """The reduced fibers of the consecutive T-degrees `taus` with at least
+    two members whose smallest member has ground degree within bound, in
+    (T-degree, image) order, gated by their divisor complexes: their
+    number, the indices among them of the fibers the gate leaves undecided,
+    and the level of those fibers alone.
 
     A reduced fiber's image is the coordinatewise max of at most n
     member image vectors, so candidates are exactly the maxes of n-element
-    multisets of composition images of one T-degree: C(k + n - 1, n) rows
-    for k compositions.  A candidate X whose members have ground degree at
-    least |X| - tau * max_j |g_j| > bound (g_j the generators) is dropped
-    at once.  For each ground variable some member of a candidate fiber
-    lacks it, so members never share a ground variable; the fiber is
-    non-reduced exactly when all its members carry some t_j, and then it
-    is t_j times a fiber of T-degree tau - 1.  Those fibers are left out.
-    All the candidates go through one `_level_of` member mask.
+    multisets of composition images of one T-degree (`_multisets`):
+    C(k + n - 1, n) rows for k compositions.  A candidate X whose members
+    have ground degree at least |X| - tau * max_j |g_j| > bound (g_j the
+    generators) is dropped at once.  For each ground variable some member
+    of a candidate fiber lacks it, so members never share a ground
+    variable; the fiber is non-reduced exactly when all its members carry
+    some t_j, and then it is t_j times a fiber of T-degree tau - 1.  Those
+    fibers are left out.  All the candidates go through one
+    `_member_cells` member mask.
+
+    The gate reads the member cells (fiber, composition) the mask leaves,
+    before any member row is built.  The complex Delta_b of fiber b has the
+    variables dividing some member as vertices, and {v, w} as an edge when
+    some member is divisible by x_v x_w.  When it is connected and every
+    smaller fiber b - deg(x_v) of a vertex v is connected, so is b: two
+    members divisible by one x_v are x_v times two members of
+    b - deg(x_v), and the edges chain any two members.  The members of
+    b - deg(x_v) are those of b divisible by x_v, divided by it, so it is
+    inside the ground bound when one of those has ground degree
+    <= ground_bound, or <= ground_bound + 1 when x_v is a ground variable;
+    it then lies, up to a common factor, among the sweep's reduced fibers
+    before b in (T-degree, image) order.  A fiber is thus left undecided
+    when its complex is disconnected or some vertex's smaller fiber lies
+    beyond the bound.  A member's support is an int32 bitmask, ground
+    variables first (so at most 31 variables): its composition's Rees
+    bits, and bit v where X_v exceeds the composition's image.  Member
+    rows are built for the undecided fibers only.
     """
+    n = spec.n
     comps, G = _compositions_at(spec, taus)
-    first = np.searchsorted(G[:, 0], [*taus, taus[-1] + 1]).tolist()
-    idx = np.fromiter(itertools.chain.from_iterable(itertools.chain.from_iterable(
-        itertools.combinations_with_replacement(range(lo, hi), spec.n) for lo, hi in itertools.pairwise(first)
-    )), dtype=np.int64).reshape(-1, spec.n)
+    idx = _multisets(np.searchsorted(G[:, 0], [*taus, taus[-1] + 1]), n)
     cand = G[idx[:, 0]]
-    for col in range(1, spec.n):
+    for col in range(1, n):
         cand = np.maximum(cand, G[idx[:, col]])
-    least = np.array([-spec.degree_matrix.sum(axis=1).max(), 0, *[1] * spec.n])  # |X| - tau * max_j |g_j|
+    least = np.array([-spec.degree_matrix.sum(axis=1).max(), 0, *[1] * n])  # |X| - tau * max_j |g_j|
     cand = cand[cand @ least <= ground_bound]
     faces = [np.flatnonzero(beta == 0) for beta in comps.T]  # the compositions without t_j
     gsum = G[:, 2:].sum(axis=1)
@@ -587,50 +628,37 @@ def _reduced_fibers_at(spec: AciSpec, taus: Sequence[int], ground_bound: int) ->
         within = member[rows] & (gsum >= block[rows, 2:].sum(axis=1, keepdims=True) - ground_bound)
         return rows[within.any(axis=1)]
 
-    return _level_of(comps, G, _distinct_rows(cand)[0], keep)
-
-
-def _sweep_levels(spec: AciSpec, t_bound: int, ground_bound: int) -> Iterator[_Level]:
-    """The levels of reduced fibers of T-degree <= t_bound, one `_runs` run
-    of T-degrees each, sized by their C(k + n - 1, n) candidates."""
-    taus = range(t_bound + 1)
-    sizes = [math.comb(math.comb(tau + spec.nrees - 1, tau) + spec.n - 1, spec.n) for tau in taus]
-    return (_reduced_fibers_at(spec, taus[run], ground_bound) for run in _runs(spec, taus, sizes))
-
-
-def _undecided(level: _Level, ground_bound: int) -> np.ndarray:
-    """Which fibers of a level of reduced fibers (one bool per fiber) the
-    squarefree divisor complex leaves to the kernel.
-
-    The complex Delta_b of fiber b has the variables dividing some member
-    as vertices, and {v, w} as an edge when some member is divisible by
-    x_v x_w.  When it is connected and every smaller fiber b - deg(x_v)
-    of a vertex v is connected, so is b: two members divisible by one x_v
-    are x_v times two members of b - deg(x_v), and the edges chain any two
-    members.  The members of b - deg(x_v) are those of b divisible by x_v,
-    divided by it, so it is inside the ground bound when one of those has
-    ground degree <= ground_bound, or <= ground_bound + 1 when x_v is a
-    ground variable; it then lies, up to a common factor, among the sweep's
-    reduced fibers before b in (T-degree, image) order.  A fiber is thus
-    left undecided when its complex is disconnected or some vertex's
-    smaller fiber lies beyond the bound.  Each set of variables is an
-    int32 bitmask, ground variables first, so at most 31 variables.
-    """
-    n = level.ground.shape[1]
-    masks = sum((column > 0).astype(np.int32) << v for v, column in enumerate([*level.ground.T, *level.rees.T]))
-    starts = np.searchsorted(level.fiber, np.arange(len(level.images)))
+    images, fiber, col = _member_cells(G, _distinct_rows(cand)[0], keep)
+    rees_bits = ((comps > 0) << np.arange(n, n + spec.nrees)).sum(axis=1).astype(np.int32)
+    masks = rees_bits.take(col)
+    for v in range(n):
+        masks |= (images[:, v].take(fiber) > G[:, 2 + v].take(col)) << np.int32(v)
+    starts = np.searchsorted(fiber, np.arange(len(images)))
     vertices = np.bitwise_or.reduceat(masks, starts)
     # the vertices whose smaller fiber some member puts inside the bound
-    degree = sum(level.ground.T)
+    degree = images.sum(axis=1).take(fiber) - gsum.take(col)
     inside = np.where(degree <= ground_bound, -1, np.where(degree == ground_bound + 1, (1 << n) - 1, 0))
     beyond = (vertices & ~np.bitwise_or.reduceat(masks & inside, starts)) != 0
     # grow the first member's vertices along the members that meet them
     reach = masks[starts]
     while True:
-        grown = np.bitwise_or.reduceat(np.where(masks & reach[level.fiber], masks, 0), starts)
+        grown = np.bitwise_or.reduceat(np.where(masks & reach[fiber], masks, 0), starts)
         if np.array_equal(grown, reach):
-            return beyond | (reach != vertices)
+            break
         reach = grown
+    undecided = beyond | (reach != vertices)
+    rows = undecided[fiber]
+    fiber, col = fiber[rows], col[rows]
+    level = _Level(images[undecided], (np.cumsum(undecided) - 1)[fiber], images[fiber] - G[col, 2:], comps[col])
+    return len(images), np.flatnonzero(undecided), level
+
+
+def _sweep_levels(spec: AciSpec, t_bound: int, ground_bound: int) -> Iterator[tuple[int, np.ndarray, _Level]]:
+    """`_reduced_fibers_at` of T-degrees <= t_bound, one `_runs` run of
+    T-degrees each, sized by their C(k + n - 1, n) candidates."""
+    taus = range(t_bound + 1)
+    sizes = [math.comb(math.comb(tau + spec.nrees - 1, tau) + spec.n - 1, spec.n) for tau in taus]
+    return (_reduced_fibers_at(spec, taus[run], ground_bound) for run in _runs(spec, taus, sizes))
 
 
 @dataclass(frozen=True)
@@ -655,33 +683,31 @@ class GenerationReport:
 def generates_up_to(moves: MoveSet, t_bound: int, ground_bound: int) -> GenerationReport:
     """Pass iff every fiber of the map `moves.spec` with T-degree <= t_bound
     and source ground degree <= ground_bound is connected under `moves`.
-    The reduced fibers decide it; their T-degree levels are taken a
-    `_stacks` stack at a time, and the failure reported is the first
+    The reduced fibers decide it, and the failure reported is the first
     disconnected one in increasing (T-degree, image) order, so it is
     deterministic.  `fibers_checked` counts the reduced fibers up to and
-    including that one.  Of each stack only the fibers `_undecided` leaves
-    are labelled: each other fiber is connected when every fiber before it
-    is, so the first disconnected fiber is among those labelled.
-    `fibers_labelled` counts them, up to and including the failure.
+    including that one.  Only the fibers the gate of `_reduced_fibers_at`
+    leaves are built and labelled, one `_runs` run of T-degrees at a time,
+    as soon as the run is built, so a failure stops the sweep at its run:
+    each other fiber is connected when every fiber before it is, so the
+    first disconnected fiber is among those labelled.  `fibers_labelled`
+    counts them, up to and including the failure.
     """
     _require_coprime(list(moves))
     spec = moves.spec
     n = spec.n
     checked = labelled = 0
-    for stack in _stacks(_sweep_levels(spec, t_bound, ground_bound)):
-        undecided = _undecided(stack, ground_bound)
-        sub = stack.select(undecided)
-        labels = _fiber_components(sub, moves.array)
-        split = sub.split_fibers(labels)
+    for count, undecided, level in _sweep_levels(spec, t_bound, ground_bound):
+        labels = _fiber_components(level, moves.array)
+        split = level.split_fibers(labels)
         if split:
             f = split[0]
-            parts = sub.components(f, labels)
-            image = Monomial(tuple(sub.images[f].tolist()), (sum(parts[0][0][n:]),))
+            parts = level.components(f, labels)
+            image = Monomial(tuple(level.images[f].tolist()), (sum(parts[0][0][n:]),))
             failure = FiberFailure(image, tuple(tuple(_mono(v, n) for v in g) for g in parts))
-            return GenerationReport(t_bound, ground_bound, checked + int(np.flatnonzero(undecided)[f]) + 1, failure,
-                                    labelled + f + 1)
-        checked += len(stack.images)
-        labelled += len(sub.images)
+            return GenerationReport(t_bound, ground_bound, checked + int(undecided[f]) + 1, failure, labelled + f + 1)
+        checked += count
+        labelled += len(level.images)
     return GenerationReport(t_bound, ground_bound, checked, None, labelled)
 
 
@@ -696,11 +722,12 @@ def bruteforce_min_gens(
     Reduced fibers are processed in an order refining divisibility of
     images: by T-degree, then by ground degree of the image.  Whenever a
     fiber is disconnected under the moves found so far, spanning-tree
-    binomials are added.  Only the fibers `_undecided` leaves can be: each
-    other fiber's smaller fibers come in earlier groups, already connected.
-    They are gated a `_stacks` stack at a time, and each (T-degree, image
-    ground degree) group of them is labelled once, under every move found
-    before the group: a move found in a group cannot join two fibers of
+    binomials are added.  Only the fibers the gate of `_reduced_fibers_at`
+    leaves can be: each other fiber's smaller fibers come in earlier
+    groups, already connected.  Only those fibers are built, their levels
+    are taken a `_stacks` stack at a time, and each (T-degree, image ground
+    degree) group of them is labelled once, under every move found before
+    the group: a move found in a group cannot join two fibers of
     it.  The number added per bidegree is canonical even though the
     chosen binomials are not.  The moves are listed by (image ground
     degree, T-degree), then image.  `tie_break_seed` shuffles the fibers
@@ -717,8 +744,7 @@ def bruteforce_min_gens(
     found: list[tuple[tuple[int, int], Binomial]] = []
     # a spanning binomial joins two members of one fiber: a kernel move
     movearr = _move_array((), width)
-    for stack in _stacks(_sweep_levels(spec, t_bound, ground_bound)):
-        sub = stack.select(_undecided(stack, ground_bound))
+    for sub in _stacks(level for _, _, level in _sweep_levels(spec, t_bound, ground_bound)):
         firsts = sub.rees[np.searchsorted(sub.fiber, np.arange(len(sub.images)))]
         groups = np.stack((firsts.sum(axis=1), sub.images.sum(axis=1)), axis=1)
         for tau, degree in sorted(set(map(tuple, groups.tolist()))):

@@ -12,21 +12,29 @@ composition, in `Monomial.sort_key` order; the tests of the array builder
 kernel's one-image route, kept here for the tests: the level `_fibers_of`
 builds for one image, and its components under `_fiber_components`.
 
-`reference_reduced_fibers` is the body `toric._reduced_fibers_at` had
-before it built its member mask a bounded block at a time through the
-builder shared with `_fibers_of`: one dense (candidates x compositions)
-matrix per level.
+`reference_reduced_fibers` is the level of every reduced fiber of one
+T-degree within the ground bound, as `toric._reduced_fibers_at` built it
+before it built its member mask a bounded block at a time and before it
+gated the fibers: one dense (candidates x compositions) matrix per level.
+
+`reference_complex` and `reference_undecided` are the divisor-complex gate
+of `toric._reduced_fibers_at` read off one fiber's members as sets of
+variables.  `reference_gate` is the same gate on a whole dense level's
+member rows, the full-level gate the sweeps ran before the gate moved onto
+the member cells, and `reference_gated` is what `_reduced_fibers_at`
+returns for a run of T-degrees, from the dense levels gated by it.
 
 `reference_min_gens` is `toric.bruteforce_min_gens` without the
 divisor-complex gate: it labels every (T-degree, image ground degree)
 group of reduced fibers with its own `_fiber_components` call, under every
-move found before the group, where the brute force labels only the
-fibers of the group that `toric._undecided` leaves.
+move found before the group, where the brute force builds and labels only
+the fibers of the group that the gate leaves.
 
 `reference_generates_up_to` and `reference_binomials_in_binomial_ideal` are
 the loops `toric.generates_up_to` and `toric.binomials_in_binomial_ideal`
 had before they labelled stacks of consecutive T-degree levels: one
-`_fiber_components` call per T-degree level.
+`_fiber_components` call per T-degree level, and `reference_generates_up_to`
+labels every reduced fiber of the level, not only those the gate leaves.
 """
 import itertools
 import random
@@ -45,8 +53,8 @@ from reeslab.toric import (
     _Level,
     _mono,
     _move_array,
-    _reduced_fibers_at,
     _require_coprime,
+    _stack,
     compositions,
 )
 
@@ -98,7 +106,8 @@ def connected_under_moves(image, moves):
 
 
 def reference_reduced_fibers(spec, tau, ground_bound):
-    """`_reduced_fibers_at` with the whole member matrix of a level built at once."""
+    """Every reduced fiber of T-degree tau whose smallest member is within
+    the ground bound, with the whole member matrix of the level built at once."""
     comps = np.array(list(compositions(tau, spec.nrees)), dtype=np.int64).reshape(-1, spec.nrees)
     G = comps @ spec.degree_matrix  # image ground vector of each pure Rees monomial
     k = len(comps)
@@ -132,6 +141,71 @@ def reference_reduced_fibers(spec, tau, ground_bound):
     return _Level(cand, fiber, cand[fiber] - G[col], comps[col])
 
 
+def reference_complex(members):
+    """The components of the squarefree divisor complex of the fiber of
+    `members`, found by merging the supports of the members, and for each
+    vertex x_v the smallest ground degree in its smaller fiber: the members
+    divisible by x_v, divided by it."""
+    n = len(members[0].ground)
+    supports = [{v for v, e in enumerate(m.ground + m.rees) if e} for m in members]
+    parts = []
+    for support in supports:
+        meet = [p for p in parts if p & support]
+        parts = [p for p in parts if not p & support] + [set(support).union(*meet)]
+    smallest = {}
+    for m, support in zip(members, supports):
+        degree = m.ground_degree()
+        for v in support:
+            smallest[v] = min(smallest.get(v, degree), degree - (v < n))
+    return parts, smallest
+
+
+def reference_undecided(members, ground_bound):
+    """Whether the complex leaves the fiber undecided: it is disconnected,
+    or some vertex's smaller fiber lies beyond the ground bound."""
+    parts, smallest = reference_complex(members)
+    return len(parts) > 1 or max(smallest.values()) > ground_bound
+
+
+def level_members(level):
+    """The members of each fiber of `level` as `Monomial`s, in member order."""
+    members = [[] for _ in range(len(level.images))]
+    for f, ground, rees in zip(level.fiber.tolist(), level.ground.tolist(), level.rees.tolist()):
+        members[f].append(Monomial(tuple(ground), tuple(rees)))
+    return members
+
+
+def reference_gate(level, ground_bound):
+    """Which fibers of a dense level of reduced fibers (one bool per fiber)
+    the divisor complex leaves undecided, computed on the level's member
+    rows, as `toric._undecided` did before the gate moved onto the member
+    cells of `_reduced_fibers_at`.  Each set of variables is an int32
+    bitmask, ground variables first."""
+    n = level.ground.shape[1]
+    masks = sum((column > 0).astype(np.int32) << v for v, column in enumerate([*level.ground.T, *level.rees.T]))
+    starts = np.searchsorted(level.fiber, np.arange(len(level.images)))
+    vertices = np.bitwise_or.reduceat(masks, starts)
+    degree = sum(level.ground.T)
+    inside = np.where(degree <= ground_bound, -1, np.where(degree == ground_bound + 1, (1 << n) - 1, 0))
+    beyond = (vertices & ~np.bitwise_or.reduceat(masks & inside, starts)) != 0
+    reach = masks[starts]
+    while True:
+        grown = np.bitwise_or.reduceat(np.where(masks & reach[level.fiber], masks, 0), starts)
+        if np.array_equal(grown, reach):
+            return beyond | (reach != vertices)
+        reach = grown
+
+
+def reference_gated(spec, taus, ground_bound):
+    """`_reduced_fibers_at(spec, taus, ground_bound)` from the dense levels
+    of `reference_reduced_fibers`, stacked and gated by `reference_gate`:
+    the number of reduced fibers, the indices of the undecided ones, and
+    their level."""
+    level = _stack([reference_reduced_fibers(spec, tau, ground_bound) for tau in taus])
+    undecided = reference_gate(level, ground_bound)
+    return len(level.images), np.flatnonzero(undecided), _select(level, undecided)
+
+
 def _select(level, keep):
     """The level made of the fibers where `keep` is true."""
     rows = keep[level.fiber]
@@ -148,7 +222,7 @@ def reference_min_gens(spec, t_bound, ground_bound, tie_break_seed=None):
     found = []
     movearr = _move_array((), width)
     for tau in range(t_bound + 1):
-        level = _reduced_fibers_at(spec, [tau], ground_bound)
+        level = reference_reduced_fibers(spec, tau, ground_bound)
         degrees = level.images.sum(axis=1)
         for degree in sorted(set(degrees.tolist())):
             group = _select(level, degrees == degree)
@@ -174,7 +248,7 @@ def reference_generates_up_to(moves, t_bound, ground_bound):
     _require_coprime(list(moves))
     checked = 0
     for tau in range(t_bound + 1):
-        level = _reduced_fibers_at(spec, [tau], ground_bound)
+        level = reference_reduced_fibers(spec, tau, ground_bound)
         labels = _fiber_components(level, moves.array)
         split = level.split_fibers(labels)
         if split:

@@ -3,34 +3,41 @@
 The references here are a plain breadth-first search over the members of
 one fiber, the pure-Python fiber enumeration of `fiber_reference`, and the
 congruence walk `binomial_in_binomial_ideal`.  The kernel under test
-labels whole T-degree levels at once (`_reduced_fibers_at` or `_fibers_of`
-plus `_fiber_components`), and serves `generates_up_to`,
+labels whole T-degree levels at once (the levels `_reduced_fibers_at` or
+`_fibers_of` build, plus `_fiber_components`), and serves `generates_up_to`,
 `bruteforce_min_gens` and `binomials_in_binomial_ideal`; its one-image
 route, `fiber_reference.connected_under_moves` on the level
 `fiber_reference.image_level`, is tested here too.
 `bruteforce_min_gens` labels each (T-degree, image ground degree) group
 of the fibers the gate leaves; the same rule over every fiber is its
 reference (`fiber_reference.reference_min_gens`).
-`_reduced_fibers_at` builds its member mask a bounded block at a time; the
-dense matrix it replaced is its reference
-(`fiber_reference.reference_reduced_fibers`).  `generates_up_to` and
-`binomials_in_binomial_ideal` label stacks of consecutive T-degree levels;
-their per-level loops are the references
+`_reduced_fibers_at` builds its member mask a bounded block at a time,
+gates the fibers on the mask's member cells and builds member rows only
+for the fibers the gate leaves; its references are the dense matrix it
+replaced (`fiber_reference.reference_reduced_fibers`), gated fiber by
+fiber by `fiber_reference.reference_undecided` or, on the larger grids,
+level by level by `fiber_reference.reference_gate`, the full-level gate
+the sweeps ran before (itself compared with `reference_undecided`).
+`binomials_in_binomial_ideal` labels stacks of consecutive T-degree
+levels, and `generates_up_to` each run's level of consecutive T-degrees as
+soon as it is built; their per-level loops are the references
 (`fiber_reference.reference_generates_up_to` and
 `reference_binomials_in_binomial_ideal`), compared under several stack
-budgets.  Both sweeps label only the fibers that the divisor-complex gate
-`_undecided` leaves; its reference is `reference_undecided` below, and the
-full labelling of every fiber stays the reference of the sweeps, also
-under ground bounds tight enough that the gate's bound condition binds.
+and joint-level budgets.  Both sweeps build and label only the fibers that the
+divisor-complex gate leaves, and the full labelling of every fiber stays
+the reference of the sweeps, also under ground bounds tight enough that
+the gate's bound condition binds.
 `binomials_in_binomial_ideal` answers a row with an isolated endpoint, or
 with equal sides, without building its fiber; a spy on `_fibers_of`
 checks which fibers are built.
 The sweeps and the memberships build runs of consecutive T-degrees as one
 level while the run's (compositions x images) cells stay within
-`_JOINT_CELLS`; under several such budgets each level built equals the
-stack of its one-T-degree levels and of their dense references, and the
-memberships and colon-claim reports are those of one level per T-degree.
+`_JOINT_CELLS`; under several such budgets, and several member-mask block
+sizes, each run's gated result equals that of its one-T-degree runs and
+of their gated dense references, and the memberships and colon-claim
+reports are those of one level per T-degree.
 """
+import itertools
 import re
 from math import gcd
 
@@ -46,8 +53,13 @@ from fiber_reference import (
     reference_fiber,
     reference_generates_up_to,
     reference_image,
+    level_members,
+    reference_complex,
+    reference_gate,
+    reference_gated,
     reference_min_gens,
     reference_reduced_fibers,
+    reference_undecided,
 )
 from reeslab import toric
 
@@ -64,7 +76,6 @@ from reeslab.toric import (
     _reduced_fibers_at,
     _stack,
     _stacks,
-    _undecided,
     binary_spec,
     binomial_in_binomial_ideal,
     binomials_in_binomial_ideal,
@@ -195,7 +206,7 @@ def test_level_labels_match_bfs_per_fiber(case):
     moves, t_bound, g = case
     spec = moves.spec
     for tau in range(t_bound + 1):
-        level = _reduced_fibers_at(spec, [tau], g)
+        level = reference_reduced_fibers(spec, tau, g)
         labels = _fiber_components(level, moves.array)
         vecs = [tuple(g) + tuple(r) for g, r in zip(level.ground.tolist(), level.rees.tolist())]
         for f, image in enumerate(level.images.tolist()):
@@ -243,29 +254,6 @@ def test_generates_up_to_matches_reference_sweep(case):
         assert {frozenset(m.ground + m.rees for m in p) for p in failure.components} == parts
 
 
-def reference_complex(members):
-    """The components of the squarefree divisor complex of the fiber of
-    `members`, found by merging the supports of the members, and for each
-    vertex x_v the smallest ground degree in its smaller fiber: the members
-    divisible by x_v, divided by it."""
-    n = len(members[0].ground)
-    supports = [{v for v, e in enumerate(m.ground + m.rees) if e} for m in members]
-    parts = []
-    for support in supports:
-        meet = [p for p in parts if p & support]
-        parts = [p for p in parts if not p & support] + [set(support).union(*meet)]
-    smallest = {v: min(m.ground_degree() - (v < n) for m, sup in zip(members, supports) if v in sup)
-                for v in set().union(*supports)}
-    return parts, smallest
-
-
-def reference_undecided(members, ground_bound):
-    """Whether the complex leaves the fiber undecided: it is disconnected,
-    or some vertex's smaller fiber lies beyond the ground bound."""
-    parts, smallest = reference_complex(members)
-    return len(parts) > 1 or max(smallest.values()) > ground_bound
-
-
 @st.composite
 def tight_random_cases(draw):
     """The moves of `random_cases` under tight bounds: T-degree <= 1..3 and
@@ -277,15 +265,18 @@ def tight_random_cases(draw):
 @SETTINGS
 @given(st.one_of(cases, tight_random_cases()))
 def test_undecided_fibers_match_the_reference_gate(case):
+    # the gate on every reduced fiber of the dense level, each complete
+    # fiber enumerated on its own; then the level of the undecided ones
     moves, t_bound, g = case
     spec = moves.spec
     for tau in range(t_bound + 1):
-        level = _reduced_fibers_at(spec, [tau], g)
-        got = _undecided(level, g)
-        assert got.dtype == bool and got.shape == (len(level.images),)
-        expected = [reference_undecided(reference_fiber(spec, Monomial(tuple(image), (tau,))), g)
-                    for image in level.images.tolist()]
-        assert got.tolist() == expected
+        count, undecided, level = _reduced_fibers_at(spec, [tau], g)
+        full = reference_reduced_fibers(spec, tau, g)
+        expected = np.array([reference_undecided(reference_fiber(spec, Monomial(tuple(image), (tau,))), g)
+                             for image in full.images.tolist()], dtype=bool)
+        assert count == len(full.images)
+        assert undecided.dtype == np.int64 and undecided.tolist() == np.flatnonzero(expected).tolist()
+        _assert_same_level(level, full.select(expected))
 
 
 def assert_min_gens_match_the_reference(spec, t_bound, g, seed):
@@ -322,8 +313,8 @@ def test_the_fibers_labelled_are_the_generators_images(d):
         assert report.passed and report.fibers_labelled == len(moves)
         labelled = []
         for tau in range(d + 2):
-            level = _reduced_fibers_at(spec, [tau], 3 * d)
-            labelled += [Monomial(tuple(image), (tau,)) for image in level.images[_undecided(level, 3 * d)].tolist()]
+            _, _, level = _reduced_fibers_at(spec, [tau], 3 * d)
+            labelled += [Monomial(tuple(image), (tau,)) for image in level.images.tolist()]
         assert sorted(labelled) == sorted(spec.image_of(mv.lead) for mv in moves), b
 
 
@@ -344,11 +335,12 @@ def test_a_connected_complex_is_labelled_when_a_smaller_fiber_lies_beyond_the_bo
     assert len(parts) == 1
     assert min(m.ground_degree() for m in members) == 15
     assert smallest[5] == 16  # v, the third Rees variable
-    level = _reduced_fibers_at(spec, [2], 15)
-    assert _undecided(level, 15)[level.images.tolist().index([7, 10, 10])]
     # ground bound 16 lets every smaller fiber in, and then it is decided
-    level = _reduced_fibers_at(spec, [2], 16)
-    assert not _undecided(level, 16)[level.images.tolist().index([7, 10, 10])]
+    for bound, labelled in ((15, True), (16, False)):
+        _, undecided, level = _reduced_fibers_at(spec, [2], bound)
+        at = reference_reduced_fibers(spec, 2, bound).images.tolist().index([7, 10, 10])
+        assert (at in undecided.tolist()) == labelled
+        assert ([7, 10, 10] in level.images.tolist()) == labelled
 
 
 @SETTINGS
@@ -388,7 +380,7 @@ def test_bruteforce_labels_each_group_of_undecided_fibers_once(monkeypatch):
 
 def test_a_level_without_members_is_labelled_at_once(monkeypatch):
     # the gate often leaves no fiber of a stack; such a level is not keyed
-    level = _reduced_fibers_at(binary_spec(11, 5), [3], 33)
+    level = reference_reduced_fibers(binary_spec(11, 5), 3, 33)
     empty = level.select(np.zeros(len(level.images), dtype=bool))
 
     def unreachable(*args):
@@ -423,21 +415,36 @@ def _assert_same_level(got, expected):
         assert np.array_equal(getattr(got, name), getattr(expected, name)), name
 
 
+def _assert_same_gated(got, expected):
+    """Two (reduced fibers, undecided indices, level) results are equal."""
+    assert got[0] == expected[0]
+    assert np.array_equal(got[1], expected[1])
+    _assert_same_level(got[2], expected[2])
+
+
+def assert_gated_as_the_dense_reference(spec, tau, g):
+    """`_reduced_fibers_at` of one T-degree is the dense level gated fiber
+    by fiber by `reference_undecided`, and `reference_gate` agrees."""
+    full = reference_reduced_fibers(spec, tau, g)
+    expected = np.array([reference_undecided(members, g) for members in level_members(full)], dtype=bool)
+    assert reference_gate(full, g).tolist() == expected.tolist()
+    _assert_same_gated(_reduced_fibers_at(spec, [tau], g), (len(full.images), np.flatnonzero(expected),
+                                                           full.select(expected)))
+
+
 @pytest.mark.parametrize("d", range(2, 13))
 def test_reduced_fibers_match_the_dense_reference(d):
     # every coprime b, every T-degree the sweeps of criteria 2 and 3 visit
     for b in range(1, d):
         if gcd(d, b) == 1:
-            spec = binary_spec(d, b)
             for tau in range(d + 2):
-                _assert_same_level(_reduced_fibers_at(spec, [tau], 3 * d), reference_reduced_fibers(spec, tau, 3 * d))
+                assert_gated_as_the_dense_reference(binary_spec(d, b), tau, 3 * d)
 
 
 @pytest.mark.parametrize("a, b", [(a, b) for a in range(3, 7) for b in range(1, (a - 1) // 2 + 1)])
 def test_reduced_fibers_match_the_dense_reference_ternary(a, b):
-    spec = ternary_spec(a, b)
     for tau in range(5):
-        _assert_same_level(_reduced_fibers_at(spec, [tau], 3 * a), reference_reduced_fibers(spec, tau, 3 * a))
+        assert_gated_as_the_dense_reference(ternary_spec(a, b), tau, 3 * a)
 
 
 def test_move_sets_refuse_the_first_move_off_the_kernel():
@@ -613,6 +620,14 @@ def test_batched_membership_in_a_non_reduced_fiber():
 #: stack (2^30)
 BUDGETS = (1, 64, 1000, 1 << 30)
 
+#: joint-level budgets: every T-degree a level alone (1), the default, and
+#: every run of T-degrees one level (2^30)
+JOINT_BUDGETS = (1, toric._JOINT_CELLS, 1 << 30)
+
+#: member-mask blocks: the default, one row per block (1), and blocks that
+#: end inside the rows of a level (7, 97)
+MASK_CELLS = (toric._MASK_CELLS, 1, 7, 97)
+
 
 def test_batched_membership_refuses_pairs_off_the_kernel(monkeypatch):
     # no rows, and a pair off the kernel, are answered before any level is
@@ -681,7 +696,9 @@ def test_fibers_are_built_only_for_rows_whose_distinct_sides_both_admit_a_move(m
 @pytest.mark.parametrize("d", range(2, 13))
 def test_stacked_sweep_matches_the_per_level_reference(d, monkeypatch):
     # every coprime b, on the full Sigma set and with each generator dropped;
-    # with a generator dropped the first failure often lies in a later stack
+    # the sweep labels each run as it is built, so the joint budgets, which
+    # set the runs, set what is labelled together; with a generator dropped
+    # the first failure often lies in a later run
     for b in range(1, d):
         if gcd(d, b) != 1:
             continue
@@ -689,9 +706,29 @@ def test_stacked_sweep_matches_the_per_level_reference(d, monkeypatch):
         for drop in [None, *range(len(moves))]:
             sub = moves if drop is None else moves.without(drop)
             expected = reference_generates_up_to(sub, d + 1, 3 * d)
-            for budget in BUDGETS:
-                monkeypatch.setattr(toric, "_STACK_MEMBERS", budget)
+            for budget in JOINT_BUDGETS:
+                monkeypatch.setattr(toric, "_JOINT_CELLS", budget)
                 assert generates_up_to(sub, d + 1, 3 * d) == expected, (b, drop, budget)
+
+
+@pytest.mark.parametrize("drop", [0, 5])
+def test_a_failure_stops_the_sweep_at_its_run(drop, monkeypatch):
+    # without generator 0 (5) Sigma(20, 7) fails at T-degree 1 (8): each run
+    # is labelled as soon as it is built, so the runs after the failure's
+    # are never built
+    runs = []
+    build = toric._reduced_fibers_at
+
+    def spy(spec, taus, ground_bound):
+        runs.append(list(taus))
+        return build(spec, taus, ground_bound)
+
+    monkeypatch.setattr(toric, "_reduced_fibers_at", spy)
+    moves = sigma_set(20, 7).moves.without(drop)
+    report = generates_up_to(moves, 21, 60)
+    assert report == reference_generates_up_to(moves, 21, 60)
+    tau = report.first_failure.image.rees[0]
+    assert tau == (1, 8)[drop // 5] and tau in runs[-1] and sum(runs, []) == list(range(runs[-1][-1] + 1))
 
 
 @st.composite
@@ -750,35 +787,37 @@ def test_stacks_close_at_the_budget_and_keep_large_levels_alone(monkeypatch):
     assert [len(stack) for stack in _stacks(levels)] == [55, 3, 60, 6]
 
 
-#: joint-level budgets: every T-degree a level alone (1), the default, and
-#: every run of T-degrees one level (2^30)
-JOINT_BUDGETS = (1, toric._JOINT_CELLS, 1 << 30)
+def _joined(results):
+    """The gated results of consecutive runs as the result of one run."""
+    offsets = np.cumsum([0] + [count for count, _, _ in results[:-1]])
+    return (sum(count for count, _, _ in results),
+            np.concatenate([undecided + offset for (_, undecided, _), offset in zip(results, offsets)]),
+            _stack([level for _, _, level in results]))
 
 
-def assert_grouped_levels_are_exact(spec, t_bound, g):
-    """Under every joint budget, each level the sweep builds is `_stack` of
-    the one-T-degree levels of its run and of their dense references, and
-    the runs cover T-degrees 0..t_bound in order."""
-    build, saved = toric._reduced_fibers_at, toric._JOINT_CELLS
-    singles = [build(spec, [tau], g) for tau in range(t_bound + 1)]
-    for tau, level in enumerate(singles):
-        _assert_same_level(level, reference_reduced_fibers(spec, tau, g))
-    for budget in JOINT_BUDGETS:
+def assert_grouped_levels_are_exact(spec, t_bound, g, cells=MASK_CELLS[:1]):
+    """Under every joint budget and each member-mask block size in `cells`,
+    each run's gated result is that of its one-T-degree runs joined, and
+    each of those is `reference_gated`; the runs cover T-degrees
+    0..t_bound in order."""
+    singles = [reference_gated(spec, [tau], g) for tau in range(t_bound + 1)]
+    build, saved = toric._reduced_fibers_at, (toric._JOINT_CELLS, toric._MASK_CELLS)
+    for block, budget in itertools.product(cells, JOINT_BUDGETS):
         runs = []
 
         def spy(spec, taus, ground_bound):
             runs.append(list(taus))
             return build(spec, taus, ground_bound)
 
-        toric._reduced_fibers_at, toric._JOINT_CELLS = spy, budget
+        toric._reduced_fibers_at, toric._JOINT_CELLS, toric._MASK_CELLS = spy, budget, block
         try:
-            levels = list(toric._sweep_levels(spec, t_bound, g))
+            results = list(toric._sweep_levels(spec, t_bound, g))
         finally:
-            toric._reduced_fibers_at, toric._JOINT_CELLS = build, saved
+            toric._reduced_fibers_at, (toric._JOINT_CELLS, toric._MASK_CELLS) = build, saved
         assert sum(runs, []) == list(range(t_bound + 1)), budget
         assert budget > 1 or all(len(run) == 1 for run in runs)
-        for run, level in zip(runs, levels, strict=True):
-            _assert_same_level(level, _stack([singles[tau] for tau in run]))
+        for run, result in zip(runs, results, strict=True):
+            _assert_same_gated(result, _joined([singles[tau] for tau in run]))
     return runs
 
 
@@ -799,7 +838,22 @@ def test_grouped_levels_are_exact_at_every_budget_ternary(a, b):
 @given(st.one_of(random_cases(), tight_random_cases()))
 def test_grouped_levels_are_exact_at_every_budget_random(case):
     moves, t_bound, g = case
-    assert_grouped_levels_are_exact(moves.spec, t_bound, g)
+    assert_grouped_levels_are_exact(moves.spec, t_bound, g, MASK_CELLS)
+
+
+@pytest.mark.parametrize("d", range(2, 7))
+def test_grouped_levels_are_exact_in_small_mask_blocks(d):
+    # one row per block and blocks ending inside a level, across the
+    # T-degrees of a joint run too; the one-row blocks keep d small
+    for b in range(1, d):
+        if gcd(d, b) == 1:
+            for g in (3 * d, d):
+                assert_grouped_levels_are_exact(binary_spec(d, b), d + 1, g, MASK_CELLS)
+
+
+@pytest.mark.parametrize("a, b", [(3, 1), (4, 1), (5, 1), (5, 2)])
+def test_grouped_levels_are_exact_in_small_mask_blocks_ternary(a, b):
+    assert_grouped_levels_are_exact(ternary_spec(a, b), 4, 3 * a, MASK_CELLS)
 
 
 @pytest.mark.parametrize("budget", JOINT_BUDGETS)

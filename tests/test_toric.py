@@ -1,12 +1,14 @@
 """Fiber enumeration, congruence connectivity, membership and sweep oracles."""
 
+import itertools
 import random
 import tracemalloc
 from math import gcd
 
+import numpy as np
 import pytest
 
-from fiber_reference import connected_under_moves, reference_fiber
+from fiber_reference import connected_under_moves, reference_fiber, reference_undecided
 from monomial_text import parse_binomial, parse_monomial
 from reeslab import toric
 from reeslab.core import AciSpec, Binomial, InputError, Monomial, ground_monomial
@@ -16,6 +18,7 @@ from reeslab.toric import (
     MoveSet,
     binary_spec,
     binomial_in_binomial_ideal,
+    _multisets,
     _reduced_fibers_at,
     bruteforce_min_gens,
     compositions,
@@ -310,44 +313,51 @@ def _is_reduced(members):
 
 @pytest.mark.parametrize("cells", [toric._MASK_CELLS, 1, 7, 97], ids=["default", "1", "7", "97"])
 def test_reduced_fibers_match_fiber_enumerate(monkeypatch, cells):
-    # Reference for the sweep's fiber enumeration: every fiber of the level
-    # is complete, reduced (two or more members, no common variable) and
-    # within the ground bound, no fiber appears twice, and no reduced fiber
-    # within the ground bound is missed, whatever the size of the blocks
+    # Reference for the sweep's fiber enumeration and its gate: the reduced
+    # fibers within the ground bound (two or more members, no common
+    # variable) are enumerated image by image and counted, and the level
+    # holds exactly the complete fibers of those the divisor complex leaves
+    # undecided, each once, in image order, whatever the size of the blocks
     # the member mask is built in.
     monkeypatch.setattr(toric, "_MASK_CELLS", cells)
     for spec, t_max, g in _reduced_fiber_cases():
         n = spec.n
         for tau in range(t_max + 1):
-            level = _reduced_fibers_at(spec, [tau], g)
+            count, undecided, level = _reduced_fibers_at(spec, [tau], g)
             assert len(level) == len(level.fiber) == len(level.ground) == len(level.rees)
             assert list(level.fiber) == sorted(level.fiber)
-            yielded = {}
-            for f, image_vec in enumerate(level.images.tolist()):
-                image = Monomial(tuple(image_vec), (tau,))
-                assert image not in yielded
-                rows = [i for i in range(len(level)) if level.fiber[i] == f]
-                got = [Monomial(tuple(level.ground[i].tolist()), tuple(level.rees[i].tolist())) for i in rows]
-                assert [m.rees for m in got] == sorted(m.rees for m in got)
-                expected = reference_fiber(spec, image)
-                assert set(got) == set(expected) and len(got) == len(expected), (spec, image)
-                assert len(expected) >= 2
-                assert min(m.ground_degree() for m in expected) <= g
-                assert _is_reduced(expected), (spec, image)
-                yielded[image] = expected
-            assert list(yielded) == sorted(yielded, key=lambda im: im.ground)
             images = {
                 spec.image_of(Monomial(ground, beta))
                 for beta in compositions(tau, spec.nrees)
                 for total in range(g + 1)
                 for ground in compositions(total, n)
             }
-            for image in images:
+            reduced = []
+            for image in sorted(images, key=lambda im: im.ground):
                 members = reference_fiber(spec, image)
-                if len(members) < 2 or min(m.ground_degree() for m in members) > g:
-                    continue
-                if _is_reduced(members):
-                    assert image in yielded, (spec, image)
+                if len(members) >= 2 and min(m.ground_degree() for m in members) <= g and _is_reduced(members):
+                    reduced.append((image, members))
+            assert count == len(reduced), (spec, tau)
+            gated = [i for i, (_, members) in enumerate(reduced) if reference_undecided(members, g)]
+            assert undecided.tolist() == gated, (spec, tau)
+            assert level.images.tolist() == [list(reduced[i][0].ground) for i in gated]
+            for f, i in enumerate(gated):
+                rows = [r for r in range(len(level)) if level.fiber[r] == f]
+                got = [Monomial(tuple(level.ground[r].tolist()), tuple(level.rees[r].tolist())) for r in rows]
+                assert [m.rees for m in got] == sorted(m.rees for m in got)
+                assert set(got) == set(reduced[i][1]) and len(got) == len(reduced[i][1]), (spec, reduced[i][0])
+
+
+def test_multisets_come_in_combinations_with_replacement_order():
+    rng = random.Random(5)
+    for _ in range(40):
+        bounds = list(itertools.accumulate([0] + [rng.randint(1, 6) for _ in range(rng.randint(1, 4))]))
+        for size in (1, 2, 3):
+            expected = [c for lo, hi in itertools.pairwise(bounds)
+                        for c in itertools.combinations_with_replacement(range(lo, hi), size)]
+            got = _multisets(np.array(bounds), size)
+            assert got.dtype == np.int64 and got.shape == (len(expected), size)
+            assert got.tolist() == [list(c) for c in expected], (bounds, size)
 
 
 def test_reduced_fibers_build_the_member_mask_in_bounded_blocks():

@@ -7,8 +7,9 @@ up only as a missing metric in a benchmark run; this check reads the
 tracer's table and fails at once.  The tracer wraps a generator function
 as a generator and reads each yielded item as a fiber, so
 ``toric._reduced_fibers_at`` has to stay a plain function returning one
-level: traced as a generator, its levels would be read as fibers and the
-run would fail.
+gated result per call (the run's number of reduced fibers, the indices of
+the undecided ones and their level): traced as a generator, its results
+would be read as fibers and the run would fail.
 """
 import importlib
 import importlib.util

@@ -17,6 +17,8 @@ and in CSV):
 - ``binary-gens d b`` for every b < d <= 12, gcd > 1 included;
 - ``binary-verify d b`` for every coprime d <= 12, plain and with each
   ``--drop`` index;
+- ``binary-verify 20 7``, plain and with each ``--drop`` index, whose top
+  levels build their member masks in more than one block;
 - ``ternary a b`` and ``ternary a b --verify`` for every a <= 10, and
   ``ternary a b --lengths`` for every a <= 6;
 - ``ternary 18 5 --verify``, whose colon claims span more than one block
@@ -77,6 +79,9 @@ def commands():
                 yield ["binary-verify", str(d), str(b)]
                 for i in range(len(binary.sigma_set(d, b))):
                     yield ["binary-verify", str(d), str(b), "--drop", str(i)]
+    yield ["binary-verify", "20", "7"]
+    for i in range(len(binary.sigma_set(20, 7))):
+        yield ["binary-verify", "20", "7", "--drop", str(i)]
     yield next(refused)
     for a in range(3, 11):
         for b in range(1, (a - 1) // 2 + 1):
