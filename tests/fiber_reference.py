@@ -22,7 +22,7 @@ of `toric._reduced_fibers_at` read off one fiber's members as sets of
 variables.  `reference_gate` is the same gate on a whole dense level's
 member rows, the full-level gate the sweeps ran before the gate moved onto
 the member cells, and `reference_gated` is what `_reduced_fibers_at`
-returns for a run of T-degrees, from the dense levels gated by it.
+returns for one T-degree, from the dense level gated by it.
 
 `reference_min_gens` is `toric.bruteforce_min_gens` without the
 divisor-complex gate: it labels every (T-degree, image ground degree)
@@ -54,7 +54,6 @@ from reeslab.toric import (
     _mono,
     _move_array,
     _require_coprime,
-    _stack,
     compositions,
 )
 
@@ -196,12 +195,11 @@ def reference_gate(level, ground_bound):
         reach = grown
 
 
-def reference_gated(spec, taus, ground_bound):
-    """`_reduced_fibers_at(spec, taus, ground_bound)` from the dense levels
-    of `reference_reduced_fibers`, stacked and gated by `reference_gate`:
-    the number of reduced fibers, the indices of the undecided ones, and
-    their level."""
-    level = _stack([reference_reduced_fibers(spec, tau, ground_bound) for tau in taus])
+def reference_gated(spec, tau, ground_bound):
+    """`_reduced_fibers_at(spec, [tau], ground_bound)` from the dense level
+    of `reference_reduced_fibers`, gated by `reference_gate`: the number of
+    reduced fibers, the indices of the undecided ones, and their level."""
+    level = reference_reduced_fibers(spec, tau, ground_bound)
     undecided = reference_gate(level, ground_bound)
     return len(level.images), np.flatnonzero(undecided), _select(level, undecided)
 

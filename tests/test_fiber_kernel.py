@@ -23,10 +23,10 @@ levels, and `generates_up_to` each run's level of consecutive T-degrees as
 soon as it is built; their per-level loops are the references
 (`fiber_reference.reference_generates_up_to` and
 `reference_binomials_in_binomial_ideal`), compared under several stack
-and joint-level budgets.  Both sweeps build and label only the fibers that the
-divisor-complex gate leaves, and the full labelling of every fiber stays
-the reference of the sweeps, also under ground bounds tight enough that
-the gate's bound condition binds.
+and joint-level budgets.  Both sweeps build and label only the fibers
+that the divisor-complex gate leaves, and the full labelling of every
+fiber stays the reference of the sweeps, also under ground bounds tight
+enough that the gate's bound condition binds.
 `binomials_in_binomial_ideal` answers a row with an isolated endpoint, or
 with equal sides, without building its fiber; a spy on `_fibers_of`
 checks which fibers are built.
@@ -49,14 +49,14 @@ from hypothesis import strategies as st
 from fiber_reference import (
     connected_under_moves,
     image_level,
-    reference_binomials_in_binomial_ideal,
-    reference_fiber,
-    reference_generates_up_to,
-    reference_image,
     level_members,
+    reference_binomials_in_binomial_ideal,
     reference_complex,
+    reference_fiber,
     reference_gate,
     reference_gated,
+    reference_generates_up_to,
+    reference_image,
     reference_min_gens,
     reference_reduced_fibers,
     reference_undecided,
@@ -711,11 +711,11 @@ def test_stacked_sweep_matches_the_per_level_reference(d, monkeypatch):
                 assert generates_up_to(sub, d + 1, 3 * d) == expected, (b, drop, budget)
 
 
-@pytest.mark.parametrize("drop", [0, 5])
-def test_a_failure_stops_the_sweep_at_its_run(drop, monkeypatch):
-    # without generator 0 (5) Sigma(20, 7) fails at T-degree 1 (8): each run
-    # is labelled as soon as it is built, so the runs after the failure's
-    # are never built
+@pytest.mark.parametrize("drop, tau", [(0, 1), (5, 8)])
+def test_a_failure_stops_the_sweep_at_its_run(drop, tau, monkeypatch):
+    # without generator `drop` Sigma(20, 7) fails at T-degree `tau`: each
+    # run is labelled as soon as it is built, so the runs after the
+    # failure's are never built
     runs = []
     build = toric._reduced_fibers_at
 
@@ -727,8 +727,8 @@ def test_a_failure_stops_the_sweep_at_its_run(drop, monkeypatch):
     moves = sigma_set(20, 7).moves.without(drop)
     report = generates_up_to(moves, 21, 60)
     assert report == reference_generates_up_to(moves, 21, 60)
-    tau = report.first_failure.image.rees[0]
-    assert tau == (1, 8)[drop // 5] and tau in runs[-1] and sum(runs, []) == list(range(runs[-1][-1] + 1))
+    assert report.first_failure.image.rees == (tau,)
+    assert tau in runs[-1] and sum(runs, []) == list(range(runs[-1][-1] + 1))
 
 
 @st.composite
@@ -800,7 +800,7 @@ def assert_grouped_levels_are_exact(spec, t_bound, g, cells=MASK_CELLS[:1]):
     each run's gated result is that of its one-T-degree runs joined, and
     each of those is `reference_gated`; the runs cover T-degrees
     0..t_bound in order."""
-    singles = [reference_gated(spec, [tau], g) for tau in range(t_bound + 1)]
+    singles = [reference_gated(spec, tau, g) for tau in range(t_bound + 1)]
     build, saved = toric._reduced_fibers_at, (toric._JOINT_CELLS, toric._MASK_CELLS)
     for block, budget in itertools.product(cells, JOINT_BUDGETS):
         runs = []
