@@ -113,9 +113,6 @@ class Monomial:
     def rees_degree(self) -> int:
         return sum(self.rees)
 
-    def degree(self) -> int:
-        return self.ground_degree() + self.rees_degree()
-
     # -- arithmetic ------------------------------------------------------
     def __mul__(self, other: "Monomial") -> "Monomial":
         self._same_ambient(other)
@@ -132,9 +129,6 @@ class Monomial:
         if any(e < 0 for e in g) or any(e < 0 for e in r):
             return None
         return Monomial(tuple(g), tuple(r))
-
-    def divides(self, other: "Monomial") -> bool:
-        return other.divide(self) is not None
 
     def gcd(self, other: "Monomial") -> "Monomial":
         self._same_ambient(other)
@@ -211,9 +205,6 @@ class Binomial:
 
     def is_coprime(self) -> bool:
         return self.lead.gcd(self.trail).is_unit()
-
-    def scale(self, m: Monomial) -> "Binomial":
-        return Binomial(self.lead * m, self.trail * m)
 
     def text(self, gnames: Sequence[str] | None = None, rnames: Sequence[str] | None = None) -> str:
         return f"{self.lead.text(gnames, rnames)} - {self.trail.text(gnames, rnames)}"
@@ -354,19 +345,13 @@ class MonomialIdeal:
     def is_unit_ideal(self) -> bool:
         return len(self.exps) == 1 and not self.exps.any()
 
-    def _row(self, m: Monomial, use: str) -> np.ndarray:
-        if not m.is_ground():
-            raise ValueError(f"{use} expects a ground monomial")
-        if m.ambient != (self.nvars, 0):
-            raise AmbientMismatch(f"{m.ambient} vs {(self.nvars, 0)}")
-        return np.array(m.ground, dtype=np.int64)
-
-    def contains(self, m: Monomial) -> bool:
-        return bool((self.exps <= self._row(m, "membership test")).all(axis=1).any())
-
     def colon(self, m: Monomial) -> "MonomialIdeal":
         """Colon ideal I : m, generated by g / gcd(g, m) over the generators."""
-        return MonomialIdeal._from_rows(np.maximum(self.exps - self._row(m, "colon"), 0), self.nvars)
+        if not m.is_ground():
+            raise ValueError("colon expects a ground monomial")
+        if m.ambient != (self.nvars, 0):
+            raise AmbientMismatch(f"{m.ambient} vs {(self.nvars, 0)}")
+        return MonomialIdeal._from_rows(np.maximum(self.exps - np.array(m.ground, dtype=np.int64), 0), self.nvars)
 
     def product(self, other: "MonomialIdeal") -> "MonomialIdeal":
         if self.nvars != other.nvars:

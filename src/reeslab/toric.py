@@ -31,20 +31,18 @@ bounded block at a time, whose T-degree columns (tau, top - tau) match
 each composition to images of its own T-degree only), gates them on the
 member cells the mask leaves, and builds member rows only for the fibers
 the gate leaves.  `_fiber_components` labels every complete fiber of a
-level, or of a stack of consecutive levels, under kernel moves in one
-numpy pass.  `generates_up_to` labels each run's gated level as soon as it
-is built.  `bruteforce_min_gens` and `binomials_in_binomial_ideal` (which
-decides many memberships at once on the complete fibers that `_fibers_of`
-builds, grouped by the same `_runs`) label `_stacks` of levels, each
-labelled once it holds `_STACK_MEMBERS` members; a level that large is
-labelled alone.  `binomials_in_binomial_ideal` builds fibers only for the
-rows it cannot settle first: one `divisibility_mask` of the leads and one
-of the trails against the move sides answer every row with an isolated
-endpoint, a monomial no move applies to and so alone in its component.
-Those are 87% of the rows of the colon claims of the 30 ternary pairs with
-a <= 12 (64-99.8% per pair).  `bruteforce_min_gens` goes through the same
-kernel one (T-degree, image ground degree) group at a time.  The tuple
-walk `_neighbors` answers single membership questions; the kernel answers
+level under kernel moves in one numpy pass, and the run is the only rule
+for which fibers are labelled together.  `generates_up_to` labels each
+run's gated level as soon as it is built, and `bruteforce_min_gens` each
+(T-degree, image ground degree) group of it.  `binomials_in_binomial_ideal`
+decides many memberships at once, one `_fiber_components` call per run
+of the complete fibers that `_fibers_of` builds.  It builds fibers only
+for the rows it cannot settle first: one `divisibility_mask` of the leads
+and one of the trails against the move sides answer every row with an
+isolated endpoint, a monomial no move applies to and so alone in its
+component.  Those are 87% of the rows of the colon claims of the 30
+ternary pairs with a <= 12 (64-99.8% per pair).  The tuple walk
+`_neighbors` answers single membership questions; the kernel answers
 batches.
 
 Both sweeps build and label only the fibers that the divisor-complex gate
@@ -66,7 +64,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -267,7 +265,7 @@ def monomial_in_mixed_ideal(
     return MixedMembership(False, explored)
 
 
-# -- fiber connectivity, stacks of T-degree levels ---------------------------
+# -- fiber connectivity, runs of T-degree levels -----------------------------
 
 def _move_array(moves: Sequence[Binomial], width: int) -> np.ndarray:
     """The moves as one (moves, 2, width) array of (lead, trail) vectors."""
@@ -283,8 +281,8 @@ def _keyable(nrees: int, radix: int, fibers: int) -> bool:
 
 @dataclass(frozen=True)
 class _Level:
-    """Fibers of one T-degree, or a stack of consecutive T-degrees
-    (`_stack`), as arrays.  Members are sorted by fiber id, then by Rees
+    """Fibers of one `_runs` run of consecutive T-degrees, or some of
+    them, as arrays.  Members are sorted by fiber id, then by Rees
     exponents in `compositions` order; fiber ids index `images`, whose rows
     are in increasing (T-degree, image) order.  The T-degree of a fiber is
     the Rees degree of any of its members."""
@@ -393,7 +391,6 @@ def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 _MASK_CELLS = 1 << 20  # (images x compositions) cells per block of a level's member mask
 _JOINT_CELLS = 1 << 16  # (compositions x images) cells up to which T-degrees are built as one level
-_STACK_MEMBERS = 1 << 12  # members at which a stack of levels is labelled
 
 
 def _member_cells(G: np.ndarray, images: np.ndarray, keep: Optional[Callable] = None
@@ -477,49 +474,6 @@ def _fibers_of(spec: AciSpec, images: np.ndarray) -> _Level:
     return _Level(images, fiber, images[fiber] - G[col, 2:], comps[col])
 
 
-def _stack(levels: Sequence[_Level]) -> _Level:
-    """Levels of increasing T-degree as one level: fiber ids continue
-    across them, so `key`, `split_fibers` and `components` work unchanged.
-    Kernel moves keep the image, so `_fiber_components` joins only members
-    of one fiber, and the labels of a stack are those of its levels
-    labelled alone: each label is the index of the first member of its
-    component."""
-    if len(levels) == 1:
-        return levels[0]
-    offsets = np.cumsum([0] + [len(level.images) for level in levels[:-1]])
-    return _Level(
-        np.concatenate([level.images for level in levels]),
-        np.concatenate([level.fiber + offset for level, offset in zip(levels, offsets)]),
-        np.concatenate([level.ground for level in levels]),
-        np.concatenate([level.rees for level in levels]),
-    )
-
-
-def _stacks(levels: Iterable[_Level]) -> Iterator[_Level]:
-    """The levels, in order, joined into stacks of consecutive levels, so
-    one `_fiber_components` call labels many small levels.  A stack is
-    yielded once it holds `_STACK_MEMBERS` members; a level that large is
-    yielded alone, so memory stays that of the largest level.  A stack is
-    also cut before a level that would take it past `_Level.key`'s range,
-    which a stack of few members can reach through one level of large Rees
-    exponents."""
-    def fits(group: list[_Level]) -> bool:
-        radix = max(int(level.rees.max(initial=0)) for level in group) + 1
-        return _keyable(group[0].rees.shape[1], radix, sum(len(level.images) for level in group))
-
-    pending: list[_Level] = []
-    for level in levels:
-        if pending and (len(level) >= _STACK_MEMBERS or not fits(pending + [level])):
-            yield _stack(pending)
-            pending = []
-        pending.append(level)
-        if sum(map(len, pending)) >= _STACK_MEMBERS:
-            yield _stack(pending)
-            pending = []
-    if pending:
-        yield _stack(pending)
-
-
 def binomials_in_binomial_ideal(leads: np.ndarray, trails: np.ndarray, moves: MoveSet) -> np.ndarray:
     """Batched `binomial_in_binomial_ideal`: entry i tells whether
     leads[i] - trails[i] lies in the binomial ideal of `moves`, the rows
@@ -533,10 +487,9 @@ def binomials_in_binomial_ideal(leads: np.ndarray, trails: np.ndarray, moves: Mo
     row with such a side is a member exactly when lead == trail.  A row
     with lead == trail is a member too.  Only the other rows have fibers
     built: their distinct (T-degree, image) rows are split into `_runs` of
-    consecutive T-degrees, each run built as one level by `_fibers_of`,
-    consecutive levels are labelled together by one `_fiber_components`
-    call per `_stacks` stack, and each lead and trail is found in its
-    stack by its `_Level.key`.
+    consecutive T-degrees, each run built as one level by `_fibers_of` and
+    labelled by one `_fiber_components` call, and each lead and trail is
+    found in its level by its `_Level.key`.
     """
     spec, n = moves.spec, moves.spec.n
     leads, trails = np.asarray(leads, dtype=np.int64), np.asarray(trails, dtype=np.int64)
@@ -550,16 +503,15 @@ def binomials_in_binomial_ideal(leads: np.ndarray, trails: np.ndarray, moves: Mo
     images, fiber = _distinct_rows(images[todo][:, [n, *range(n)]])
     taus, sizes = (column.tolist() for column in np.unique(images[:, 0], return_counts=True))
     bounds = [0, *itertools.accumulate(sizes)]
-    start = 0
-    for stack in _stacks(_fibers_of(spec, images[bounds[r.start]:bounds[r.stop]]) for r in _runs(spec, taus, sizes)):
-        end = start + len(stack.images)
+    for r in _runs(spec, taus, sizes):
+        start, end = bounds[r.start], bounds[r.stop]
+        level = _fibers_of(spec, images[start:end])
         rows = np.flatnonzero((fiber >= start) & (fiber < end))
-        labels = _fiber_components(stack, moves.array)
-        keys = stack.key(stack.fiber, stack.rees)
-        lead_at = np.searchsorted(keys, stack.key(fiber[rows] - start, leads[rows, n:]))
-        trail_at = np.searchsorted(keys, stack.key(fiber[rows] - start, trails[rows, n:]))
+        labels = _fiber_components(level, moves.array)
+        keys = level.key(level.fiber, level.rees)
+        lead_at = np.searchsorted(keys, level.key(fiber[rows] - start, leads[rows, n:]))
+        trail_at = np.searchsorted(keys, level.key(fiber[rows] - start, trails[rows, n:]))
         out[todo[rows]] = labels[lead_at] == labels[trail_at]
-        start = end
     return out
 
 
@@ -724,14 +676,14 @@ def bruteforce_min_gens(
     fiber is disconnected under the moves found so far, spanning-tree
     binomials are added.  Only the fibers the gate of `_reduced_fibers_at`
     leaves can be: each other fiber's smaller fibers come in earlier
-    groups, already connected.  Only those fibers are built, their levels
-    are taken a `_stacks` stack at a time, and each (T-degree, image ground
-    degree) group of them is labelled once, under every move found before
-    the group: a move found in a group cannot join two fibers of
-    it.  The number added per bidegree is canonical even though the
-    chosen binomials are not.  The moves are listed by (image ground
-    degree, T-degree), then image.  `tie_break_seed` shuffles the fibers
-    inside each group, which must not change the counts.
+    groups, already connected.  Only those fibers are built, one `_runs`
+    run at a time, and each (T-degree, image ground degree) group of a run
+    is labelled once, under every move found before the group: a move
+    found in a group cannot join two fibers of it.  The number added per
+    bidegree is canonical even though the chosen binomials are not.  The
+    moves are listed by (image ground degree, T-degree), then image.
+    `tie_break_seed` shuffles the fibers inside each group, which must not
+    change the counts.
 
     Two components whose first members share a variable x_v both meet the
     smaller fiber b - deg(x_v); inside the ground bound an earlier group
@@ -744,11 +696,11 @@ def bruteforce_min_gens(
     found: list[tuple[tuple[int, int], Binomial]] = []
     # a spanning binomial joins two members of one fiber: a kernel move
     movearr = _move_array((), width)
-    for sub in _stacks(level for _, _, level in _sweep_levels(spec, t_bound, ground_bound)):
-        firsts = sub.rees[np.searchsorted(sub.fiber, np.arange(len(sub.images)))]
-        groups = np.stack((firsts.sum(axis=1), sub.images.sum(axis=1)), axis=1)
+    for _, _, level in _sweep_levels(spec, t_bound, ground_bound):
+        firsts = level.rees[np.searchsorted(level.fiber, np.arange(len(level.images)))]
+        groups = np.stack((firsts.sum(axis=1), level.images.sum(axis=1)), axis=1)
         for tau, degree in sorted(set(map(tuple, groups.tolist()))):
-            group = sub.select((groups == (tau, degree)).all(axis=1))
+            group = level.select((groups == (tau, degree)).all(axis=1))
             labels = _fiber_components(group, movearr)
             split = group.split_fibers(labels)
             if rng is not None:

@@ -32,9 +32,13 @@ the fibers of the group that the gate leaves.
 
 `reference_generates_up_to` and `reference_binomials_in_binomial_ideal` are
 the loops `toric.generates_up_to` and `toric.binomials_in_binomial_ideal`
-had before they labelled stacks of consecutive T-degree levels: one
-`_fiber_components` call per T-degree level, and `reference_generates_up_to`
-labels every reduced fiber of the level, not only those the gate leaves.
+had before they labelled `_runs` runs of consecutive T-degrees as one
+level: one `_fiber_components` call per T-degree level, and
+`reference_generates_up_to` labels every reduced fiber of the level, not
+only those the gate leaves.
+
+`join_levels` joins levels of increasing T-degree into one, the level a
+run of those T-degrees gives.
 """
 import itertools
 import random
@@ -209,6 +213,18 @@ def _select(level, keep):
     rows = keep[level.fiber]
     renumber = np.cumsum(keep) - 1
     return _Level(level.images[keep], renumber[level.fiber[rows]], level.ground[rows], level.rees[rows])
+
+
+def join_levels(levels):
+    """Levels of increasing T-degree as one level: fiber ids continue
+    across them, so the members stay sorted by fiber id."""
+    offsets = np.cumsum([0] + [len(level.images) for level in levels[:-1]])
+    return _Level(
+        np.concatenate([level.images for level in levels]),
+        np.concatenate([level.fiber + offset for level, offset in zip(levels, offsets)]),
+        np.concatenate([level.ground for level in levels]),
+        np.concatenate([level.rees for level in levels]),
+    )
 
 
 def reference_min_gens(spec, t_bound, ground_bound, tie_break_seed=None):

@@ -5,6 +5,10 @@
 oriented, so a binomial quoted sign-flipped parses to the same value), and
 `ideal` builds a `MonomialIdeal` from monomial texts.  The package itself
 never reads monomial text.
+
+`divides`, `scale` and `contains` are the monomial divisibility, the
+multiple of a binomial and the ideal membership that the tests read; the
+package itself does not need them.
 """
 from reeslab.core import Binomial, Monomial, MonomialIdeal, ground_names, rees_names
 
@@ -45,3 +49,19 @@ def ideal(*texts: str, nvars: int | None = None) -> MonomialIdeal:
     if nvars is None:
         nvars = max((i + 1 for i, name in enumerate(ground_names(3)) if any(name in t for t in texts)), default=1)
     return MonomialIdeal([parse_monomial(t, nvars) for t in texts], nvars)
+
+
+def divides(a: Monomial, b: Monomial) -> bool:
+    """Whether a divides b."""
+    return b.divide(a) is not None
+
+
+def scale(h: Binomial, m: Monomial) -> Binomial:
+    """The binomial m*h."""
+    return Binomial(h.lead * m, h.trail * m)
+
+
+def contains(i: MonomialIdeal, m: Monomial) -> bool:
+    """Whether the monomial m lies in the monomial ideal i: some generator
+    divides it."""
+    return any(divides(g, m) for g in i.gens)

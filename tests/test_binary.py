@@ -15,7 +15,7 @@ from reeslab.binary import (
     sylvester_det,
     transport,
 )
-from monomial_text import parse_binomial, parse_monomial
+from monomial_text import parse_binomial, parse_monomial, scale
 from reeslab.core import EXPONENT_CAP, InputError
 from reeslab.toric import binary_spec, bruteforce_min_gens
 
@@ -241,8 +241,8 @@ def test_telescopic_colon_claim_regression():
     t1 = telescopic(sigma, 1)
     g21 = next(e.binomial for e in sigma.entries if (e.k, e.i) == (2, 1))
     d1 = ed.dk(1)
-    assert binomial_in_binomial_ideal(g21.scale(pm(f"x^{d1}")), t1)
-    assert binomial_in_binomial_ideal(g21.scale(pm(f"y^{d1}")), t1)
+    assert binomial_in_binomial_ideal(scale(g21, pm(f"x^{d1}")), t1)
+    assert binomial_in_binomial_ideal(scale(g21, pm(f"y^{d1}")), t1)
     assert not binomial_in_binomial_ideal(g21, t1)
 
 
@@ -264,8 +264,8 @@ def test_transport_produces_kernel_elements():
     for _ in range(20):
         d_red = rng.randint(2, 9)
         b_red = rng.choice([b for b in range(1, d_red) if gcd(d_red, b) == 1])
-        scale = rng.randint(2, 4)
-        d, b = d_red * scale, b_red * scale
+        factor = rng.randint(2, 4)
+        d, b = d_red * factor, b_red * factor
         r = reparametrize((d, d), (b, d - b))
         assert (r.a_reduced, r.b_reduced) == ((d_red, d_red), (b_red, d_red - b_red))
         sigma = sigma_set(d_red, b_red)

@@ -18,12 +18,12 @@ replaced (`fiber_reference.reference_reduced_fibers`), gated fiber by
 fiber by `fiber_reference.reference_undecided` or, on the larger grids,
 level by level by `fiber_reference.reference_gate`, the full-level gate
 the sweeps ran before (itself compared with `reference_undecided`).
-`binomials_in_binomial_ideal` labels stacks of consecutive T-degree
-levels, and `generates_up_to` each run's level of consecutive T-degrees as
-soon as it is built; their per-level loops are the references
-(`fiber_reference.reference_generates_up_to` and
-`reference_binomials_in_binomial_ideal`), compared under several stack
-and joint-level budgets.  Both sweeps build and label only the fibers
+`binomials_in_binomial_ideal` labels the level of each run of
+consecutive T-degrees with one `_fiber_components` call, and
+`generates_up_to` each run's level as soon as it is built; their per-level
+loops are the references (`fiber_reference.reference_generates_up_to` and
+`reference_binomials_in_binomial_ideal`), compared under several
+joint-level budgets.  Both sweeps build and label only the fibers
 that the divisor-complex gate leaves, and the full labelling of every
 fiber stays the reference of the sweeps, also under ground bounds tight
 enough that the gate's bound condition binds.
@@ -32,14 +32,16 @@ with equal sides, without building its fiber; a spy on `_fibers_of`
 checks which fibers are built.
 The sweeps and the memberships build runs of consecutive T-degrees as one
 level while the run's (compositions x images) cells stay within
-`_JOINT_CELLS`; under several such budgets, and several member-mask block
-sizes, each run's gated result equals that of its one-T-degree runs and
-of their gated dense references, and the memberships and colon-claim
-reports are those of one level per T-degree.
+`_JOINT_CELLS` and its members stay keyable (`_runs`, tested directly);
+under several such budgets, and several member-mask block sizes, each
+run's gated result equals that of its one-T-degree runs joined by
+`fiber_reference.join_levels` and of their gated dense references, and
+the memberships and colon-claim reports are those of one level per
+T-degree.
 """
 import itertools
 import re
-from math import gcd
+from math import comb, gcd
 
 import numpy as np
 import pytest
@@ -49,6 +51,7 @@ from hypothesis import strategies as st
 from fiber_reference import (
     connected_under_moves,
     image_level,
+    join_levels,
     level_members,
     reference_binomials_in_binomial_ideal,
     reference_complex,
@@ -61,6 +64,7 @@ from fiber_reference import (
     reference_reduced_fibers,
     reference_undecided,
 )
+from monomial_text import divides
 from reeslab import toric
 
 from reeslab.binary import sigma_set
@@ -74,8 +78,7 @@ from reeslab.toric import (
     _fibers_of,
     _Level,
     _reduced_fibers_at,
-    _stack,
-    _stacks,
+    _runs,
     binary_spec,
     binomial_in_binomial_ideal,
     binomials_in_binomial_ideal,
@@ -379,7 +382,7 @@ def test_bruteforce_labels_each_group_of_undecided_fibers_once(monkeypatch):
 
 
 def test_a_level_without_members_is_labelled_at_once(monkeypatch):
-    # the gate often leaves no fiber of a stack; such a level is not keyed
+    # the gate often leaves no fiber of a run; such a level is not keyed
     level = reference_reduced_fibers(binary_spec(11, 5), 3, 33)
     empty = level.select(np.zeros(len(level.images), dtype=bool))
 
@@ -613,13 +616,6 @@ def test_batched_membership_in_a_non_reduced_fiber():
     assert answers == {True, False}
 
 
-#: stack budgets: every level alone (1); levels larger than the budget
-#: labelled alone after a stack of the small ones (64: the binary sweeps'
-#: first levels hold 0, 7 and 39 members); a stack of several levels that
-#: reaches the budget mid-sweep (1000); every level in one final partial
-#: stack (2^30)
-BUDGETS = (1, 64, 1000, 1 << 30)
-
 #: joint-level budgets: every T-degree a level alone (1), the default, and
 #: every run of T-degrees one level (2^30)
 JOINT_BUDGETS = (1, toric._JOINT_CELLS, 1 << 30)
@@ -631,7 +627,7 @@ MASK_CELLS = (toric._MASK_CELLS, 1, 7, 97)
 
 def test_batched_membership_refuses_pairs_off_the_kernel(monkeypatch):
     # no rows, and a pair off the kernel, are answered before any level is
-    # built, under every stack budget
+    # built
     def unreachable(*args):
         raise AssertionError("a level was built")
 
@@ -640,11 +636,9 @@ def test_batched_membership_refuses_pairs_off_the_kernel(monkeypatch):
     moves = sigma_set(3, 1).moves
     width = moves.spec.n + moves.spec.nrees
     lead = Monomial((0, 0), (1, 0, 0))
-    for budget in BUDGETS:
-        monkeypatch.setattr(toric, "_STACK_MEMBERS", budget)
-        assert binomials_in_binomial_ideal(np.zeros((0, width)), np.zeros((0, width)), moves).tolist() == []
-        with pytest.raises(KernelMismatch):
-            binomials_in_binomial_ideal(_vecs([lead, lead]), _vecs([lead, Monomial((3, 0), (0, 0, 0))]), moves)
+    assert binomials_in_binomial_ideal(np.zeros((0, width)), np.zeros((0, width)), moves).tolist() == []
+    with pytest.raises(KernelMismatch):
+        binomials_in_binomial_ideal(_vecs([lead, lead]), _vecs([lead, Monomial((3, 0), (0, 0, 0))]), moves)
 
 
 def test_fibers_are_built_only_for_rows_whose_distinct_sides_both_admit_a_move(monkeypatch):
@@ -660,7 +654,7 @@ def test_fibers_are_built_only_for_rows_whose_distinct_sides_both_admit_a_move(m
     monkeypatch.setattr(toric, "_fibers_of", spy)
 
     def meets(m, moves):
-        return any(side.divides(m) for move in moves for side in (move.lead, move.trail))
+        return any(divides(side, m) for move in moves for side in (move.lead, move.trail))
 
     gens = ternary_gens(5, 2)
     multipliers = [Monomial(c[:3], c[3:]) for k in range(4) for c in compositions(k, 7)]
@@ -694,7 +688,7 @@ def test_fibers_are_built_only_for_rows_whose_distinct_sides_both_admit_a_move(m
 
 
 @pytest.mark.parametrize("d", range(2, 13))
-def test_stacked_sweep_matches_the_per_level_reference(d, monkeypatch):
+def test_run_sweep_matches_the_per_level_reference(d, monkeypatch):
     # every coprime b, on the full Sigma set and with each generator dropped;
     # the sweep labels each run as it is built, so the joint budgets, which
     # set the runs, set what is labelled together; with a generator dropped
@@ -734,57 +728,14 @@ def test_a_failure_stops_the_sweep_at_its_run(drop, tau, monkeypatch):
 @st.composite
 def multiplier_cases(draw):
     """The prefix moves and H of a colon claim of ternary_spec(a, b), a <= 6,
-    random multiplier rows (possibly none), and a stack budget."""
+    and random multiplier rows (possibly none)."""
     a = draw(st.integers(3, 6))
     b = draw(st.integers(1, (a - 1) // 2))
     gens = ternary_gens(a, b)
     claim = draw(st.sampled_from(colon_claims(a, b)))
     prefix = gens.before(claim["name"])
     rows = draw(st.lists(st.lists(st.integers(0, 2), min_size=7, max_size=7), max_size=40))
-    return prefix, gens[claim["name"]], np.array(rows, dtype=np.int64).reshape(-1, 7), draw(st.sampled_from(BUDGETS))
-
-
-@SETTINGS
-@given(multiplier_cases())
-def test_stacked_membership_matches_the_per_level_reference(case):
-    prefix, h, rows, budget = case
-    leads, trails = rows + _vecs([h.lead]), rows + _vecs([h.trail])
-    saved, toric._STACK_MEMBERS = toric._STACK_MEMBERS, budget
-    try:
-        got = binomials_in_binomial_ideal(leads, trails, prefix)
-    finally:
-        toric._STACK_MEMBERS = saved
-    assert got.dtype == bool
-    assert got.tolist() == reference_binomials_in_binomial_ideal(leads, trails, prefix).tolist()
-
-
-def _one_member_fibers(rees):
-    """A level of one member per fiber, one ground and one Rees variable."""
-    rees = np.array(rees, dtype=np.int64).reshape(-1, 1)
-    return _Level(np.zeros((len(rees), 1), dtype=np.int64), np.arange(len(rees)), np.zeros_like(rees), rees)
-
-
-def test_stacks_are_cut_before_the_key_overflows():
-    # Rees exponents below 2^60 take 2^60 keys per fiber, and the key range
-    # ends at 2^62: three such fibers fit in one stack, four do not
-    top = _one_member_fibers([0, 2**60 - 1])
-    three = [top, _one_member_fibers([1])]
-    four = [top, _one_member_fibers([1, 1])]
-    for level in four:
-        level.key(level.fiber, level.rees)  # each level alone is keyed
-    stacked = _stack(three)
-    assert np.all(np.diff(stacked.key(stacked.fiber, stacked.rees)) > 0)
-    stacked = _stack(four)
-    with pytest.raises(ValueError, match="too large to key"):
-        stacked.key(stacked.fiber, stacked.rees)
-    assert [len(stack.images) for stack in _stacks(three)] == [3]
-    assert [len(stack.images) for stack in _stacks(four)] == [2, 2]
-
-
-def test_stacks_close_at_the_budget_and_keep_large_levels_alone(monkeypatch):
-    monkeypatch.setattr(toric, "_STACK_MEMBERS", 50)
-    levels = [_one_member_fibers(range(size)) for size in (5, 10, 40, 3, 60, 4, 2)]
-    assert [len(stack) for stack in _stacks(levels)] == [55, 3, 60, 6]
+    return prefix, gens[claim["name"]], np.array(rows, dtype=np.int64).reshape(-1, 7)
 
 
 def _joined(results):
@@ -792,7 +743,7 @@ def _joined(results):
     offsets = np.cumsum([0] + [count for count, _, _ in results[:-1]])
     return (sum(count for count, _, _ in results),
             np.concatenate([undecided + offset for (_, undecided, _), offset in zip(results, offsets)]),
-            _stack([level for _, _, level in results]))
+            join_levels([level for _, _, level in results]))
 
 
 def assert_grouped_levels_are_exact(spec, t_bound, g, cells=MASK_CELLS[:1]):
@@ -860,14 +811,14 @@ def test_grouped_levels_are_exact_in_small_mask_blocks_ternary(a, b):
 @SETTINGS
 @given(multiplier_cases())
 def test_grouped_membership_matches_the_per_level_reference(budget, case):
-    prefix, h, rows, stack_budget = case
+    prefix, h, rows = case
     leads, trails = rows + _vecs([h.lead]), rows + _vecs([h.trail])
-    saved = toric._JOINT_CELLS, toric._STACK_MEMBERS
-    toric._JOINT_CELLS, toric._STACK_MEMBERS = budget, stack_budget
+    saved, toric._JOINT_CELLS = toric._JOINT_CELLS, budget
     try:
         got = binomials_in_binomial_ideal(leads, trails, prefix)
     finally:
-        toric._JOINT_CELLS, toric._STACK_MEMBERS = saved
+        toric._JOINT_CELLS = saved
+    assert got.dtype == bool
     assert got.tolist() == reference_binomials_in_binomial_ideal(leads, trails, prefix).tolist()
 
 
@@ -881,3 +832,59 @@ def test_colon_claims_are_the_same_at_every_joint_budget(monkeypatch):
     for budget in JOINT_BUDGETS[1:]:
         monkeypatch.setattr(toric, "_JOINT_CELLS", budget)
         assert [verify_colon_claims(g) for g in gens] == expected, budget
+
+
+def test_runs_split_the_t_degrees_in_order_within_the_cells():
+    # ternary, four Rees variables: C(tau + 3, 3) compositions at tau
+    spec = ternary_spec(8, 3)
+    taus, sizes = list(range(10)), [1, 4, 30, 100, 2, 3, 1000, 5, 5, 5]
+    runs = list(_runs(spec, taus, sizes))
+    assert [i for r in runs for i in range(len(taus))[r]] == list(range(len(taus)))
+
+    def cells(r):
+        return sum(comb(tau + 3, 3) for tau in taus[r]) * sum(sizes[r])
+
+    for r, after in zip(runs, runs[1:]):
+        assert cells(slice(r.start, after.start + 1)) > toric._JOINT_CELLS  # a run grows while it can
+    assert all(cells(r) <= toric._JOINT_CELLS for r in runs if r.stop - r.start > 1)
+    # T-degree 6 alone holds 84 x 1000 cells, beyond the budget
+    assert cells(slice(6, 7)) > toric._JOINT_CELLS
+    assert runs == [slice(0, 6), slice(6, 7), slice(7, 10)]
+
+
+def test_runs_are_cut_before_the_key_overflows(monkeypatch):
+    # nrees 16: Rees exponents < 10 take 10^16 keys per fiber, and the key
+    # range ends at 2^62, so 597 fibers do not fit though their cells do
+    spec = AciSpec((2,) * 15, (1,) * 15)
+    monkeypatch.setattr(toric, "_JOINT_CELLS", 2**30)
+    assert spec.nrees == 16
+    assert (comb(23, 15) + comb(24, 15)) * 597 < 2**30 and 10**16 * 597 >= 2**62
+    assert list(_runs(spec, [8, 9], [1, 596])) == [slice(0, 1), slice(1, 2)]
+
+
+def test_memberships_label_each_run_with_one_kernel_call(monkeypatch):
+    # the colon claims of (8, 3): each `_fiber_components` call gets the
+    # level the `_fibers_of` call just before it returned, once per run
+    events, runs = [], []
+    build, label, split = toric._fibers_of, toric._fiber_components, toric._runs
+
+    def built(spec, images):
+        events.append(("built", build(spec, images)))
+        return events[-1][1]
+
+    def labelled(level, moves):
+        events.append(("labelled", level))
+        return label(level, moves)
+
+    def counted(spec, taus, sizes):
+        for r in split(spec, taus, sizes):
+            runs.append(r)
+            yield r
+
+    monkeypatch.setattr(toric, "_fibers_of", built)
+    monkeypatch.setattr(toric, "_fiber_components", labelled)
+    monkeypatch.setattr(toric, "_runs", counted)
+    verify_colon_claims(ternary_gens(8, 3))
+    calls = [i for i, (kind, _) in enumerate(events) if kind == "labelled"]
+    assert len(calls) == len(runs) > 1
+    assert all(i > 0 and events[i - 1][0] == "built" and events[i - 1][1] is events[i][1] for i in calls)

@@ -13,6 +13,11 @@ the body of a definition that is itself reached.  The ``cmd_*`` functions
 of ``cli`` are reached through ``main``'s dispatch.  References from
 ``tests`` and the re-exports of ``__init__.py`` do not count, so a name
 that only the tests call is listed.
+
+The third scan does the same for the methods of the package's classes.
+A method counts as reached only when its name appears as an AST
+``Attribute`` in ``src/reeslab``, ``perfbench`` or ``tools``; dunder
+methods, which Python calls by protocol, are skipped.
 """
 import ast
 from pathlib import Path
@@ -137,3 +142,43 @@ def test_every_definition_of_the_package_is_reached_without_the_tests():
     callers = sorted(p for d in ("perfbench", "tools") for p in (ROOT / d).rglob("*.py"))
     assert len(callers) >= 8
     assert unreached(PACKAGE, callers) == []
+
+
+def unreached_methods(package_dir: Path, callers: list[Path]) -> list[str]:
+    """The methods of the classes of the package in `package_dir` whose
+    names appear as no attribute in the package or in a caller, as
+    ``module.Class.name``, in order of definition; dunder methods are
+    skipped."""
+    trees = {p.stem: ast.parse(p.read_text()) for p in sorted(package_dir.glob("*.py"))}
+    attrs = {node.attr for tree in [*trees.values(), *(ast.parse(p.read_text()) for p in callers)]
+             for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    found = []
+    for module, tree in trees.items():
+        for cls in tree.body:
+            if isinstance(cls, ast.ClassDef):
+                for node in cls.body:
+                    if isinstance(node, ast.FunctionDef) and not node.name.endswith("__") and node.name not in attrs:
+                        found.append(f"{module}.{cls.name}.{node.name}")
+    return found
+
+
+def test_the_method_scan_sees_what_only_tests_call(tmp_path):
+    pkg = tmp_path / "pkg"
+    pkg.mkdir()
+    (pkg / "core.py").write_text(
+        "class Box:\n"
+        "    def __len__(self):\n        return 0\n\n"  # called by protocol
+        "    def size(self):\n        return self.width()\n\n"
+        "    def width(self):\n        return 1\n\n"
+        "    def dead(self):\n        return 2\n"
+    )
+    caller = tmp_path / "tool.py"
+    caller.write_text("from pkg.core import Box\n")
+    assert unreached_methods(pkg, [caller]) == ["core.Box.size", "core.Box.dead"]
+    caller.write_text("from pkg.core import Box\n\nBox().size()\n")
+    assert unreached_methods(pkg, [caller]) == ["core.Box.dead"]
+
+
+def test_every_method_of_the_package_is_reached_without_the_tests():
+    callers = sorted(p for d in ("perfbench", "tools") for p in (ROOT / d).rglob("*.py"))
+    assert unreached_methods(PACKAGE, callers) == []

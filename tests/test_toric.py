@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from fiber_reference import connected_under_moves, reference_fiber, reference_undecided
-from monomial_text import parse_binomial, parse_monomial
+from monomial_text import parse_binomial, parse_monomial, scale
 from reeslab import toric
 from reeslab.core import AciSpec, Binomial, InputError, Monomial, ground_monomial
 from reeslab.binary import sigma_set
@@ -97,8 +97,8 @@ def test_binomial_membership_f2_regression():
     f2 = parse_binomial("x*v^2 - y*t*u", 2, 3)
     assert f2 == sigma.entries[2].binomial
     assert not binomial_in_binomial_ideal(f2, f_and_g)
-    pivot_x = f2.scale(parse_monomial("x^3", 2, 3))
-    pivot_y = f2.scale(parse_monomial("y^3", 2, 3))
+    pivot_x = scale(f2, parse_monomial("x^3", 2, 3))
+    pivot_y = scale(f2, parse_monomial("y^3", 2, 3))
     assert binomial_in_binomial_ideal(pivot_x, f_and_g)
     assert binomial_in_binomial_ideal(pivot_y, f_and_g)
 
@@ -106,7 +106,7 @@ def test_binomial_membership_f2_regression():
 def test_removal_probes_flag_a_redundant_move_and_nothing_else():
     moves = sigma_set(7, 3).moves
     assert moves.redundant() == [False] * len(moves)
-    extra = moves.moves[0].scale(parse_monomial("x", 2, 3))
+    extra = scale(moves.moves[0], parse_monomial("x", 2, 3))
     assert MoveSet(moves.spec, moves.moves + (extra,)).redundant() == [False] * len(moves) + [True]
 
 
@@ -290,7 +290,7 @@ def test_bruteforce_counts_invariant_under_tie_shuffle():
 
 def test_sweep_requires_coprime_moves():
     spec = binary_spec(2, 1)
-    scaled = sigma_set(2, 1).binomials()[0].scale(Monomial((1, 0), (0, 0, 0)))
+    scaled = scale(sigma_set(2, 1).binomials()[0], Monomial((1, 0), (0, 0, 0)))
     with pytest.raises(ValueError):
         generates_up_to(MoveSet(spec, (scaled,)), 3, 6)
 
