@@ -199,20 +199,13 @@ class SigmaSet:
         return len(self.entries)
 
 
-def check_image_cap(d: int, b: int) -> None:
-    """Refuse (d, b) when an image exponent of the Rees generators of
-    (x^d, y^d, x^b y^(d-b)), formed by every kernel check, would pass the
-    cap.  The largest is d * max(b, d - b) / gcd(d, b), in the image of the
-    implicit equation v^(d / gcd(d, b))."""
-    check_exponent_cap(d * max(b, d - b) // gcd(d, b), "image exponent d * max(b, d - b) / gcd(d, b) =")
-
-
 def sigma_set(d: int, b: int) -> SigmaSet:
     """Assemble Sigma for (d, b): the two syzygies plus one Sylvester form
     per Euclid quotient step, built by the parity-alternating iteration and
-    cross-checked against the closed F/G formulas."""
+    cross-checked against the closed F/G formulas.  `euclid_sequence`, then
+    `binary_spec` (the image cap), refuse (d, b) before any form is built."""
     ed = euclid_sequence(d, b)
-    check_image_cap(d, b)
+    spec = binary_spec(d, b)
     entries: list[SigmaEntry] = [SigmaEntry(make_generator(ed, 0, 0), "syzygy", 0, 0)]
     cycle_last = [0]  # entry index of the last element of each finished cycle
 
@@ -240,7 +233,7 @@ def sigma_set(d: int, b: int) -> SigmaSet:
             origin = "implicit" if (j == ed.steps and i == cj) else "sylvester"
             entries.append(SigmaEntry(det, origin, j, i, preds, piv))
         cycle_last.append(len(entries) - 1)
-    moves = MoveSet(binary_spec(d, b), tuple(e.binomial for e in entries))
+    moves = MoveSet(spec, tuple(e.binomial for e in entries))
     sigma = SigmaSet(d, b, ed, tuple(entries), moves)
     assert len(sigma) == sigma.count_formula()
     return sigma

@@ -84,6 +84,13 @@ def _entry_dict(e: binary.SigmaEntry) -> dict:
     }
 
 
+def _sweep_failure(report: toric.GenerationReport) -> dict:
+    """A failed sweep's bounds and first disconnected fiber: its image, T for the T-degree, and components."""
+    ff = report.first_failure
+    failure = {"image": ff.image.text(rnames=("T",)), "components": [[m.text() for m in c] for c in ff.components]}
+    return {"t_bound": report.t_bound, "ground_bound": report.ground_bound, "first_failure": failure}
+
+
 # -- commands ----------------------------------------------------------------
 
 def cmd_binary_gens(args) -> Report:
@@ -93,12 +100,12 @@ def cmd_binary_gens(args) -> Report:
     g = gcd(d, b)
     if g > 1:
         rp = binary.reparametrize((d, d), (b, d - b))
-        binary.check_image_cap(d, b)
+        spec = toric.binary_spec(d, b)
         d_red, b_red = rp.a_reduced[0], rp.b_reduced[0]
         sigma = binary.sigma_set(d_red, b_red)
         gens = [binary.transport(bi, rp.delta) for bi in sigma.binomials()]
         try:
-            toric.MoveSet(toric.binary_spec(d, b), tuple(gens))
+            toric.MoveSet(spec, tuple(gens))
             kernel_ok = True
         except toric.KernelMismatch:
             kernel_ok = False
@@ -150,11 +157,7 @@ def cmd_binary_verify(args) -> Report:
     if dropped is not None:
         results["dropped"] = dropped.text()
     if report.first_failure is not None:
-        ff = report.first_failure
-        results["first_failure"] = {
-            "image": ff.image.text(rnames=("T",)),
-            "components": [[m.text() for m in comp] for comp in ff.components],
-        }
+        results.update(_sweep_failure(report))
     ok = report.passed and minimal is True
     return Report("binary-verify", {"d": d, "b": b}, results, "pass" if ok else "fail")
 
@@ -228,12 +231,15 @@ def cmd_ternary(args) -> Report:
         results["colon_claims"] = [
             {"name": c.name, "certificates": c.certificates_ok, "superset": c.superset_ok,
              "subset": c.subset_ok, "subset_checked": c.subset_checked}
+            | ({} if c.ok else {"subset_violations": list(c.subset_violations)})
             for c in colon.claims
         ]
         results["generates"] = gen_rep.passed
         results["redundant_generators"] = list(gen_rep.redundant)
         results["enumeration_matches"] = enum.matches
         results["enumeration_types"] = enum.types
+        if not gen_rep.passed:
+            results.update(_sweep_failure(gen_rep.generation))
         ok = colon.ok and gen_rep.passed and enum.matches
     if args.lengths:
         rows = ternary.ternary_length_profile(a, b)

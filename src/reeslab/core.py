@@ -152,12 +152,12 @@ class Monomial:
         return self.sort_key() < other.sort_key()
 
     # -- text ------------------------------------------------------------
-    def text(self, gnames: Sequence[str] | None = None, rnames: Sequence[str] | None = None) -> str:
-        """Bit-exact text form: factors joined by '*', '^exp' omitted for 1."""
-        gnames = gnames or ground_names(len(self.ground))
+    def text(self, rnames: Sequence[str] | None = None) -> str:
+        """Bit-exact text form: factors joined by '*', '^exp' omitted for 1;
+        the Rees variables are `rnames` (("T",) for an image) or `rees_names`."""
         rnames = rnames or rees_names(len(self.rees))
         parts = []
-        for name, e in itertools.chain(zip(gnames, self.ground), zip(rnames, self.rees)):
+        for name, e in itertools.chain(zip(ground_names(len(self.ground)), self.ground), zip(rnames, self.rees)):
             if e == 0:
                 continue
             parts.append(name if e == 1 else f"{name}^{e}")
@@ -167,12 +167,12 @@ class Monomial:
         return self.text()
 
 
-def unit(n: int, m: int = 0) -> Monomial:
-    return Monomial((0,) * n, (0,) * m)
+def unit(n: int) -> Monomial:
+    return Monomial((0,) * n)
 
 
-def ground_monomial(exps: Sequence[int], m: int = 0) -> Monomial:
-    return Monomial(tuple(exps), (0,) * m)
+def ground_monomial(exps: Sequence[int]) -> Monomial:
+    return Monomial(tuple(exps))
 
 
 @dataclass(frozen=True)
@@ -206,8 +206,9 @@ class Binomial:
     def is_coprime(self) -> bool:
         return self.lead.gcd(self.trail).is_unit()
 
-    def text(self, gnames: Sequence[str] | None = None, rnames: Sequence[str] | None = None) -> str:
-        return f"{self.lead.text(gnames, rnames)} - {self.trail.text(gnames, rnames)}"
+    def text(self) -> str:
+        """lead - trail, each side in its `Monomial.text` form."""
+        return f"{self.lead.text()} - {self.trail.text()}"
 
     def __str__(self) -> str:
         return self.text()
@@ -290,15 +291,11 @@ class MonomialIdeal:
 
     __slots__ = ("exps", "nvars", "_gens")
 
-    def __init__(self, gens: Iterable[Monomial], nvars: int | None = None):
+    def __init__(self, gens: Iterable[Monomial], nvars: int):
         gens = list(gens)
         for g in gens:
             if not g.is_ground():
                 raise ValueError(f"ideal generator {g} has Rees variables")
-        if nvars is None:
-            if not gens:
-                raise ValueError("empty ideal needs explicit nvars")
-            nvars = len(gens[0].ground)
         for g in gens:
             if len(g.ground) != nvars:
                 raise AmbientMismatch(f"{len(g.ground)} vs {nvars} ground variables")
@@ -319,11 +316,9 @@ class MonomialIdeal:
         return out
 
     @classmethod
-    def from_exponents(cls, rows: Iterable[Sequence[int]], nvars: int | None = None) -> "MonomialIdeal":
-        rows = list(rows)
-        if nvars is None and rows:
-            nvars = len(rows[0])
-        return cls([ground_monomial(r) for r in rows], nvars)
+    def from_exponents(cls, rows: Sequence[Sequence[int]]) -> "MonomialIdeal":
+        """The ideal of these exponent rows, in as many variables as the first."""
+        return cls([ground_monomial(r) for r in rows], len(rows[0]))
 
     @property
     def gens(self) -> tuple[Monomial, ...]:

@@ -161,15 +161,15 @@ def classify_type(bin_: Binomial) -> Optional[int]:
     return 1 + sum(1 for e in wside.ground if e > 0)
 
 
-def enumerate_kernel_binomials(a: int, b: int, delta_max: int = 3) -> tuple[Binomial, ...]:
-    """All coprime kernel binomials with w-degree 1 <= delta <= delta_max
-    and every ground exponent < a, by exhausting the per-type exponent
-    equations: with alpha the (t, u, v) degrees, each coordinate forces
-    beta from alpha_c * a - delta * b.  Building their `MoveSet` checks
-    that every one lies in the kernel."""
+def enumerate_kernel_binomials(a: int, b: int) -> tuple[Binomial, ...]:
+    """All coprime kernel binomials with w-degree 1 <= delta <= 3, the
+    w-degree of the cube relation, and every ground exponent < a, by
+    exhausting the per-type exponent equations: with alpha the (t, u, v)
+    degrees, each coordinate forces beta from alpha_c * a - delta * b.
+    Building their `MoveSet` checks that every one lies in the kernel."""
     spec = ternary_spec(a, b)
     out = []
-    for delta in range(1, delta_max + 1):
+    for delta in range(1, 4):
         for alpha in compositions(delta, 3):
             wside = [0, 0, 0]
             other = [0, 0, 0]
@@ -282,14 +282,13 @@ def certificate_identities(gens: TernaryGenSet) -> tuple[tuple[str, str, dict[Mo
 
 def colon_claims(a: int, b: int) -> tuple[dict, ...]:
     """The four colon steps of the construction: each generator after the
-    six syzygies, named by its `ternary_gens` label, with the labels before
-    it as the prefix ideal it is coloned against and the multipliers of its
-    `_certificate_table` rows as the claimed colon ideal."""
-    labels = _labels(a, b)
+    six syzygies, named by its `ternary_gens` label, with the multipliers
+    of its `_certificate_table` rows as the claimed colon ideal.  The
+    prefix ideal it is coloned against is `TernaryGenSet.before` it."""
     table = _certificate_table(a, b)
     return tuple(
-        {"name": name, "prefix": tuple(labels[:i]), "colon": [mult for claim, _, mult, _ in table if claim == name]}
-        for i, name in enumerate(labels[6:], start=6)
+        {"name": name, "colon": [mult for claim, _, mult, _ in table if claim == name]}
+        for name in _labels(a, b)[6:]
     )
 
 
@@ -364,8 +363,8 @@ def verify_colon_claims(gens: TernaryGenSet) -> ColonClaimsReport:
     cert_ok_by_step: dict[str, bool] = {}
     for step, _, lhs, rhs in certificate_identities(gens):
         cert_ok_by_step[step] = cert_ok_by_step.get(step, True) and lhs == rhs
-    grid = np.array([(x, y, z) for x in range(a + 1) for y in range(a + 1 - x) for z in range(a + 1 - x - y)],
-                    dtype=np.int64)  # the ground monomials of degree <= a, lexicographically
+    # the ground monomials of degree <= a, lexicographically, in the order of `_multiplier_blocks`
+    grid = np.array(list(compositions(a, 4)), dtype=np.int64)[:, :3]
     reports = []
     for claim in colon_claims(a, b):
         lead, trail = gens.moves.array[gens.index(claim["name"])]

@@ -68,7 +68,7 @@ from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .core import AciSpec, Binomial, InputError, Monomial, divisibility_mask
+from .core import AciSpec, Binomial, InputError, Monomial, check_exponent_cap, divisibility_mask
 
 Vec = tuple[int, ...]
 
@@ -78,8 +78,13 @@ class KernelMismatch(ValueError):
 
 
 def binary_spec(d: int, b: int) -> AciSpec:
-    """I = (x^d, y^d, x^b y^(d-b)), whose Rees variables are t, u, v."""
-    return AciSpec((d, d), (b, d - b))
+    """I = (x^d, y^d, x^b y^(d-b)), whose Rees variables are t, u, v; the one
+    place the cap on image exponents is enforced, once `AciSpec` takes the
+    ideal.  Every kernel check forms the largest, d * max(b, d - b) / gcd(d, b),
+    in the image of the implicit equation v^(d / gcd(d, b))."""
+    spec = AciSpec((d, d), (b, d - b))
+    check_exponent_cap(d * max(b, d - b) // math.gcd(d, b), "image exponent d * max(b, d - b) / gcd(d, b) =")
+    return spec
 
 
 def ternary_spec(a: int, b: int) -> AciSpec:
@@ -679,11 +684,10 @@ def bruteforce_min_gens(
     groups, already connected.  Only those fibers are built, one `_runs`
     run at a time, and each (T-degree, image ground degree) group of a run
     is labelled once, under every move found before the group: a move
-    found in a group cannot join two fibers of it.  The number added per
-    bidegree is canonical even though the chosen binomials are not.  The
-    moves are listed by (image ground degree, T-degree), then image.
-    `tie_break_seed` shuffles the fibers inside each group, which must not
-    change the counts.
+    found in a group cannot join two fibers of it, so the moves found are
+    canonical as a set.  They are listed by (image ground degree, T-degree),
+    then image; `tie_break_seed` shuffles the fibers inside each group,
+    which reorders the moves inside a bidegree only.
 
     Two components whose first members share a variable x_v both meet the
     smaller fiber b - deg(x_v); inside the ground bound an earlier group

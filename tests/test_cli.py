@@ -19,6 +19,7 @@ from reeslab.binary import IntegralityError, SylvesterError
 from reeslab.cli import Report, main
 from reeslab.core import EXPONENT_CAP, Binomial, Monomial
 from reeslab.toric import KernelMismatch
+from test_ternary import weakened_claims
 
 
 def run_cli(capsys, *argv):
@@ -148,6 +149,44 @@ def test_ternary_command(capsys):
     data = json.loads(out)
     assert data["verdict"] == "pass"
     assert data["results"]["enumeration_matches"] is True
+
+
+def test_a_refuted_colon_claim_prints_its_violations(capsys, monkeypatch):
+    # without its first claimed generator the claim on H1 fails: its entry,
+    # and only its, lists the violations, in the order of the report
+    monkeypatch.setattr(ternary, "colon_claims", weakened_claims([{0}, set(), set(), set()]))
+    expected = ternary.verify_colon_claims(ternary.ternary_gens(5, 2)).claims[0].subset_violations
+    assert len(expected) == 111
+    code, out, _ = run_cli(capsys, "ternary", "5", "2", "--verify", "--format", "json")
+    assert code == 1
+    claims = json.loads(out)["results"]["colon_claims"]
+    assert claims[0]["subset_violations"] == list(expected) and not claims[0]["subset"]
+    assert all("subset_violations" not in c and c["subset"] for c in claims[1:])
+    code, out, _ = run_cli(capsys, "ternary", "5", "2", "--verify")
+    assert code == 1 and out.endswith("verdict: fail\n")
+    lines = out.splitlines()
+    start = lines.index("    subset_violations:")
+    assert lines[start + 1:start + 1 + len(expected)] == [f"      - {v}" for v in expected]
+    assert out.count("subset_violations:") == 1
+
+
+def test_a_disconnected_ternary_fiber_prints_the_first_failure(capsys, monkeypatch):
+    # a sweep without the cube relation fails at its fiber: the report adds
+    # the sweep's bounds and that fiber, in binary-verify's shape
+    sweep = ternary.generates_up_to
+    monkeypatch.setattr(ternary, "generates_up_to", lambda moves, t, g: sweep(moves.without(9), t, g))
+    cube = ternary.ternary_gens(5, 2)["E"]
+    code, out, _ = run_cli(capsys, "ternary", "5", "2", "--verify", "--format", "json")
+    assert code == 1
+    results = json.loads(out)["results"]
+    assert results["generates"] is False and (results["t_bound"], results["ground_bound"]) == (4, 15)
+    failure = results["first_failure"]
+    assert failure["image"] == toric.ternary_spec(5, 2).image_of(cube.lead).text(rnames=("T",))
+    side = {m: i for i, comp in enumerate(failure["components"]) for m in comp}
+    assert side[cube.lead.text()] != side[cube.trail.text()]
+    code, out, _ = run_cli(capsys, "ternary", "5", "2", "--verify")
+    assert code == 1
+    assert {"t_bound: 4", "ground_bound: 15", "first_failure:", f"  image: {failure['image']}"} <= set(out.splitlines())
 
 
 def test_ternary_gate_exit_2(capsys):

@@ -63,15 +63,15 @@ def test_candidate_rows_above_the_cap_are_refused():
     with pytest.raises(InputError, match=f"exponent 1200000 exceeds the supported cap {EXPONENT_CAP}"):
         ideal("x^600000", nvars=1).power(2)
     # x^1000001*y^5*z^5 is over the cap but divisible by y*z
-    a = MonomialIdeal([Monomial((600000, 0, 5)), Monomial((0, 1, 0))])
-    b = MonomialIdeal([Monomial((400001, 5, 0)), Monomial((0, 0, 1))])
+    a = MonomialIdeal([Monomial((600000, 0, 5)), Monomial((0, 1, 0))], 3)
+    b = MonomialIdeal([Monomial((400001, 5, 0)), Monomial((0, 0, 1))], 3)
     with pytest.raises(ValueError, match="exponent 1000001 exceeds the supported cap"):
         a.product(b)
     # the square of x^600000*y*z is over the cap but divisible by y^2*z^2
-    c = MonomialIdeal([Monomial((600000, 1, 1)), Monomial((0, 2, 0)), Monomial((0, 0, 2))])
+    c = MonomialIdeal([Monomial((600000, 1, 1)), Monomial((0, 2, 0)), Monomial((0, 0, 2))], 3)
     with pytest.raises(ValueError, match="exponent 1200000 exceeds the supported cap"):
         c.power(2)
-    assert c.product(MonomialIdeal([Monomial((400000, 0, 0))])).gens[0] == Monomial((1000000, 1, 1))
+    assert c.product(MonomialIdeal([Monomial((400000, 0, 0))], 3)).gens[0] == Monomial((1000000, 1, 1))
 
 
 def test_ideal_colon():
@@ -203,12 +203,13 @@ def test_monomial_text_format():
     assert parse_monomial("y^11*t", 2, 3).text() == "y^11*t"
     assert Monomial((0, 0), (0, 0, 0)).text() == "1"
     assert Monomial((1, 2), (0, 1, 0)).text() == "x*y^2*u"
+    assert Monomial((3, 0), (4,)).text(rnames=("T",)) == "x^3*T^4"  # an image of the Rees map
     b = parse_binomial("y^11*t - x^11*v", 2, 3)
     assert b.text() == "y^11*t - x^11*v"
 
 
 def test_minimalization_is_eager_and_sorted():
-    i = MonomialIdeal([m2(2, 0), m2(2, 1), m2(0, 1)])
+    i = MonomialIdeal([m2(2, 0), m2(2, 1), m2(0, 1)], 2)
     assert i.gens == (m2(2, 0), m2(0, 1))
-    j = MonomialIdeal([m2(0, 1), m2(2, 0)])
+    j = MonomialIdeal([m2(0, 1), m2(2, 0)], 2)
     assert i == j

@@ -1,4 +1,5 @@
-"""Every imported name is used, and every definition of the package is called.
+"""Every imported name is used, every definition of the package is called,
+and every defaulted parameter of the package is set.
 
 The first scan parses each module under ``src/reeslab``, ``tests`` and
 ``tools``; a name counts as used when it appears anywhere in the module
@@ -18,8 +19,19 @@ The third scan does the same for the methods of the package's classes.
 A method counts as reached only when its name appears as an AST
 ``Attribute`` in ``src/reeslab``, ``perfbench`` or ``tools``; dunder
 methods, which Python calls by protocol, are skipped.
+
+The fourth scan keeps only the parameters some caller sets.  Every
+defaulted parameter of a ``def`` in ``src/reeslab`` (nested ones and
+keyword-only ones included) must be set at some call in ``src/reeslab``,
+``perfbench`` or ``tools``: by keyword, by enough positional arguments
+(a method's ``self`` or ``cls`` not counted, a call to a class counting
+for its ``__init__``), or by a ``*`` or ``**`` splat.  Calls are matched
+to a def by name alone, so two defs of one name share their calls; calls
+in ``tests`` do not count, so a default that only the tests set, or that
+nothing sets, is listed.
 """
 import ast
+from typing import Iterator
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -182,3 +194,75 @@ def test_the_method_scan_sees_what_only_tests_call(tmp_path):
 def test_every_method_of_the_package_is_reached_without_the_tests():
     callers = sorted(p for d in ("perfbench", "tools") for p in (ROOT / d).rglob("*.py"))
     assert unreached_methods(PACKAGE, callers) == []
+
+
+def _defs(body: list, prefix: str, in_class: bool = False) -> Iterator[tuple[str, ast.AST, bool]]:
+    """(qualified name, def, whether it is a method) for every ``def`` under
+    `body`, nested ones included, in order of definition."""
+    for node in body:
+        if isinstance(node, ast.ClassDef):
+            yield from _defs(node.body, f"{prefix}{node.name}.", True)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            static = any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in node.decorator_list)
+            yield f"{prefix}{node.name}", node, in_class and not static
+            yield from _defs(node.body, f"{prefix}{node.name}.")
+        else:
+            yield from _defs([n for n in ast.iter_child_nodes(node) if isinstance(n, ast.stmt)], prefix, in_class)
+
+
+def unset_parameters(package_dir: Path, callers: list[Path]) -> list[str]:
+    """The defaulted parameters of the ``def``s of the package in
+    `package_dir` that no call in the package or in a caller sets, as
+    ``module.Qualname(name)``, in order of definition.  A call names a
+    def by its plain or attribute name, and a class's ``__init__`` by the
+    class name; it sets a parameter by keyword, by enough positional
+    arguments (a method's ``self`` or ``cls`` not counted), or every
+    parameter at once by a ``*`` or ``**`` splat."""
+    trees = {p.stem: ast.parse(p.read_text()) for p in sorted(package_dir.glob("*.py"))}
+    positional, keywords, splat = {}, {}, set()
+    for tree in [*trees.values(), *(ast.parse(p.read_text()) for p in callers)]:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+                name = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+                if any(isinstance(arg, ast.Starred) for arg in node.args) or any(k.arg is None for k in node.keywords):
+                    splat.add(name)
+                positional[name] = max(positional.get(name, 0), len(node.args))
+                keywords.setdefault(name, set()).update(k.arg for k in node.keywords)
+    found = []
+    for module, tree in trees.items():
+        for qualname, node, method in _defs(tree.body, f"{module}."):
+            *owner, name = qualname.split(".")
+            name = owner[-1] if name == "__init__" else name
+            args = [*node.args.posonlyargs, *node.args.args][1 if method else 0:]
+            defaulted = [(i, arg.arg) for i, arg in enumerate(args) if i >= len(args) - len(node.args.defaults)]
+            defaulted += [(None, arg.arg) for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults)
+                          if default is not None]
+            found += [f"{qualname}({param})" for i, param in defaulted
+                      if name not in splat and param not in keywords.get(name, ())
+                      and (i is None or positional.get(name, 0) <= i)]
+    return found
+
+
+def test_the_parameter_scan_sees_what_only_tests_set(tmp_path):
+    pkg = tmp_path / "pkg"
+    pkg.mkdir()
+    (pkg / "core.py").write_text(
+        "def f(a, b=1, *, c=2):\n    return g(**{})\n\n"  # a splat sets every parameter of g
+        "def g(x=0, y=0):\n    return x\n\n"
+        "def h(z=0):\n    return z\n\n"
+        "class Box:\n"
+        "    def __init__(self, w=0):\n        self.w = w\n\n"
+        "    def size(self, unit=1, scale=1):\n        return unit\n"
+    )
+    caller = tmp_path / "tool.py"
+    caller.write_text("from pkg.core import Box, f\n\nf(1, 2)\nBox(3).size(2)\n")  # self is not counted
+    tests = tmp_path / "test_core.py"
+    tests.write_text("from pkg.core import Box, f, h\n\nf(1, c=3)\nh(4)\nBox().size(2, 3)\n")
+    assert unset_parameters(pkg, [caller]) == ["core.f(c)", "core.h(z)", "core.Box.size(scale)"]
+    caller.write_text("from pkg.core import Box, f, h\n\nf(1, c=2)\nh(z=1)\nBox(w=3).size(2, 3)\n")
+    assert unset_parameters(pkg, [caller]) == ["core.f(b)"]
+
+
+def test_every_defaulted_parameter_of_the_package_is_set_without_the_tests():
+    callers = sorted(p for d in ("perfbench", "tools") for p in (ROOT / d).rglob("*.py"))
+    assert unset_parameters(PACKAGE, callers) == []

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from reeslab import cli, ternary
 from monomial_text import divides, parse_binomial, parse_monomial, scale
-from reeslab.core import InputError, Monomial
+from reeslab.core import Binomial, InputError, Monomial
 from reeslab.ternary import (
     ColonClaimReport,
     ColonClaimsReport,
@@ -173,7 +173,7 @@ def test_the_enumeration_check_sees_a_missing_generator_and_a_binomial_outside_l
         assert not enumeration_check(g).matches
     # a binomial of w-degree 4 that (L) misses
     outside = pb3("z^2*w^4 - x^3*y^3*t*u*v^2")
-    assert outside in enumerate_kernel_binomials(5, 2, 4)
+    assert outside in w_degree_binomials(5, 2, 4)
     monkeypatch.setattr(ternary, "enumerate_kernel_binomials", lambda a, b: found + (outside,))
     assert not enumeration_check(g).matches
 
@@ -197,13 +197,27 @@ def test_enumeration_types_at_5_2():
     assert enumeration_check(ternary_gens(7, 2)).types == {2: 3, 3: 3, 4: 1}
 
 
+def w_degree_binomials(a, b, delta):
+    """The coprime kernel binomials x^p w^delta - x^q t^alpha u^beta v^gamma
+    with ground exponents below a: for each (alpha, beta, gamma) of sum
+    `delta`, coprime sides force p - q = (alpha, beta, gamma) * a - delta * b
+    coordinatewise, p and q never both positive."""
+    out = set()
+    for rees in compositions(delta, 3):
+        diff = [e * a - delta * b for e in rees]
+        if all(abs(e) < a for e in diff):
+            out.add(Binomial(Monomial(tuple(max(e, 0) for e in diff), (0, 0, 0, delta)),
+                             Monomial(tuple(max(-e, 0) for e in diff), rees + (0,))))
+    return out
+
+
 def test_delta_four_diagnostic():
-    # every new binomial at w-degree 4 reduces into the delta <= 3 set
+    # the enumeration is the binomials of w-degree 1 to 3, and every one at
+    # w-degree 4 reduces into the generators
     for a, b in [(5, 2), (7, 2), (6, 2), (4, 1)]:
         moves = ternary_gens(a, b).moves
-        three = set(enumerate_kernel_binomials(a, b, 3))
-        four = set(enumerate_kernel_binomials(a, b, 4)) - three
-        for bi in four:
+        assert set(enumerate_kernel_binomials(a, b)) == set().union(*(w_degree_binomials(a, b, d) for d in (1, 2, 3)))
+        for bi in w_degree_binomials(a, b, 4):
             assert binomial_in_binomial_ideal(bi, moves), (a, b, str(bi))
 
 
@@ -380,8 +394,13 @@ def hand_written_colon_claims(a, b):
 
 
 def test_colon_claims_are_read_off_the_certificate_table():
+    # the prefix ideal of a claim is `before` its name, not a key of the claim
     for a, b in PAIRS_TO_12:
-        assert colon_claims(a, b) == hand_written_colon_claims(a, b), (a, b)
+        gens = ternary_gens(a, b)
+        typed = hand_written_colon_claims(a, b)
+        assert colon_claims(a, b) == tuple({"name": c["name"], "colon": c["colon"]} for c in typed), (a, b)
+        for c in typed:
+            assert gens.before(c["name"]).moves == tuple(gens[label] for label in c["prefix"]), (a, b)
         assert len(ternary._certificate_table(a, b)) == 15
 
 

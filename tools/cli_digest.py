@@ -30,6 +30,10 @@ and in CSV):
 - ``sweep --binary-max-d 10 --ternary-max-a 5 --uniform``, and
   ``sweep --binary-max-d 8 --ternary-max-a 4 --out FILE``;
 - one refused input (exit 2) per command;
+- the binary image-exponent cap of ``toric.binary_spec``:
+  ``binary-gens 1010 3`` (over it, exit 2) and ``binary-gens 1002 5``
+  (under it), ``binary-gens 2020 6`` and ``binary-gens 1000 2``, the
+  same with gcd(d, b) = 2, and ``binary-verify 1010 3`` (over it);
 - between those sections, one argv the parser refuses (``SystemExit``,
   whose code is printed as the exit), so that a parser reused after a
   refusal must still give the next command the same report.
@@ -57,6 +61,14 @@ REFUSED = (
     ["lengths", "1001", "2"],
     ["red", "--uniform", "1000", "5", "1"],
     ["sweep", "--binary-max-d", "1"],
+)
+
+IMAGE_CAP = (
+    ["binary-gens", "1010", "3"],  # 1010 * 1007 above 10^6
+    ["binary-gens", "1002", "5"],  # 1002 * 997 below it
+    ["binary-gens", "2020", "6"],  # 2020 * 2014 / 2 above it
+    ["binary-gens", "1000", "2"],  # 1000 * 998 / 2 below it
+    ["binary-verify", "1010", "3"],
 )
 
 PARSER_REFUSED = (
@@ -109,6 +121,7 @@ def commands():
     yield ["sweep", "--binary-max-d", "8", "--ternary-max-a", "4", "--out", OUT]
     yield next(refused)
     yield from REFUSED
+    yield from IMAGE_CAP
 
 
 def _sha(data: bytes) -> str:
