@@ -31,8 +31,8 @@ in ``tests`` do not count, so a default that only the tests set, or that
 nothing sets, is listed.
 """
 import ast
-from typing import Iterator
 from pathlib import Path
+from typing import Iterator
 
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = sorted(p for d in ("src/reeslab", "tests", "tools") for p in (ROOT / d).rglob("*.py"))
@@ -256,8 +256,6 @@ def test_the_parameter_scan_sees_what_only_tests_set(tmp_path):
     )
     caller = tmp_path / "tool.py"
     caller.write_text("from pkg.core import Box, f\n\nf(1, 2)\nBox(3).size(2)\n")  # self is not counted
-    tests = tmp_path / "test_core.py"
-    tests.write_text("from pkg.core import Box, f, h\n\nf(1, c=3)\nh(4)\nBox().size(2, 3)\n")
     assert unset_parameters(pkg, [caller]) == ["core.f(c)", "core.h(z)", "core.Box.size(scale)"]
     caller.write_text("from pkg.core import Box, f, h\n\nf(1, c=2)\nh(z=1)\nBox(w=3).size(2, 3)\n")
     assert unset_parameters(pkg, [caller]) == ["core.f(b)"]
